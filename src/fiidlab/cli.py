@@ -9,33 +9,17 @@ repeats of the same command line.
 
 import argparse
 import json
-import math
 import random
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from . import __version__, entropy, graphs, homsearch, rules, simulate
-
-SCHEMA_VERSION = 1
+from . import SCHEMA_VERSION, __version__, entropy, graphs, homsearch, jsonable, rules, simulate
 
 
 class UsageError(Exception):
     pass
-
-
-def _jsonable(x):
-    if isinstance(x, Fraction):
-        return {"exact": str(x), "float": float(x)}
-    if isinstance(x, float) and math.isinf(x):
-        return "Infinite"
-    if isinstance(x, bytes):
-        return x.hex()
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
 
 
 def _emit(args, payload, out_lines):
@@ -43,7 +27,7 @@ def _emit(args, payload, out_lines):
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "command": args.command_echo,
-        "payload": _jsonable(payload),
+        "payload": jsonable(payload),
     }
     if not args.no_timestamp:
         envelope["timestamp"] = datetime.now(timezone.utc).isoformat()
@@ -99,13 +83,13 @@ def _seed_of(args, payload):
 def _dist_payload(dist):
     out = {"labels": list(dist.labels), "p": {}}
     for a, x in zip(dist.labels, dist.p):
-        out["p"][str(a)] = _jsonable(x)
+        out["p"][str(a)] = x
     return out
 
 
 def _pair_payload(pair):
     return {
-        f"{a},{b}": _jsonable(x) for (a, b), x in sorted(pair.probs.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
+        f"{a},{b}": x for (a, b), x in sorted(pair.probs.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
     }
 
 
@@ -287,13 +271,7 @@ def _cmd_hom_check(args):
         "passed": res.passed,
         "exact": res.exact,
         "verdict": res.verdict,
-        "witness": None
-        if res.witness is None
-        else {
-            "config": _jsonable(res.witness.config),
-            "outputs": list(res.witness.outputs),
-            "non_edge": list(res.witness.non_edge),
-        },
+        "witness": None if res.witness is None else res.witness.to_json_dict(),
     }
     return payload, 0 if res.passed else 1
 
@@ -314,13 +292,7 @@ def _cmd_hom_certificate(args):
     if model.kind != "alphabet":
         raise UsageError("the constant-seed certificate applies to alphabet models")
     cert = homsearch.alphabet_impossibility_certificate(H, args.d, args.t, model.q)
-    return {
-        "d": cert.d,
-        "t": cert.t,
-        "q": cert.q,
-        "config": list(cert.config),
-        "reasoning": list(cert.reasoning),
-    }, 0
+    return asdict(cert), 0
 
 
 def _cmd_sim_run(args):
@@ -367,7 +339,6 @@ def _build_parser():
         "homomorphism search, and finite-graph emulation",
     )
     parser.add_argument("--no-timestamp", action="store_true", help="omit the timestamp field")
-    parser.add_argument("--threads", type=int, default=None, help="worker cap (module internals)")
     top = parser.add_subparsers(dest="group", required=True)
 
     def common(p, *names):

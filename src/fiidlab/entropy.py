@@ -14,11 +14,11 @@ All entropies are in nats.
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import product
 
-from . import rules
+from . import jsonable, rules
 from .rules import BudgetExceeded  # noqa: F401  (re-raised from enumeration)
 
 
@@ -336,12 +336,13 @@ def _mc_pair_counts_generic(rule, n, rng):
     counts = {}
     size = layout.size
     for _ in range(n):
+        # (draw, index) keys, as in emulation: equal draws still rank apart
         if model.kind == "alphabet":
             config = [rng.randrange(model.q) for _ in range(size)]
         elif model.kind == "rank":
-            config = [rng.random() for _ in range(size)]
+            config = [(rng.random(), i) for i in range(size)]
         else:
-            config = [(rng.random(), rng.randrange(model.q)) for _ in range(size)]
+            config = [((rng.random(), i), rng.randrange(model.q)) for i in range(size)]
         cu, cv = rules.endpoint_codes(layout, model, config)
         key = (rule.table[cu], rule.table[cv])
         counts[key] = counts.get(key, 0) + 1
@@ -601,23 +602,7 @@ class TailSelection:
     verdict: str
 
     def to_json_dict(self):
-        def num(x):
-            return {"exact": str(x), "float": float(x)} if isinstance(x, Fraction) else float(x)
-
-        return {
-            "selected": list(self.selected),
-            "selected_mass": num(self.selected_mass),
-            "outside_mass": num(self.outside_mass),
-            "tail_entropy": self.tail_entropy,
-            "triggered": self.triggered,
-            "min_selected_mass": num(self.min_selected_mass),
-            "max_outside_mass": num(self.max_outside_mass),
-            "outside_at_most_inv_C": self.outside_at_most_inv_C,
-            "entropy_floor": self.entropy_floor,
-            "c0_floor": self.c0_floor,
-            "floor_holds": self.floor_holds,
-            "verdict": self.verdict,
-        }
+        return jsonable(asdict(self))
 
 
 def tail_select(dist, C, c0):

@@ -207,10 +207,6 @@ def named_graph(name):
     raise UnknownName(f"unknown graph name {name!r}, expected one of {sorted(_NAMED)}")
 
 
-def named_graph_names():
-    return tuple(_NAMED)
-
-
 # ---------------------------------------------------------------------------
 # structural profile
 

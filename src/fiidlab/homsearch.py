@@ -16,9 +16,10 @@ outcome reports carry that caveat verbatim.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import product
 
-from . import rules
+from . import jsonable, rules
 from .rules import BudgetExceeded
 
 
@@ -38,7 +39,9 @@ class ViolationWitness:
     model: rules.SeedModel
     config: tuple
     outputs: tuple
-    non_edge: tuple
+
+    def to_json_dict(self):
+        return jsonable({"config": self.config, "outputs": self.outputs})
 
 
 @dataclass(frozen=True)
@@ -57,14 +60,9 @@ class CheckResult:
         return f"no violation found in {self.samples_checked} samples"
 
 
-def _witness_from_config(rule, layout, config, outputs):
+def _witness_from_config(rule, config, outputs):
     return ViolationWitness(
-        d=rule.d,
-        t=rule.t,
-        model=rule.model,
-        config=tuple(config),
-        outputs=tuple(outputs),
-        non_edge=tuple(outputs),
+        d=rule.d, t=rule.t, model=rule.model, config=tuple(config), outputs=tuple(outputs)
     )
 
 
@@ -110,7 +108,7 @@ def is_homomorphism_rule(rule, H, samples=100_000, rng_seed=0):
                     passed=False,
                     exact=True,
                     samples_checked=None,
-                    witness=_witness_from_config(rule, layout, config, (x, y)),
+                    witness=_witness_from_config(rule, config, (x, y)),
                 )
         return CheckResult(passed=True, exact=True, samples_checked=None, witness=None)
     rng = random.Random(rng_seed)
@@ -123,7 +121,7 @@ def is_homomorphism_rule(rule, H, samples=100_000, rng_seed=0):
                 passed=False,
                 exact=False,
                 samples_checked=None,
-                witness=_witness_from_config(rule, layout, config, (x, y)),
+                witness=_witness_from_config(rule, config, (x, y)),
             )
     return CheckResult(passed=True, exact=False, samples_checked=samples, witness=None)
 
@@ -179,14 +177,7 @@ def replay_certificate(cert, rule, H):
     x, y = rule.table[cu], rule.table[cv]
     if x != y or H.has_edge(x, y):
         raise AssertionError("certificate replay did not produce a monochromatic non-edge")
-    return ViolationWitness(
-        d=cert.d,
-        t=cert.t,
-        model=rule.model,
-        config=cert.config,
-        outputs=(x, y),
-        non_edge=(x, y),
-    )
+    return _witness_from_config(rule, cert.config, (x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -207,36 +198,22 @@ class SearchOutcome:
     rule: object = None
     witnesses: list = field(default_factory=list)  # (rule_index, ViolationWitness)
     caveat: str = ""
-    resume_cursor: int | None = None
     certificate: ConstantSeedCertificate | None = None
 
     def to_json_dict(self, witness_limit=10):
         sample = [
-            {
-                "rule_index": idx,
-                "config": [list(c) if isinstance(c, tuple) else c for c in w.config],
-                "outputs": list(w.outputs),
-                "non_edge": list(w.non_edge),
-            }
-            for idx, w in self.witnesses[:witness_limit]
+            {"rule_index": idx, **w.to_json_dict()} for idx, w in self.witnesses[:witness_limit]
         ]
-        return {
-            "kind": self.kind,
-            "rules_examined": self.rules_examined,
-            "witnesses_stored": len(self.witnesses),
-            "witness_sample": sample,
-            "class_caveat": self.caveat,
-            "resume_cursor": self.resume_cursor,
-            "certificate": None
-            if self.certificate is None
-            else {
-                "d": self.certificate.d,
-                "t": self.certificate.t,
-                "q": self.certificate.q,
-                "config": list(self.certificate.config),
-                "reasoning": list(self.certificate.reasoning),
-            },
-        }
+        return jsonable(
+            {
+                "kind": self.kind,
+                "rules_examined": self.rules_examined,
+                "witnesses_stored": len(self.witnesses),
+                "witness_sample": sample,
+                "class_caveat": self.caveat,
+                "certificate": None if self.certificate is None else asdict(self.certificate),
+            }
+        )
 
 
 def rule_table_at(balls, output_alphabet, index):
@@ -286,23 +263,12 @@ def search(H, d, t, model, budget=None, force_enumeration=False):
         balls = rules.enumerate_canonical_balls(d, t, model)
         pair_table = rules.edge_pair_table(d, t, model)
     except BudgetExceeded:
-        return SearchOutcome(
-            kind="BudgetExceeded",
-            rules_examined=0,
-            caveat=caveat,
-            resume_cursor=0,
-        )
+        return SearchOutcome(kind="BudgetExceeded", rules_examined=0, caveat=caveat)
 
     labels = tuple(range(H.n))
-    L = len(labels)
-    total = L ** len(balls)
+    total = len(labels) ** len(balls)
     if total > budget.max_rules:
-        return SearchOutcome(
-            kind="BudgetExceeded",
-            rules_examined=0,
-            caveat=caveat,
-            resume_cursor=0,
-        )
+        return SearchOutcome(kind="BudgetExceeded", rules_examined=0, caveat=caveat)
 
     ball_index = {b.code: i for i, b in enumerate(balls)}
     # pair entries by first lexicographic occurrence; scanning them in this
@@ -315,27 +281,14 @@ def search(H, d, t, model, budget=None, force_enumeration=False):
     rng = random.Random(budget.rng_seed)
     witnesses = []
     refuted = 0
-    k = len(balls)
-    layout = rules.edge_ball_layout(d, t)
-    for index in range(total):
-        x = index
-        digits = [0] * k
-        for j in range(k - 1, -1, -1):
-            digits[j] = x % L
-            x //= L
-        outputs = [labels[digit] for digit in digits]
+    # product() runs in the mixed-radix order of rule_table_at, ball 0 most
+    # significant, so `index` is each rule's cursor
+    for index, outputs in enumerate(product(labels, repeat=len(balls))):
         witness = None
         for iu, iv, cfg in entries:
             a, b = outputs[iu], outputs[iv]
             if not H.has_edge(a, b):
-                witness = ViolationWitness(
-                    d=d,
-                    t=t,
-                    model=model,
-                    config=cfg,
-                    outputs=(a, b),
-                    non_edge=(a, b),
-                )
+                witness = ViolationWitness(d=d, t=t, model=model, config=cfg, outputs=(a, b))
                 break
         if witness is None:
             rule = rule_at_cursor(d, t, model, labels, index)

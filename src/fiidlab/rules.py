@@ -275,15 +275,19 @@ def check_enumeration_budget(d, t, model):
 
 
 @lru_cache(maxsize=None)
-def _alphabet_subtree_types(d, depth, q):
-    """Canonical subtrees of the given depth: list of (code, node, count)."""
+def _alphabet_subtree_types(d, depth, q, branching):
+    """Canonical subtrees of the given depth whose root has `branching`
+    children and whose deeper internal vertices have d-1: list of
+    (code, node, count).  With branching d they are the balls of radius
+    depth."""
     if depth == 0:
         return [(bytes((a,)), (a, ()), 1) for a in range(q)]
-    prev = _alphabet_subtree_types(d, depth - 1, q)
-    out = []
-    for a in range(q):
-        for combo in combinations_with_replacement(prev, d - 1):
-            out.append(_assemble(a, combo, d - 1, "alphabet"))
+    prev = _alphabet_subtree_types(d, depth - 1, q, d - 1)
+    out = [
+        _assemble(a, combo, branching, "alphabet")
+        for a in range(q)
+        for combo in combinations_with_replacement(prev, branching)
+    ]
     out.sort(key=lambda item: item[0])
     return out
 
@@ -304,18 +308,6 @@ def _assemble(root_label, combo, slots, kind):
     return (code, node, count)
 
 
-def _enumerate_alphabet(d, t, q):
-    if t == 0:
-        return [(bytes((a,)), (a, ()), 1) for a in range(q)]
-    sub = _alphabet_subtree_types(d, t - 1, q)
-    out = []
-    for a in range(q):
-        for combo in combinations_with_replacement(sub, d):
-            out.append(_assemble(a, combo, d, "alphabet"))
-    out.sort(key=lambda item: item[0])
-    return out
-
-
 def _block_partitions(elems, size):
     """Unordered partitions of `elems` into blocks of equal `size`,
     generated by anchoring the smallest remaining element."""
@@ -332,7 +324,9 @@ def _block_partitions(elems, size):
 
 
 def _rank_subtree_assignments(ranks, d, depth):
-    """All canonical (code, node) subtrees over exactly the given rank set."""
+    """All canonical (code, node) subtrees over exactly the given rank set.
+    The root gets (len(ranks) - 1) / subtree_size(d, depth - 1) children:
+    d - 1 in a subtree, d when the ranks fill a whole ball of radius depth."""
     if depth == 0:
         r = ranks[0]
         return [(bytes((r,)), (r, ()))]
@@ -352,25 +346,9 @@ def _rank_subtree_assignments(ranks, d, depth):
 
 
 def _enumerate_rank(d, t):
-    B = ball_size(d, t)
     aut = ball_aut_order(d, t)
-    if t == 0:
-        return [(bytes((1,)), (1, ()), 1)]
-    out = []
-    block = subtree_size(d, t - 1)
-    all_ranks = tuple(range(1, B + 1))
-    for root_rank in all_ranks:
-        rest = tuple(r for r in all_ranks if r != root_rank)
-        for blocks in _block_partitions(rest, block):
-            for parts in product(
-                *(_rank_subtree_assignments(b, d, t - 1) for b in blocks)
-            ):
-                parts = sorted(parts)
-                code = bytes((root_rank,)) + b"".join(p[0] for p in parts)
-                node = (root_rank, tuple(p[1] for p in parts))
-                out.append((code, node, aut))
-    out.sort(key=lambda item: item[0])
-    return out
+    ranks = tuple(range(1, ball_size(d, t) + 1))
+    return sorted((code, node, aut) for code, node in _rank_subtree_assignments(ranks, d, t))
 
 
 def _attach_tags(node, tags):
@@ -413,7 +391,7 @@ def enumerate_canonical_balls_weighted(d, t, model):
     check_enumeration_budget(d, t, model)
     B = ball_size(d, t)
     if model.kind == "alphabet":
-        raw = _enumerate_alphabet(d, t, model.q)
+        raw = _alphabet_subtree_types(d, t, model.q, d)
         total = model.q**B
     elif model.kind == "rank":
         raw = _enumerate_rank(d, t)
@@ -454,9 +432,6 @@ class LocalRule:
     model: SeedModel
     output_alphabet: tuple
     table: dict
-
-    def label_for_code(self, code):
-        return self.table[code]
 
 
 def make_rule(d, t, model, output_alphabet, table):
@@ -688,14 +663,6 @@ def edge_configs(layout, model):
         for ranks in permutations(range(1, layout.size + 1)):
             for tags in product(range(model.q), repeat=layout.size):
                 yield tuple(zip(ranks, tags))
-
-
-def edge_config_count(layout, model):
-    if model.kind == "alphabet":
-        return model.q**layout.size
-    if model.kind == "rank":
-        return factorial(layout.size)
-    return factorial(layout.size) * model.q**layout.size
 
 
 def check_edge_budget(d, t, model):

@@ -19,13 +19,10 @@ at the chosen parameters.
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import asdict, dataclass
 
 from . import entropy as ent
-from . import graphs, rules
-
-SCHEMA_VERSION = 1
+from . import graphs, jsonable, rules
 
 
 class DegreeMismatch(Exception):
@@ -51,25 +48,9 @@ class SimulationReport:
     violating_edges: int | None
     violating_edge_fraction: float | None
     independent_set: dict | None
-    schema_version: int = SCHEMA_VERSION
 
     def to_json_dict(self):
-        return {
-            "schema_version": self.schema_version,
-            "n": self.n,
-            "d": self.d,
-            "t": self.t,
-            "model": self.model,
-            "rng_seed": self.rng_seed,
-            "histogram": {str(k): v for k, v in sorted(self.histogram.items(), key=lambda kv: str(kv[0]))},
-            "covered": self.covered,
-            "covered_fraction": self.covered_fraction,
-            "seed_collisions": self.seed_collisions,
-            "covered_edges": self.covered_edges,
-            "violating_edges": self.violating_edges,
-            "violating_edge_fraction": self.violating_edge_fraction,
-            "independent_set": self.independent_set,
-        }
+        return jsonable(asdict(self))
 
 
 def _tree_ball_children(G, v, t, d):
@@ -215,42 +196,12 @@ class PipelineReport:
     marginal_mode: str
     steps: list
     classification: str
-    schema_version: int = SCHEMA_VERSION
 
     def step(self, index):
         return self.steps[index - 1]
 
     def to_json_dict(self):
-        def enc(x):
-            if isinstance(x, Fraction):
-                return {"exact": str(x), "float": float(x)}
-            if isinstance(x, float) and math.isinf(x):
-                return "Infinite"
-            if isinstance(x, (list, tuple)):
-                return [enc(y) for y in x]
-            if isinstance(x, dict):
-                return {str(k): enc(v) for k, v in x.items()}
-            return x
-
-        return {
-            "schema_version": self.schema_version,
-            "c0": enc(self.c0),
-            "C": self.C,
-            "r": self.r,
-            "girth": enc(self.girth),
-            "hypothesis_weakened": self.hypothesis_weakened,
-            "marginal_mode": self.marginal_mode,
-            "steps": [
-                {
-                    "index": s.index,
-                    "name": s.name,
-                    "passed": s.passed,
-                    "data": enc(s.data),
-                }
-                for s in self.steps
-            ],
-            "classification": self.classification,
-        }
+        return jsonable(asdict(self))
 
 
 def _weakened(C, r, c0):

@@ -1,0 +1,86 @@
+"""Pinned CLI output: the exact line each command prints under --no-timestamp.
+
+`cli_golden.txt` holds one line per case: the case name, a space, and the JSON
+line.  A change that alters CLI output on purpose edits that file, so the
+diff shows every output byte it changed.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from fiidlab import cli
+
+GOLDEN = dict(
+    line.split(" ", 1)
+    for line in Path(__file__).with_name("cli_golden.txt").read_text().splitlines()
+)
+
+# case -> (exit code, argv of each command); the last command's line is
+# pinned, the ones before it write its input files
+CASES = {
+    "entropy_constant": (0, [["entropy", "constant", "--r", "3", "--c0", "0.3"]]),
+    "hom_search_c5": (
+        0,
+        [["hom", "search", "--target", "C5", "--d", "3", "--t", "1", "--model", "rank"]],
+    ),
+    "entropy_audit_exact": (
+        0,
+        [["entropy", "audit", "--rule", "builtin:max_seed_independent", "--exact"]],
+    ),
+    "sim_pipeline_exact": (
+        0,
+        [
+            [
+                "sim", "pipeline", "--rule", "builtin:constant:0", "--target", "Petersen",
+                "--c0", "0.089", "--C", "5", "--exact",
+            ]
+        ],
+    ),
+    "hom_certificate": (
+        0,
+        [
+            [
+                "hom", "certificate", "--target", "Petersen", "--d", "3", "--t", "2",
+                "--model", "alphabet:3",
+            ]
+        ],
+    ),
+    "entropy_tail": (
+        0,
+        [["entropy", "tail", "--probs", "1/4,1/4,1/4,1/4", "--C", "3", "--c0", "0.5"]],
+    ),
+    "sim_run": (
+        0,
+        [
+            ["graph", "gen", "--n", "2000", "--d", "3", "--seed", "8", "--out", "g.graph"],
+            [
+                "sim", "run", "--rule", "builtin:max_seed_independent", "--graph", "g.graph",
+                "--seed", "77",
+            ],
+        ],
+    ),
+    "hom_check_violation": (
+        1,
+        [
+            [
+                "rule", "random", "--d", "3", "--t", "1", "--model", "rank",
+                "--alphabet", "0,1,2,3,4", "--seed", "5", "--out", "r5.rule",
+            ],
+            ["hom", "check", "--rule", "r5.rule", "--target", "C5"],
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_line(name, capsys, tmp_path, monkeypatch):
+    # file arguments are relative, so the echoed command is the same in any directory
+    monkeypatch.chdir(tmp_path)
+    code, commands = CASES[name]
+    *setup, argv = commands
+    for step in setup:
+        assert cli.main(["--no-timestamp", *step]) == 0
+    capsys.readouterr()
+    assert cli.main(["--no-timestamp", *argv]) == code
+    assert capsys.readouterr().out == GOLDEN[name] + "\n"

@@ -168,6 +168,21 @@ class TestMonteCarlo:
         for (a, b), x in mc_p.probs.items():
             assert mc_p.probs[(b, a)] == x
 
+    def test_generic_path_tied_draws(self):
+        class TiedRng(random.Random):
+            def random(self):
+                return 0.5
+
+        hybrid = rules.random_rule(3, 1, rules.hybrid(2), (0, 1), 2)
+        assert sum(entropy._mc_pair_counts_generic(hybrid, 20, TiedRng(0)).values()) == 20
+        # tied rank draws rank by vertex index
+        rank = rules.random_rule(3, 1, rules.rank(), (0, 1), 2)
+        layout = rules.edge_ball_layout(3, 1)
+        cu, cv = rules.endpoint_codes(layout, rules.rank(), tuple(range(1, layout.size + 1)))
+        assert entropy._mc_pair_counts_generic(rank, 20, TiedRng(0)) == {
+            (rank.table[cu], rank.table[cv]): 20
+        }
+
 
 class TestAudit:
     def test_max_seed_numbers(self):

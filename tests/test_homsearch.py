@@ -106,9 +106,9 @@ class TestSearch:
             rule = homsearch.rule_at_cursor(3, 1, rules.rank(), tuple(range(5)), index)
             assert homsearch.replay_witness(rule, C5, witness)
 
-    def test_budget_exceeded_has_cursor(self):
+    def test_budget_exceeded(self):
         out = homsearch.search(C5, 3, 2, rules.rank())
-        assert out.kind == "BudgetExceeded" and out.resume_cursor == 0
+        assert out.kind == "BudgetExceeded" and out.rules_examined == 0
         small = homsearch.SearchBudget(max_rules=100)
         out2 = homsearch.search(C5, 3, 1, rules.rank(), budget=small)
         assert out2.kind == "BudgetExceeded"
