@@ -26,4 +26,5 @@ def jsonable(x):
     return x
 
 
-from . import cli, entropy, graphs, homsearch, rules, simulate  # noqa: E402, F401
+# the CLI is left out, so `python -m fiidlab.cli` does not find it imported
+from . import entropy, graphs, homsearch, rules, simulate  # noqa: E402, F401

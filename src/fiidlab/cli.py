@@ -22,6 +22,10 @@ class UsageError(Exception):
     pass
 
 
+RULE_D_HELP = "degree of a builtin rule (default 3); a rule file's d must match it"
+
+
+
 def _emit(args, payload, out_lines):
     envelope = {
         "schema_version": SCHEMA_VERSION,
@@ -48,10 +52,13 @@ def _load_target(spec):
 
 
 def _load_rule(spec, args):
+    """The rule of --rule.  A builtin rule is built at --d (3 when absent); a
+    rule file carries its own d, which --d, when given, must match."""
+    d = getattr(args, "d", None)
     if spec.startswith("builtin:"):
         parts = spec.split(":")
         name = parts[1]
-        d = args.d if getattr(args, "d", None) else 3
+        d = 3 if d is None else d
         if name == "max_seed_independent":
             return rules.builtin_rule("max_seed_independent", d=d)
         if name == "constant":
@@ -66,9 +73,12 @@ def _load_rule(spec, args):
             return rules.builtin_rule("constant", label=label, d=d, output_alphabet=out)
         raise UsageError(f"unknown builtin rule {name!r}")
     try:
-        return rules.load_rule(spec)
+        rule = rules.load_rule(spec)
     except OSError as exc:
         raise UsageError(f"cannot read rule file {spec!r}: {exc}")
+    if d is not None and d != rule.d:
+        raise UsageError(f"--d {d} disagrees with d = {rule.d} in rule file {spec!r}")
+    return rule
 
 
 def _seed_of(args, payload):
@@ -348,6 +358,7 @@ def _build_parser():
             p.add_argument("--target", default=None, help="named graph or graph file path")
         if "rule" in names:
             p.add_argument("--rule", required=True, help="builtin:<name> or rule file path")
+            p.add_argument("--d", type=int, default=None, help=RULE_D_HELP)
         if "dt" in names:
             p.add_argument("--d", type=int, default=3)
             p.add_argument("--t", type=int, default=1)
@@ -387,7 +398,6 @@ def _build_parser():
     r.set_defaults(func=_cmd_rule_random)
     r = rule.add_parser("show", help="rule header and table")
     common(r, "rule")
-    r.add_argument("--d", type=int, default=3)
     r.set_defaults(func=_cmd_rule_show)
 
     entg = top.add_parser("entropy", help="marginals, entropies, audits").add_subparsers(
@@ -395,16 +405,13 @@ def _build_parser():
     )
     e = entg.add_parser("exact", help="exact marginals and entropies of a rule")
     common(e, "rule")
-    e.add_argument("--d", type=int, default=3)
     e.set_defaults(func=_cmd_entropy_exact)
     e = entg.add_parser("mc", help="Monte Carlo marginals of a rule")
     common(e, "rule", "seed")
-    e.add_argument("--d", type=int, default=3)
     e.add_argument("--samples", type=int, required=True)
     e.set_defaults(func=_cmd_entropy_mc)
     e = entg.add_parser("audit", help="entropy inequality audit (exit 1 on failure)")
     common(e, "rule", "seed", "target")
-    e.add_argument("--d", type=int, default=3)
     e.add_argument("--exact", action="store_true")
     e.add_argument("--samples", type=int, default=None)
     e.add_argument("--r", type=int, default=None, help="target regularity for the caps")
@@ -418,7 +425,7 @@ def _build_parser():
     e.add_argument("--probs", default=None, help="comma-separated masses, e.g. 1/4,1/4,1/2")
     e.add_argument("--C", type=int, default=None)
     e.add_argument("--c0", default=None)
-    e.add_argument("--d", type=int, default=3)
+    e.add_argument("--d", type=int, default=None, help=RULE_D_HELP)
     e.set_defaults(func=_cmd_entropy_tail)
 
     hom = top.add_parser("hom", help="homomorphism rule checks and search").add_subparsers(
@@ -427,7 +434,6 @@ def _build_parser():
     h = hom.add_parser("check", help="is the rule a homomorphism rule into the target")
     common(h, "rule", "seed")
     h.add_argument("--target", required=True)
-    h.add_argument("--d", type=int, default=3)
     h.add_argument("--samples", type=int, default=None)
     h.set_defaults(func=_cmd_hom_check)
     h = hom.add_parser("search", help="scan a whole rule class against the target")
@@ -446,13 +452,11 @@ def _build_parser():
     s = sim.add_parser("run", help="run a rule on a finite graph")
     common(s, "rule", "seed", "target")
     s.add_argument("--graph", required=True, help="substrate graph (name or path)")
-    s.add_argument("--d", type=int, default=3)
     s.add_argument("--labels-out", default=None, help="write 'vertex label' lines here")
     s.set_defaults(func=_cmd_sim_run)
     s = sim.add_parser("pipeline", help="five-step refutation chain (exit 1 when inconclusive)")
     common(s, "rule", "seed")
     s.add_argument("--target", required=True)
-    s.add_argument("--d", type=int, default=3)
     s.add_argument("--c0", default=None)
     s.add_argument("--C", type=int, default=None)
     s.add_argument("--exact", action="store_true")

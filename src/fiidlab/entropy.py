@@ -220,9 +220,9 @@ def _alphabet_edge_structure(d, t, q):
     key = (d, t, q)
     if key in _ALPHA_EDGE_CACHE:
         return _ALPHA_EDGE_CACHE[key]
-    layout = rules.edge_ball_layout(d, t)
     model = rules.alphabet(q)
-    rules.check_edge_budget(d, t, model)
+    layout = rules.check_edge_budget(d, t, model)
+    code_u, code_v = rules.edge_coders(d, t, model)
     shared, u_only, v_only = layout.shared_ids, layout.u_only_ids, layout.v_only_ids
     config = [0] * layout.size
     rows = []
@@ -233,17 +233,13 @@ def _alphabet_edge_structure(d, t, q):
         for side_cfg in product(range(q), repeat=len(u_only)):
             for idx, tag in zip(u_only, side_cfg):
                 config[idx] = tag
-            code = rules.canonicalize(
-                rules.fill_ball(layout.u_template, config), d, t, model
-            ).code
+            code = code_u(config)
             counts_u[code] = counts_u.get(code, 0) + 1
         counts_v = {}
         for side_cfg in product(range(q), repeat=len(v_only)):
             for idx, tag in zip(v_only, side_cfg):
                 config[idx] = tag
-            code = rules.canonicalize(
-                rules.fill_ball(layout.v_template, config), d, t, model
-            ).code
+            code = code_v(config)
             counts_v[code] = counts_v.get(code, 0) + 1
         rows.append((counts_u, counts_v))
     result = (layout, rows, q ** len(u_only), q ** len(v_only))
@@ -331,10 +327,11 @@ def _mc_pair_counts_rank_t1(rule, n, rng):
 
 
 def _mc_pair_counts_generic(rule, n, rng):
-    layout = rules.edge_ball_layout(rule.d, rule.t)
     model = rule.model
+    code_u, code_v = rules.edge_coders(rule.d, rule.t, model)
+    table = rule.table
     counts = {}
-    size = layout.size
+    size = rules.edge_ball_layout(rule.d, rule.t).size
     for _ in range(n):
         # (draw, index) keys, as in emulation: equal draws still rank apart
         if model.kind == "alphabet":
@@ -343,8 +340,7 @@ def _mc_pair_counts_generic(rule, n, rng):
             config = [(rng.random(), i) for i in range(size)]
         else:
             config = [((rng.random(), i), rng.randrange(model.q)) for i in range(size)]
-        cu, cv = rules.endpoint_codes(layout, model, config)
-        key = (rule.table[cu], rule.table[cv])
+        key = (table[code_u(config)], table[code_v(config)])
         counts[key] = counts.get(key, 0) + 1
     return counts
 

@@ -99,10 +99,10 @@ def is_homomorphism_rule(rule, H, samples=100_000, rng_seed=0):
         exact = True
     except BudgetExceeded:
         exact = False
+    code_u, code_v = rules.edge_coders(rule.d, rule.t, rule.model)
     if exact:
         for config in rules.edge_configs(layout, rule.model):
-            cu, cv = rules.endpoint_codes(layout, rule.model, config)
-            x, y = rule.table[cu], rule.table[cv]
+            x, y = rule.table[code_u(config)], rule.table[code_v(config)]
             if not H.has_edge(x, y):
                 return CheckResult(
                     passed=False,
@@ -114,8 +114,7 @@ def is_homomorphism_rule(rule, H, samples=100_000, rng_seed=0):
     rng = random.Random(rng_seed)
     for _ in range(samples):
         config = _random_config(layout, rule.model, rng)
-        cu, cv = rules.endpoint_codes(layout, rule.model, config)
-        x, y = rule.table[cu], rule.table[cv]
+        x, y = rule.table[code_u(config)], rule.table[code_v(config)]
         if not H.has_edge(x, y):
             return CheckResult(
                 passed=False,

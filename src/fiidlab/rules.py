@@ -15,13 +15,28 @@ Seed models:
                  order within the ball matters (canonicalization replaces
                  them with ranks 1..ball_size);
 * hybrid:q    -- labels are (seed, tag) pairs, combining both.
+
+The ball kernel.  `canonicalize` and every hot loop (edge pair tables, the
+alphabet edge structure, Monte Carlo, emulation, homomorphism scans) code
+balls the same way.  A ball is a flat seed vector in level order: the root,
+its d children, then their children parent by parent.  Each (d, t) template
+is compiled once, in postorder, into one itemgetter per non-root internal
+vertex that reads its label and its children's codes off a working list.
+Labels are tags, ranks from one sort of the ball's seeds, or (rank, tag)
+bytes; a vertex's code is its label bytes followed by its children's codes
+sorted as bytes, so the root's code is the preorder byte string of the
+sibling-sorted ball that rule tables and rule files are keyed by.  A memo
+interns the code of each non-root (label, child codes) key; root codes are
+joined afresh, as at rank t=2 almost every root is new.  Seeds are validated
+only at the public boundary (`canonicalize`, `evaluate`, `endpoint_codes`).
 """
 
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, count, permutations, product
 from math import factorial
+from operator import itemgetter
 
 ALPHABET_ENUM_BUDGET = 10_000_000
 RANK_BALL_LIMIT = 10
@@ -129,23 +144,187 @@ def rank_ball_count(d, t):
     return factorial(ball_size(d, t)) // ball_aut_order(d, t)
 
 
-def _check_shape(raw, d, t):
-    def sub(node, depth, branching):
-        if (
-            not isinstance(node, tuple)
-            or len(node) != 2
-            or not isinstance(node[1], tuple)
-        ):
-            raise MalformedBall(f"ball node must be (label, children), got {node!r}")
+def _flatten(raw, d, t):
+    """Seed vector of a raw ball in level order; MalformedBall on a bad shape."""
+    seeds = []
+    level = [raw]
+    branching = d
+    for depth in range(t, -1, -1):
         want = branching if depth > 0 else 0
-        if len(node[1]) != want:
-            raise MalformedBall(
-                f"node at remaining depth {depth} has {len(node[1])} children, expected {want}"
-            )
-        for c in node[1]:
-            sub(c, depth - 1, d - 1)
+        below = []
+        for node in level:
+            if (
+                not isinstance(node, tuple)
+                or len(node) != 2
+                or not isinstance(node[1], tuple)
+            ):
+                raise MalformedBall(f"ball node must be (label, children), got {node!r}")
+            if len(node[1]) != want:
+                raise MalformedBall(
+                    f"node at remaining depth {depth} has {len(node[1])} children, expected {want}"
+                )
+            seeds.append(node[0])
+            below.extend(node[1])
+        level = below
+        branching = d - 1
+    return seeds
 
-    sub(raw, t, d)
+
+def _check_seeds(seeds, model):
+    """MalformedBall unless every seed fits the model: tags in range, rank
+    seeds mutually comparable and distinct."""
+    q = model.q
+    if model.kind == "alphabet":
+        for label in seeds:
+            if not isinstance(label, int) or not 0 <= label < q:
+                raise MalformedBall(f"alphabet tag {label!r} outside 0..{q - 1}")
+        return
+    if model.kind == "hybrid":
+        for label in seeds:
+            if not isinstance(label, tuple) or len(label) != 2:
+                raise MalformedBall(f"hybrid label must be (seed, tag), got {label!r}")
+            if not isinstance(label[1], int) or not 0 <= label[1] < q:
+                raise MalformedBall(f"hybrid tag {label[1]!r} outside 0..{q - 1}")
+        seeds = [label[0] for label in seeds]
+    try:
+        ordered = sorted(seeds)
+    except TypeError as exc:
+        raise MalformedBall(f"seeds are not mutually comparable: {exc}") from exc
+    if any(a == b for a, b in zip(ordered, ordered[1:])):
+        raise MalformedBall("tied seeds in rank-model ball")
+    if len(seeds) > 255:
+        raise MalformedBall(f"{len(seeds)} ranks do not fit a code byte")
+
+
+# ---------------------------------------------------------------------------
+# the ball kernel (see the module docstring)
+
+
+_BYTE = tuple(bytes((i,)) for i in range(256))
+# (label bytes, child codes...) -> code of a non-root vertex.  Cleared when
+# full: below the roots of deep rank balls most keys are new, so the memo
+# must not grow with the number of balls coded.
+_NODE_CODES = {}
+_NODE_CODES_LIMIT = 1 << 14
+
+
+def _getter(indices):
+    """Like itemgetter(*indices), but always returns a tuple."""
+    if len(indices) == 1:
+        only = indices[0]
+        return lambda seq: (seq[only],)
+    if not indices:
+        return lambda seq: ()
+    return itemgetter(*indices)
+
+
+@lru_cache(maxsize=None)
+def _ball_template(d, t):
+    """(size, program, root_children) of the radius-t ball over level-order
+    positions.  `program` holds one getter per non-root internal vertex, in
+    postorder; a vertex's code lands at index size + its program index of
+    the working list, a leaf's code is its label at its own position."""
+    children = [()]
+    level = [0]
+    for _ in range(t):
+        below = []
+        for p in level:
+            first = len(children)
+            kids = tuple(range(first, first + (d if p == 0 else d - 1)))
+            children[p] = kids
+            children.extend(() for _ in kids)
+            below.extend(kids)
+        level = below
+    size = len(children)
+    slot = list(range(size))
+    program = []
+
+    def visit(p):
+        for c in children[p]:
+            visit(c)
+        if p and children[p]:
+            program.append(_getter([p] + [slot[c] for c in children[p]]))
+            slot[p] = size + len(program) - 1
+
+    visit(0)
+    return size, tuple(program), _getter([slot[c] for c in children[0]])
+
+
+def _code(template, labels):
+    """Code of the ball whose level-order label bytes are `labels` (a list
+    the kernel extends with the codes of the internal vertices)."""
+    _, program, root_children = template
+    memo = _NODE_CODES
+    for get in program:
+        key = get(labels)
+        code = memo.get(key)
+        if code is None:
+            if len(memo) >= _NODE_CODES_LIMIT:
+                memo.clear()
+            code = memo[key] = key[0] + b"".join(sorted(key[1:]))
+        labels.append(code)
+    return labels[0] + b"".join(sorted(root_children(labels)))
+
+
+@lru_cache(maxsize=None)
+def ball_coder(d, t, model):
+    """Function from a level-order seed vector to its canonical code.
+
+    The seeds are not validated: this is the kernel for configurations the
+    library generates itself, whose rank seeds are distinct.
+    """
+    template = _ball_template(d, t)
+    size = template[0]
+    if model.kind == "alphabet":
+
+        def code(seeds):
+            return _code(template, [_BYTE[x] for x in seeds])
+
+    elif model.kind == "rank":
+        ranks = _BYTE[1:size + 1]
+
+        def code(seeds):
+            labels = [None] * size
+            for r, i in zip(ranks, sorted(range(size), key=seeds.__getitem__)):
+                labels[i] = r
+            return _code(template, labels)
+
+    else:
+        # (seed, tag) pairs with distinct seeds sort by seed alone
+        pair_bytes = [[bytes((r, tag)) for tag in range(model.q)] for r in range(size + 1)]
+
+        def code(seeds):
+            labels = [None] * size
+            for r, i in enumerate(sorted(range(size), key=seeds.__getitem__), 1):
+                labels[i] = pair_bytes[r][seeds[i][1]]
+            return _code(template, labels)
+
+    return code
+
+
+@lru_cache(maxsize=None)
+def _preorder_template(d, t):
+    ids = count()
+
+    def build(depth, branching):
+        idx = next(ids)
+        if depth == 0:
+            return (idx, ())
+        return (idx, tuple(build(depth - 1, d - 1) for _ in range(branching)))
+
+    return build(t, d)
+
+
+def _decode(code, d, t, kind):
+    """Sibling-sorted nested labels of a canonical code."""
+    labels = list(zip(code[::2], code[1::2])) if kind == "hybrid" else list(code)
+    return fill_ball(_preorder_template(d, t), labels)
+
+
+def _checked_code(raw, d, t, model):
+    seeds = _flatten(raw, d, t)
+    _check_seeds(seeds, model)
+    return ball_coder(d, t, model)(seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -168,49 +347,6 @@ class CanonicalBall:
     code: bytes
 
 
-def _label_bytes(label, kind):
-    if kind == "hybrid":
-        return bytes((label[0], label[1]))
-    return bytes((label,))
-
-
-def _canon_node(node, kind):
-    label, children = node
-    parts = sorted(_canon_node(c, kind) for c in children)
-    code = _label_bytes(label, kind) + b"".join(p[0] for p in parts)
-    return code, (label, tuple(p[1] for p in parts))
-
-
-def _rank_relabel(raw, kind):
-    """Replace seeds by their rank 1..ball_size within the ball."""
-    seeds = []
-
-    def collect(node):
-        label = node[0]
-        seeds.append(label[0] if kind == "hybrid" else label)
-        for c in node[1]:
-            collect(c)
-
-    collect(raw)
-    try:
-        ordered = sorted(seeds)
-    except TypeError as exc:
-        raise MalformedBall(f"seeds are not mutually comparable: {exc}") from exc
-    if any(a == b for a, b in zip(ordered, ordered[1:])):
-        raise MalformedBall("tied seeds in rank-model ball")
-    rank_of = {s: i + 1 for i, s in enumerate(ordered)}
-
-    def rebuild(node):
-        label, children = node
-        if kind == "hybrid":
-            new = (rank_of[label[0]], label[1])
-        else:
-            new = rank_of[label]
-        return (new, tuple(rebuild(c) for c in children))
-
-    return rebuild(raw)
-
-
 def canonicalize(raw, d, t, model):
     """Canonical form of a raw seed-labeled ball.
 
@@ -218,36 +354,9 @@ def canonicalize(raw, d, t, model):
     seeds are first replaced by the induced ranking restricted to the ball.
     Idempotent, and constant on orbits of root-fixing ball automorphisms.
     """
-    _check_shape(raw, d, t)
-    kind = model.kind
-    if kind == "alphabet":
-        work = raw
-        _validate_tags(raw, model.q)
-    elif kind == "rank":
-        work = _rank_relabel(raw, kind)
-    else:
-        _validate_hybrid_tags(raw, model.q)
-        work = _rank_relabel(raw, kind)
-    code, labels = _canon_node(work, kind)
+    code = _checked_code(raw, d, t, model)
+    labels = _decode(code, d, t, model.kind)
     return CanonicalBall(d=d, t=t, model=model, labels=labels, code=code)
-
-
-def _validate_tags(node, q):
-    label = node[0]
-    if not isinstance(label, int) or not 0 <= label < q:
-        raise MalformedBall(f"alphabet tag {label!r} outside 0..{q - 1}")
-    for c in node[1]:
-        _validate_tags(c, q)
-
-
-def _validate_hybrid_tags(node, q):
-    label = node[0]
-    if not isinstance(label, tuple) or len(label) != 2:
-        raise MalformedBall(f"hybrid label must be (seed, tag), got {label!r}")
-    if not isinstance(label[1], int) or not 0 <= label[1] < q:
-        raise MalformedBall(f"hybrid tag {label[1]!r} outside 0..{q - 1}")
-    for c in node[1]:
-        _validate_hybrid_tags(c, q)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +393,7 @@ def _alphabet_subtree_types(d, depth, q, branching):
         return [(bytes((a,)), (a, ()), 1) for a in range(q)]
     prev = _alphabet_subtree_types(d, depth - 1, q, d - 1)
     out = [
-        _assemble(a, combo, branching, "alphabet")
+        _assemble(a, combo, branching)
         for a in range(q)
         for combo in combinations_with_replacement(prev, branching)
     ]
@@ -292,7 +401,7 @@ def _alphabet_subtree_types(d, depth, q, branching):
     return out
 
 
-def _assemble(root_label, combo, slots, kind):
+def _assemble(root_label, combo, slots):
     """Node from a root label and a nondecreasing tuple of child types."""
     mult = {}
     for item in combo:
@@ -304,7 +413,7 @@ def _assemble(root_label, combo, slots, kind):
     for item in combo:
         count *= item[2]
     node = (root_label, tuple(item[1] for item in combo))
-    code = _label_bytes(root_label, kind) + b"".join(item[0] for item in combo)
+    code = _BYTE[root_label] + b"".join(item[0] for item in combo)
     return (code, node, count)
 
 
@@ -351,28 +460,17 @@ def _enumerate_rank(d, t):
     return sorted((code, node, aut) for code, node in _rank_subtree_assignments(ranks, d, t))
 
 
-def _attach_tags(node, tags):
-    """Rebuild a rank node with (rank, tag) labels, consuming tags preorder."""
-    it = iter(tags)
-
-    def rebuild(n):
-        label, children = n
-        return ((label, next(it)), tuple(rebuild(c) for c in children))
-
-    return rebuild(node)
-
-
 def _enumerate_hybrid(d, t, q):
     B = ball_size(d, t)
     aut = ball_aut_order(d, t)
-    out = []
+    code = ball_coder(d, t, hybrid(q))
+    codes = []
     for _, rnode, _ in _enumerate_rank(d, t):
+        ranks = _flatten(rnode, d, t)
         for tags in product(range(q), repeat=B):
-            node = _attach_tags(rnode, tags)
-            code, labels = _canon_node(node, "hybrid")
-            out.append((code, labels, aut))
-    out.sort(key=lambda item: item[0])
-    return out
+            codes.append(code(tuple(zip(ranks, tags))))
+    codes.sort()
+    return [(c, _decode(c, d, t, "hybrid"), aut) for c in codes]
 
 
 _ENUM_CACHE = {}
@@ -460,11 +558,11 @@ def make_rule(d, t, model, output_alphabet, table):
 
 def evaluate(rule, raw):
     """Output of the rule at the root of a raw seed-labeled ball."""
-    ball = canonicalize(raw, rule.d, rule.t, rule.model)
+    code = _checked_code(raw, rule.d, rule.t, rule.model)
     try:
-        return rule.table[ball.code]
+        return rule.table[code]
     except KeyError as exc:  # unreachable for validated rules
-        raise MalformedBall(f"ball {ball.code.hex()} not in rule table") from exc
+        raise MalformedBall(f"ball {code.hex()} not in rule table") from exc
 
 
 def builtin_rule(name, **params):
@@ -564,6 +662,8 @@ def load_rule(path):
 # edge balls: the union of the two endpoint balls of a fixed tree edge.
 # Vertex ids are assigned u=0, v=1, then u-side subtrees preorder, then
 # v-side subtrees preorder; a configuration is a flat tuple over these ids.
+# u_ids and v_ids list each endpoint ball's ids in level order, the order of
+# the kernel's seed vectors.
 
 
 @dataclass(frozen=True)
@@ -590,10 +690,13 @@ def _truncate(template, depth):
     return (idx, tuple(c for c in kept if c is not None))
 
 
-def _flatten_ids(template, out):
-    out.append(template[0])
-    for c in template[1]:
-        _flatten_ids(c, out)
+def _level_ids(template):
+    """Ids of a nested id template in level order."""
+    ids, level = [], [template]
+    while level:
+        ids.extend(node[0] for node in level)
+        level = [c for node in level for c in node[1]]
+    return tuple(ids)
 
 
 @lru_cache(maxsize=None)
@@ -623,9 +726,7 @@ def edge_ball_layout(d, t):
         u_template = (0, (v_as_child,) + u_subs)
         v_template = (1, (u_as_child,) + v_subs)
 
-    u_ids, v_ids = [], []
-    _flatten_ids(u_template, u_ids)
-    _flatten_ids(v_template, v_ids)
+    u_ids, v_ids = _level_ids(u_template), _level_ids(v_template)
     shared = sorted(set(u_ids) & set(v_ids))
     return EdgeBallLayout(
         d=d,
@@ -633,8 +734,8 @@ def edge_ball_layout(d, t):
         size=counter[0],
         u_template=u_template,
         v_template=v_template,
-        u_ids=tuple(u_ids),
-        v_ids=tuple(v_ids),
+        u_ids=u_ids,
+        v_ids=v_ids,
         shared_ids=tuple(shared),
         u_only_ids=tuple(sorted(set(u_ids) - set(v_ids))),
         v_only_ids=tuple(sorted(set(v_ids) - set(u_ids))),
@@ -642,7 +743,7 @@ def edge_ball_layout(d, t):
 
 
 def fill_ball(template, config):
-    """Raw ball from an id template and a flat configuration vector."""
+    """Nested ball from an id template and a flat vector indexed by its ids."""
     idx, children = template
     return (config[idx], tuple(fill_ball(c, config) for c in children))
 
@@ -653,8 +754,6 @@ def edge_configs(layout, model):
     alphabet: tag tuples; rank: rank tuples (permutations of 1..size);
     hybrid: ((rank, tag), ...) tuples, ranks major.
     """
-    from itertools import permutations
-
     if model.kind == "alphabet":
         yield from product(range(model.q), repeat=layout.size)
     elif model.kind == "rank":
@@ -686,11 +785,27 @@ def check_edge_budget(d, t, model):
     return layout
 
 
+@lru_cache(maxsize=None)
+def edge_coders(d, t, model):
+    """(code_u, code_v): functions from an edge-ball configuration to the
+    canonical code of one endpoint ball.  Unvalidated, like `ball_coder`."""
+    layout = edge_ball_layout(d, t)
+    code = ball_coder(d, t, model)
+    get_u, get_v = _getter(layout.u_ids), _getter(layout.v_ids)
+    return (lambda config: code(get_u(config))), (lambda config: code(get_v(config)))
+
+
 def endpoint_codes(layout, model, config):
     """Canonical codes of the two endpoint balls under a configuration."""
-    cu = canonicalize(fill_ball(layout.u_template, config), layout.d, layout.t, model)
-    cv = canonicalize(fill_ball(layout.v_template, config), layout.d, layout.t, model)
-    return cu.code, cv.code
+    if len(config) != layout.size:
+        raise MalformedBall(
+            f"edge-ball configuration has {len(config)} seeds, expected {layout.size}"
+        )
+    sides = [[config[i] for i in ids] for ids in (layout.u_ids, layout.v_ids)]
+    for seeds in sides:
+        _check_seeds(seeds, model)
+    code = ball_coder(layout.d, layout.t, model)
+    return code(sides[0]), code(sides[1])
 
 
 @dataclass(frozen=True)
@@ -718,11 +833,12 @@ def edge_pair_table(d, t, model):
     if key in _PAIR_CACHE:
         return _PAIR_CACHE[key]
     layout = check_edge_budget(d, t, model)
+    code_u, code_v = edge_coders(d, t, model)
     counts = {}
     first = {}
     total = 0
     for pos, config in enumerate(edge_configs(layout, model)):
-        pair = endpoint_codes(layout, model, config)
+        pair = (code_u(config), code_v(config))
         counts[pair] = counts.get(pair, 0) + 1
         if pair not in first:
             first[pair] = (pos, config)

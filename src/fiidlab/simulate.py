@@ -53,16 +53,16 @@ class SimulationReport:
         return jsonable(asdict(self))
 
 
-def _tree_ball_children(G, v, t, d):
-    """Children map of the radius-t ball at v when that ball is the full
-    tree ball of T_d, else None."""
+def _tree_ball_order(G, v, t, d):
+    """Vertices of the radius-t ball at v in BFS order when that ball is the
+    full tree ball of T_d, else None.  The BFS lists each vertex's children
+    together, parent by parent: the level order of the rule's seed vectors."""
     if t == 0:
-        return {v: []}
+        return [v]
     adj = G.adjacency
     depth = {v: 0}
     order = [v]
     q = deque([v])
-    children = {v: []}
     while q:
         x = q.popleft()
         dx = depth[x]
@@ -73,8 +73,6 @@ def _tree_ball_children(G, v, t, d):
         for w in adj[x]:
             if w not in depth:
                 depth[w] = dx + 1
-                children[x].append(w)
-                children[w] = []
                 order.append(w)
                 q.append(w)
     # tree check: the induced subgraph must have exactly |ball|-1 edges
@@ -82,7 +80,7 @@ def _tree_ball_children(G, v, t, d):
     twice_edges = sum(1 for x in ball for w in adj[x] if w in ball)
     if twice_edges != 2 * (len(ball) - 1):
         return None
-    return children
+    return order
 
 
 def run_on_graph(rule, G, rng_seed, target=None):
@@ -114,16 +112,13 @@ def run_on_graph(rule, G, rng_seed, target=None):
         else:
             seeds = [((draws[v], v), rng.randrange(model.q)) for v in range(n)]
 
+    code = rules.ball_coder(d, t, model)
+    table = rule.table
     labeling = {}
     for v in range(n):
-        children = _tree_ball_children(G, v, t, d)
-        if children is None:
-            continue
-
-        def build(x):
-            return (seeds[x], tuple(build(w) for w in children[x]))
-
-        labeling[v] = rules.evaluate(rule, build(v))
+        order = _tree_ball_order(G, v, t, d)
+        if order is not None:
+            labeling[v] = table[code([seeds[x] for x in order])]
 
     histogram = {}
     for lab in labeling.values():

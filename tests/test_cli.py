@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import fiidlab
 from fiidlab import cli, graphs
 
 
@@ -89,6 +93,25 @@ class TestRuleCommands:
             "--alphabet", "0,1", "--seed", "44", "--out", path,
         )
         assert code == 0 and payload["seed"] == 44 and payload["table_size"] == 8
+
+    def test_rule_file_d_must_match(self, capsys, tmp_path):
+        path = str(tmp_path / "m.rule")
+        run(capsys, "rule", "make", "--name", "max_seed_independent", "--out", path)
+        assert cli.main(["entropy", "exact", "--rule", path, "--d", "4"]) == 2
+        assert cli.main(["rule", "show", "--rule", path, "--d", "5"]) == 2
+        assert "disagrees" in capsys.readouterr().err
+        code, payload, _ = run(capsys, "rule", "show", "--rule", path, "--d", "3")
+        assert code == 0 and payload["d"] == 3
+        code, payload, _ = run(capsys, "rule", "show", "--rule", path)
+        assert code == 0 and payload["d"] == 3
+
+    def test_builtin_rule_takes_d(self, capsys):
+        code, payload, _ = run(
+            capsys, "rule", "show", "--rule", "builtin:max_seed_independent", "--d", "4"
+        )
+        assert code == 0 and payload["d"] == 4 and payload["table_size"] == 5
+        code, payload, _ = run(capsys, "rule", "show", "--rule", "builtin:max_seed_independent")
+        assert code == 0 and payload["d"] == 3
 
     def test_random_without_seed_reports_one(self, capsys):
         code, payload, _ = run(
@@ -218,3 +241,18 @@ class TestSimCommands:
 
     def test_bad_flag_exit_two(self):
         assert cli.main(["graph", "profile", "--garbage"]) == 2
+
+
+def test_python_dash_m_runs_quietly():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fiidlab.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fiidlab", "--no-timestamp", "entropy", "constant",
+         "--r", "3", "--c0", "0.3"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["payload"] == {"C": 59050}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fiidlab import rules
+from fiidlab import graphs, homsearch, rules
 
 
 def random_raw_ball(d, t, model, rng):
@@ -138,16 +138,52 @@ class TestCanonicalize:
         assert once.code == twice.code and once.labels == twice.labels
 
     def test_tied_seeds_rejected(self):
+        tied = (0.5, ((0.5, ()), (0.1, ()), (0.2, ())))
         with pytest.raises(rules.MalformedBall):
-            rules.canonicalize((0.5, ((0.5, ()), (0.1, ()), (0.2, ()))), 3, 1, rules.rank())
+            rules.canonicalize(tied, 3, 1, rules.rank())
+        rule = rules.builtin_rule("max_seed_independent", d=3)
+        with pytest.raises(rules.MalformedBall):
+            rules.evaluate(rule, tied)
+        hybrid_tied = (((0.5, 0), ((0.5, 1), ()), ((0.1, 0), ()), ((0.2, 0), ())))
+        with pytest.raises(rules.MalformedBall):
+            rules.canonicalize(hybrid_tied, 3, 1, rules.hybrid(2))
+        # u and v tie: both endpoint balls hold them
+        lay = rules.edge_ball_layout(3, 1)
+        with pytest.raises(rules.MalformedBall):
+            rules.endpoint_codes(lay, rules.rank(), (1, 1, 2, 3, 4, 5))
+        with pytest.raises(rules.MalformedBall):
+            rules.endpoint_codes(lay, rules.hybrid(2), ((1, 0), (1, 1), (2, 0), (3, 0), (4, 0), (5, 0)))
+        target = graphs.named_graph("C5")
+        rule = rules.random_rule(3, 1, rules.rank(), tuple(range(5)), 3)
+        witness = homsearch.ViolationWitness(
+            d=3, t=1, model=rules.rank(), config=(1, 1, 2, 3, 4, 5), outputs=(0, 0)
+        )
+        with pytest.raises(rules.MalformedBall):
+            homsearch.replay_witness(rule, target, witness)
 
     def test_malformed_shape(self):
         with pytest.raises(rules.MalformedBall):
             rules.canonicalize((0, ((0, ()), (1, ()))), 3, 1, rules.alphabet(2))
 
     def test_bad_tag(self):
+        bad = (5, ((0, ()), (1, ()), (0, ())))
         with pytest.raises(rules.MalformedBall):
-            rules.canonicalize((5, ((0, ()), (1, ()), (0, ()))), 3, 1, rules.alphabet(2))
+            rules.canonicalize(bad, 3, 1, rules.alphabet(2))
+        rule = rules.random_rule(3, 1, rules.alphabet(2), tuple(range(5)), 7)
+        with pytest.raises(rules.MalformedBall):
+            rules.evaluate(rule, bad)
+        lay = rules.edge_ball_layout(3, 1)
+        with pytest.raises(rules.MalformedBall):
+            rules.endpoint_codes(lay, rules.alphabet(2), (0, 0, 0, 0, 0, 7))
+        with pytest.raises(rules.MalformedBall):
+            rules.endpoint_codes(lay, rules.hybrid(2), tuple((r, 2) for r in range(1, 7)))
+        with pytest.raises(rules.MalformedBall):
+            rules.endpoint_codes(lay, rules.alphabet(2), (0,) * 5)
+        witness = homsearch.ViolationWitness(
+            d=3, t=1, model=rules.alphabet(2), config=(0, 0, 0, 9, 0, 0), outputs=(0, 0)
+        )
+        with pytest.raises(rules.MalformedBall):
+            homsearch.replay_witness(rule, graphs.named_graph("C5"), witness)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9), st.integers(0, 10**9))
