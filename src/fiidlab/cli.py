@@ -257,6 +257,8 @@ def _cmd_entropy_constant(args):
 def _cmd_entropy_tail(args):
     if args.C is None or args.c0 is None:
         raise UsageError("entropy tail needs --C and --c0")
+    if args.d is not None and not args.rule:
+        raise UsageError("entropy tail takes --d only with --rule")
     if args.probs:
         masses = [Fraction(x) for x in args.probs.split(",")]
         dist = entropy.LabelDistribution(

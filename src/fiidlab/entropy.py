@@ -1,12 +1,25 @@
 """Label marginals of a rule on the d-regular tree and entropy audits.
 
-Exact marginals are computed in rational arithmetic by weighted enumeration
-of seed configurations: the vertex law over the radius-t ball of a vertex,
-the pair law over the edge ball (the union of the two endpoint balls).  The
-pair law exploits that, conditioned on the seeds both endpoints can see, the
-two outputs are independent.  Monte Carlo marginals are plug-in empirical
-laws from i.i.d. edge-ball samples, deterministic per seed via fixed-size
-blocks with derived substreams.
+Exact marginals are computed in rational arithmetic.  The vertex law sums the
+orbit sizes of the canonical radius-t balls.  The rank and hybrid pair laws
+enumerate the edge ball (the union of the two endpoint balls).  The alphabet
+pair law instead splits the edge ball (u, v) into two disjoint half-trees:
+A, u with its d-1 subtrees away from v, to depth t, and B, the same at v.
+Their seeds are independent.  Write A' and B' for A and B cut to depth t-1.
+The ball of u is A with B' as the root's d-th child, so its code is A's root
+byte followed by the codes of A's children and of B', sorted as bytes (all d
+have the same shape).  Hence
+
+    P(a, b) = sum over (A', B') of g(A', B', a) * g(B', A', b),
+    g(A', B', a) = sum over types A cut to A' of c_A * [rule(code(A, B')) = a],
+
+over q^(2|A|), where c_A counts the seed configurations of type A.  The
+rule-independent (A', B') cells are built once per (d, t, q) from the
+half-tree types of `rules._alphabet_subtree_types`; a rule costs one pass
+over their N_t * N_(t-1) entries, not q^(edge ball size) configurations.
+At t=0, A is the vertex alone and B' is empty.  Monte Carlo marginals are
+plug-in empirical laws from i.i.d. edge-ball samples, deterministic per seed
+via fixed-size blocks with derived substreams.
 
 All entropies are in nats.
 """
@@ -16,10 +29,10 @@ import math
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
 
 from . import jsonable, rules
-from .rules import BudgetExceeded  # noqa: F401  (re-raised from enumeration)
+from .rules import BudgetExceeded
 
 
 class EntropyError(Exception):
@@ -211,64 +224,93 @@ def _exact_vertex_law(rule):
     )
 
 
-_ALPHA_EDGE_CACHE = {}
+def _half_tree_count(d, depth, q):
+    """Number of half-tree types of a depth (1 for the empty depth -1):
+    a root tag and a multiset of d-1 types one level shallower."""
+    n = 1 if depth < 0 else q
+    for _ in range(depth):
+        n = q * math.comb(n + d - 2, d - 1)
+    return n
 
 
-def _alphabet_edge_structure(d, t, q):
-    """Per shared-seed configuration, the canonical-code counts of each
-    endpoint ball over its private seeds.  Rule-independent, cached."""
+def _truncated_code(node, depth):
+    """Code of a subtree node cut to the given depth (empty below depth 0)."""
+    if depth < 0:
+        return b""
+    label, children = node
+    return bytes((label,)) + b"".join(
+        sorted(_truncated_code(c, depth - 1) for c in children)
+    )
+
+
+_HALF_TREE_CACHE = {}
+
+
+def _half_tree_structure(d, t, q):
+    """(codes, cells, denominator) of the alphabet pair law; see the module
+    docstring.  `codes` lists the canonical balls; cells[i][j] lists the
+    (ball index, c_A) of every half-tree type A cut to type i, coded with
+    cut type j as the root's d-th child.  Rule-independent, cached."""
     key = (d, t, q)
-    if key in _ALPHA_EDGE_CACHE:
-        return _ALPHA_EDGE_CACHE[key]
-    model = rules.alphabet(q)
-    layout = rules.check_edge_budget(d, t, model)
-    code_u, code_v = rules.edge_coders(d, t, model)
-    shared, u_only, v_only = layout.shared_ids, layout.u_only_ids, layout.v_only_ids
-    config = [0] * layout.size
-    rows = []
-    for shared_cfg in product(range(q), repeat=len(shared)):
-        for idx, tag in zip(shared, shared_cfg):
-            config[idx] = tag
-        counts_u = {}
-        for side_cfg in product(range(q), repeat=len(u_only)):
-            for idx, tag in zip(u_only, side_cfg):
-                config[idx] = tag
-            code = code_u(config)
-            counts_u[code] = counts_u.get(code, 0) + 1
-        counts_v = {}
-        for side_cfg in product(range(q), repeat=len(v_only)):
-            for idx, tag in zip(v_only, side_cfg):
-                config[idx] = tag
-            code = code_v(config)
-            counts_v[code] = counts_v.get(code, 0) + 1
-        rows.append((counts_u, counts_v))
-    result = (layout, rows, q ** len(u_only), q ** len(v_only))
-    _ALPHA_EDGE_CACHE[key] = result
+    if key in _HALF_TREE_CACHE:
+        return _HALF_TREE_CACHE[key]
+    entries = _half_tree_count(d, t, q) * _half_tree_count(d, t - 1, q)
+    if entries > rules.ALPHABET_ENUM_BUDGET:
+        raise BudgetExceeded(
+            f"alphabet pair law needs {entries} half-tree type pairs "
+            f"> {rules.ALPHABET_ENUM_BUDGET}"
+        )
+    balls = rules.enumerate_canonical_balls_weighted(d, t, rules.alphabet(q))
+    codes = tuple(ball.code for ball, _, _ in balls)
+    index = {code: i for i, code in enumerate(codes)}
+    if t == 0:
+        cuts = [b""]
+    else:
+        cuts = [code for code, _, _ in rules._alphabet_subtree_types(d, t - 1, q, d - 1)]
+    cut_index = {code: i for i, code in enumerate(cuts)}
+    width = rules.subtree_size(d, t - 1)
+    cells = [[[] for _ in cuts] for _ in cuts]
+    for code, node, count in rules._alphabet_subtree_types(d, t, q, d - 1):
+        row = cells[cut_index[_truncated_code(node, t - 1)]]
+        root = code[:1]
+        kids = [code[k:k + width] for k in range(1, len(code), width)]
+        for j, cut in enumerate(cuts):
+            row[j].append((index[root + b"".join(sorted(kids + [cut]))], count))
+    result = (codes, cells, q ** (2 * rules.subtree_size(d, t)))
+    _HALF_TREE_CACHE[key] = result
     return result
 
 
 def _exact_pair_law_alphabet(rule):
-    layout, rows, side_u, side_v = _alphabet_edge_structure(
-        rule.d, rule.t, rule.model.q
-    )
-    q = rule.model.q
+    codes, cells, denom = _half_tree_structure(rule.d, rule.t, rule.model.q)
+    labels = rule.output_alphabet
+    k = len(labels)
+    position = {a: i for i, a in enumerate(labels)}
     table = rule.table
+    out = [position[table[code]] for code in codes]
+    g = []
+    for row in cells:
+        g_row = []
+        for cell in row:
+            law = {}
+            for ball, count in cell:
+                a = out[ball]
+                law[a] = law.get(a, 0) + count
+            g_row.append(law)
+        g.append(g_row)
     acc = {}
-    for counts_u, counts_v in rows:
-        lu = {}
-        for code, c in counts_u.items():
-            a = table[code]
-            lu[a] = lu.get(a, 0) + c
-        lv = {}
-        for code, c in counts_v.items():
-            b = table[code]
-            lv[b] = lv.get(b, 0) + c
-        for a, cu in lu.items():
-            for b, cv in lv.items():
-                acc[(a, b)] = acc.get((a, b), 0) + cu * cv
-    denom = q ** len(layout.shared_ids) * side_u * side_v
-    probs = {k: Fraction(v, denom) for k, v in acc.items()}
-    return PairDistribution(rule.output_alphabet, probs, EXACT)
+    for i, g_row in enumerate(g):
+        for j, g_u in enumerate(g_row):
+            g_v = g[j][i]
+            for a, x in g_u.items():
+                base = a * k
+                for b, y in g_v.items():
+                    acc[base + b] = acc.get(base + b, 0) + x * y
+    probs = {
+        (labels[key // k], labels[key % k]): Fraction(acc[key], denom)
+        for key in sorted(acc)
+    }
+    return PairDistribution(labels, probs, EXACT)
 
 
 def _exact_pair_law_ordered(rule):
@@ -554,11 +596,17 @@ def min_girth_constant(r, c0):
     """Least integer strictly greater than r**(3/c0), in exact arithmetic.
 
     With c0 = p/q in lowest terms the answer is 1 + max{n : n**p <= r**(3q)},
-    found by binary search over big integers.
+    found by binary search over big integers.  Results are memoized on
+    (r, c0 as a fraction), since pipelines ask again for the same constant.
     """
     if not isinstance(r, int) or r < 2:
         raise ValueError(f"regularity r must be an integer >= 2, got {r!r}")
-    frac = c0_fraction(c0)
+    return _min_girth_constant(r, c0_fraction(c0))
+
+
+@lru_cache(maxsize=64)
+def _min_girth_constant(r, frac):
+    # lru_cache stores no exception, so Overflow is raised on every call
     p, q = frac.numerator, frac.denominator
     bits = 3 * q * max(r.bit_length(), 1)
     if bits > _OVERFLOW_BIT_CAP:

@@ -16,12 +16,12 @@ Seed models:
                  them with ranks 1..ball_size);
 * hybrid:q    -- labels are (seed, tag) pairs, combining both.
 
-The ball kernel.  `canonicalize` and every hot loop (edge pair tables, the
-alphabet edge structure, Monte Carlo, emulation, homomorphism scans) code
-balls the same way.  A ball is a flat seed vector in level order: the root,
-its d children, then their children parent by parent.  Each (d, t) template
-is compiled once, in postorder, into one itemgetter per non-root internal
-vertex that reads its label and its children's codes off a working list.
+The ball kernel.  `canonicalize` and every hot loop (edge pair tables, Monte
+Carlo, emulation, homomorphism scans) code balls the same way.  A ball is a
+flat seed vector in level order: the root, its d children, then their
+children parent by parent.  Each (d, t) template is compiled once, in
+postorder, into one itemgetter per non-root internal vertex that reads its
+label and its children's codes off a working list.
 Labels are tags, ranks from one sort of the ball's seeds, or (rank, tag)
 bytes; a vertex's code is its label bytes followed by its children's codes
 sorted as bytes, so the root's code is the preorder byte string of the
@@ -675,9 +675,6 @@ class EdgeBallLayout:
     v_template: tuple
     u_ids: tuple
     v_ids: tuple
-    shared_ids: tuple
-    u_only_ids: tuple
-    v_only_ids: tuple
 
 
 def _truncate(template, depth):
@@ -726,19 +723,14 @@ def edge_ball_layout(d, t):
         u_template = (0, (v_as_child,) + u_subs)
         v_template = (1, (u_as_child,) + v_subs)
 
-    u_ids, v_ids = _level_ids(u_template), _level_ids(v_template)
-    shared = sorted(set(u_ids) & set(v_ids))
     return EdgeBallLayout(
         d=d,
         t=t,
         size=counter[0],
         u_template=u_template,
         v_template=v_template,
-        u_ids=u_ids,
-        v_ids=v_ids,
-        shared_ids=tuple(shared),
-        u_only_ids=tuple(sorted(set(u_ids) - set(v_ids))),
-        v_only_ids=tuple(sorted(set(v_ids) - set(u_ids))),
+        u_ids=_level_ids(u_template),
+        v_ids=_level_ids(v_template),
     )
 
 

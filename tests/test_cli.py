@@ -168,6 +168,37 @@ class TestEntropyCommands:
         )
         assert code == 0 and payload["outside_mass"]["exact"] == "1/2"
 
+    def test_tail_d_needs_rule(self, capsys):
+        assert cli.main(["entropy", "tail", "--probs", "1/4,1/4,1/2", "--C", "2",
+                         "--c0", "0.3", "--d", "9"]) == 2
+        assert "--d only with --rule" in capsys.readouterr().err
+        code, payload, _ = run(
+            capsys, "entropy", "tail", "--rule", "builtin:max_seed_independent",
+            "--d", "4", "--C", "2", "--c0", "0.3",
+        )
+        assert code == 0 and payload["selected"] == ["OUT"]
+
+    def test_alphabet2_t3_exact_commands(self, capsys, tmp_path):
+        path = str(tmp_path / "a.rule")
+        code, payload, _ = run(
+            capsys, "rule", "random", "--t", "3", "--model", "alphabet:2",
+            "--alphabet", "0,1,2", "--seed", "7", "--out", path,
+        )
+        assert code == 0 and payload["table_size"] == 26488
+        code, payload, _ = run(capsys, "entropy", "exact", "--rule", path)
+        assert code == 0 and payload["pair"]["0,1"]["exact"].endswith("/1073741824")
+        code, payload, _ = run(capsys, "entropy", "audit", "--rule", path, "--exact")
+        assert code == 0
+        code, payload, _ = run(capsys, "entropy", "tail", "--rule", path, "--C", "2",
+                               "--c0", "0.3")
+        assert code == 0
+        code, payload, _ = run(capsys, "sim", "pipeline", "--rule", path, "--target", "K3",
+                               "--c0", "0.089", "--C", "2", "--exact")
+        assert code == 0 and payload["marginal_mode"] == "exact"
+        assert cli.main(["rule", "random", "--t", "3", "--model", "alphabet:3",
+                         "--alphabet", "0,1", "--seed", "7"]) == 2
+        assert "BudgetExceeded" in capsys.readouterr().err
+
 
 class TestHomCommands:
     def test_search_c5(self, capsys):

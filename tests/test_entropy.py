@@ -270,8 +270,10 @@ class TestMinGirthConstant:
             entropy.min_girth_constant(3, 1.5)
 
     def test_overflow_reported(self):
-        with pytest.raises(entropy.Overflow):
-            entropy.min_girth_constant(3, Fraction(1, 10**7))
+        # twice: the memo must not turn a refusal into a cached answer
+        for _ in range(2):
+            with pytest.raises(entropy.Overflow):
+                entropy.min_girth_constant(3, Fraction(1, 10**7))
 
 
 class TestTailSelect:

@@ -1,12 +1,19 @@
-"""The ball kernel against the recursive sibling sort it replaced.
+"""The ball kernel and the alphabet pair law against the slower routes they
+replaced.
 
 `reference_code` is the canonicalization `rules.canonicalize` used before the
 kernel: replace rank seeds by their ranks in the ball, then sort sibling
-subtrees recursively by their codes.  Kernel codes, edge pair tables and the
-alphabet edge structure must all equal what this slow route gives.
+subtrees recursively by their codes.  Kernel codes and edge pair tables must
+equal what this slow route gives.  `_alphabet_edge_structure` is the alphabet
+pair law the library computed before the half-tree recursion: enumerate the
+seeds both endpoint balls see, and for each such configuration the private
+seeds of either side.  Its rows are checked against the recursive sort, and
+`entropy.exact_marginals` must give its pair laws exactly.
 """
 
 import random
+from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -112,18 +119,72 @@ def test_pair_table_equals_reference(model):
     assert rules.edge_pair_table(3, 1, model).counts == counts
 
 
+def _split_ids(layout):
+    """(shared, u-only, v-only) ids of an edge-ball layout."""
+    u, v = set(layout.u_ids), set(layout.v_ids)
+    return tuple(sorted(u & v)), tuple(sorted(u - v)), tuple(sorted(v - u))
+
+
+@lru_cache(maxsize=None)
+def _alphabet_edge_structure(d, t, q):
+    """Per shared-seed configuration, the canonical-code counts of each
+    endpoint ball over its private seeds."""
+    model = rules.alphabet(q)
+    layout = rules.check_edge_budget(d, t, model)
+    code_u, code_v = rules.edge_coders(d, t, model)
+    shared, u_only, v_only = _split_ids(layout)
+    config = [0] * layout.size
+    rows = []
+    for shared_cfg in product(range(q), repeat=len(shared)):
+        for idx, tag in zip(shared, shared_cfg):
+            config[idx] = tag
+        counts_u = {}
+        for side_cfg in product(range(q), repeat=len(u_only)):
+            for idx, tag in zip(u_only, side_cfg):
+                config[idx] = tag
+            code = code_u(config)
+            counts_u[code] = counts_u.get(code, 0) + 1
+        counts_v = {}
+        for side_cfg in product(range(q), repeat=len(v_only)):
+            for idx, tag in zip(v_only, side_cfg):
+                config[idx] = tag
+            code = code_v(config)
+            counts_v[code] = counts_v.get(code, 0) + 1
+        rows.append((counts_u, counts_v))
+    return layout, rows, q ** len(u_only), q ** len(v_only)
+
+
+def reference_pair_law(rule):
+    """Pair-law masses of an alphabet rule from `_alphabet_edge_structure`."""
+    layout, rows, side_u, side_v = _alphabet_edge_structure(
+        rule.d, rule.t, rule.model.q
+    )
+    table = rule.table
+    acc = {}
+    for counts_u, counts_v in rows:
+        lu = {}
+        for code, c in counts_u.items():
+            lu[table[code]] = lu.get(table[code], 0) + c
+        lv = {}
+        for code, c in counts_v.items():
+            lv[table[code]] = lv.get(table[code], 0) + c
+        for a, cu in lu.items():
+            for b, cv in lv.items():
+                acc[(a, b)] = acc.get((a, b), 0) + cu * cv
+    denom = rule.model.q ** len(_split_ids(layout)[0]) * side_u * side_v
+    return {k: Fraction(v, denom) for k, v in acc.items()}
+
+
 def _reference_rows(d, t, q, shared_cfgs):
     layout = rules.edge_ball_layout(d, t)
+    shared, u_only, v_only = _split_ids(layout)
     rows = []
     for shared_cfg in shared_cfgs:
         config = [0] * layout.size
-        for idx, tag in zip(layout.shared_ids, shared_cfg):
+        for idx, tag in zip(shared, shared_cfg):
             config[idx] = tag
         row = []
-        for template, side in (
-            (layout.u_template, layout.u_only_ids),
-            (layout.v_template, layout.v_only_ids),
-        ):
+        for template, side in ((layout.u_template, u_only), (layout.v_template, v_only)):
             counts = {}
             for side_cfg in product(range(q), repeat=len(side)):
                 for idx, tag in zip(side, side_cfg):
@@ -135,22 +196,95 @@ def _reference_rows(d, t, q, shared_cfgs):
     return rows
 
 
+def _shared_configs(layout, q):
+    return list(product(range(q), repeat=len(_split_ids(layout)[0])))
+
+
 @pytest.mark.parametrize("q", (2, 3))
 def test_alphabet_edge_structure_t1_equals_reference(q):
-    layout, rows, _, _ = entropy._alphabet_edge_structure(3, 1, q)
-    shared = list(product(range(q), repeat=len(layout.shared_ids)))
-    assert rows == _reference_rows(3, 1, q, shared)
+    layout, rows, _, _ = _alphabet_edge_structure(3, 1, q)
+    assert rows == _reference_rows(3, 1, q, _shared_configs(layout, q))
 
 
 def test_alphabet_edge_structure_t2_equals_reference():
     # every row is rebuilt at q=2; a seeded sample of the 729 rows at q=3
     for q, sample in ((2, None), (3, 24)):
-        layout, rows, _, _ = entropy._alphabet_edge_structure(3, 2, q)
-        shared = list(product(range(q), repeat=len(layout.shared_ids)))
+        layout, rows, _, _ = _alphabet_edge_structure(3, 2, q)
+        shared = _shared_configs(layout, q)
         picks = range(len(shared)) if sample is None else random.Random(q).sample(
             range(len(shared)), sample
         )
         assert [rows[i] for i in picks] == _reference_rows(3, 2, q, [shared[i] for i in picks])
+
+
+def _alphabet_rules(d, t, q):
+    """Seeded random rules, constant rules (one with an unused label) and
+    the identity-factor rule, which gives each canonical ball its own label."""
+    model = rules.alphabet(q)
+    balls = rules.enumerate_canonical_balls(d, t, model)
+    for seed in range(3):
+        yield rules.random_rule(d, t, model, ("x", "y", "z"), seed)
+    yield rules.make_rule(d, t, model, ("c",), {b.code: "c" for b in balls})
+    yield rules.make_rule(d, t, model, ("u", "c"), {b.code: "c" for b in balls})
+    yield rules.make_rule(
+        d, t, model, tuple(range(len(balls))), {b.code: i for i, b in enumerate(balls)}
+    )
+
+
+# every class with d in {2, 3, 4}, t <= 2, q in {2, 3} whose edge ball the
+# enumeration can afford: all but d=4, t=2 (q^26 and q^17 > the budget)
+ENUMERABLE = [
+    (d, t, q) for d in (2, 3, 4) for t in (0, 1, 2) for q in (2, 3) if (d, t) != (4, 2)
+]
+
+
+@pytest.mark.parametrize("d,t,q", ENUMERABLE)
+def test_pair_law_equals_edge_enumeration(d, t, q):
+    for rule in _alphabet_rules(d, t, q):
+        pair = entropy.exact_marginals(rule)[1]
+        assert pair.probs == reference_pair_law(rule)
+        position = {a: i for i, a in enumerate(rule.output_alphabet)}
+        assert list(pair.probs) == sorted(
+            pair.probs, key=lambda ab: (position[ab[0]], position[ab[1]])
+        )
+
+
+def _cut(node, depth):
+    label, children = node
+    return (label, () if depth == 0 else tuple(_cut(c, depth - 1) for c in children))
+
+
+@pytest.mark.parametrize("d,t,q", [(3, 3, 2), (4, 2, 2), (2, 3, 3)])
+def test_lifted_rule_keeps_its_laws(d, t, q):
+    """A radius-t rule that reads only the radius-(t-1) part of its ball has
+    the laws of the radius-(t-1) rule it lifts, Fraction for Fraction.  This
+    reaches classes the edge enumeration cannot afford (3, 3, 2 and 4, 2, 2)."""
+    model = rules.alphabet(q)
+    inner = rules.enumerate_canonical_balls(d, t - 1, model)
+    bases = [
+        rules.random_rule(d, t - 1, model, (0, 1, 2), 11),
+        rules.make_rule(
+            d, t - 1, model, tuple(range(len(inner))), {b.code: i for i, b in enumerate(inner)}
+        ),
+    ]
+    outer = rules.enumerate_canonical_balls(d, t, model)
+    for base in bases:
+        table = {
+            b.code: base.table[reference_code(_cut(b.labels, t - 1), "alphabet")]
+            for b in outer
+        }
+        lifted = rules.make_rule(d, t, model, base.output_alphabet, table)
+        vertex, pair = entropy.exact_marginals(lifted)
+        base_vertex, base_pair = entropy.exact_marginals(base)
+        assert vertex.p == base_vertex.p
+        assert pair.probs == base_pair.probs
+
+
+def test_alphabet3_t3_over_budget():
+    with pytest.raises(rules.BudgetExceeded):
+        entropy._half_tree_structure(3, 3, 3)
+    with pytest.raises(rules.BudgetExceeded):
+        rules.random_rule(3, 3, rules.alphabet(3), (0, 1), 0)
 
 
 def test_hot_builds_skip_public_canonicalize(monkeypatch):
@@ -166,8 +300,9 @@ def test_hot_builds_skip_public_canonicalize(monkeypatch):
 
         monkeypatch.setattr(rules, name, counted)
     monkeypatch.setattr(rules, "_PAIR_CACHE", {})
-    monkeypatch.setattr(entropy, "_ALPHA_EDGE_CACHE", {})
+    monkeypatch.setattr(rules, "_ENUM_CACHE", {})
+    monkeypatch.setattr(entropy, "_HALF_TREE_CACHE", {})
     table = rules.edge_pair_table(3, 1, rules.hybrid(2))
-    entropy._alphabet_edge_structure(2, 1, 2)
+    entropy._half_tree_structure(3, 2, 2)
     assert table.total == 46080
     assert calls == []
