@@ -26,7 +26,7 @@ RULE_D_HELP = "degree of a builtin rule (default 3); a rule file's d must match 
 
 
 
-def _emit(args, payload, out_lines):
+def _emit(args, payload):
     envelope = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -37,7 +37,6 @@ def _emit(args, payload, out_lines):
         envelope["timestamp"] = datetime.now(timezone.utc).isoformat()
     line = json.dumps(envelope, sort_keys=True, separators=(",", ":"))
     print(line)
-    out_lines.append(line)
 
 
 def _load_target(spec):
@@ -166,10 +165,9 @@ def _cmd_rule_make(args):
         raise UsageError(
             "rule make supports constant and max_seed_independent; table rules come from files"
         )
-    if args.out:
-        rules.save_rule(rule, args.out)
     payload = _rule_summary(rule)
     if args.out:
+        rules.save_rule(rule, args.out)
         payload["path"] = args.out
     return payload, 0
 
@@ -198,51 +196,42 @@ def _cmd_rule_show(args):
 
 def _marginals_for(args, rule):
     if args.exact:
-        return entropy.exact_marginals(rule), "exact"
+        return entropy.exact_marginals(rule)
     if not args.samples:
         raise UsageError("give --exact or --samples N")
     seed = args.seed if args.seed is not None else 0
-    vertex, pair = entropy.mc_marginals(rule, args.samples, seed)
-    return (vertex, pair), f"mc:{args.samples}"
+    return entropy.mc_marginals(rule, args.samples, seed)
+
+
+def _laws_payload(vertex, pair):
+    report = entropy.audit(vertex, pair).report
+    return {
+        "vertex": _dist_payload(vertex),
+        "pair": _pair_payload(pair),
+        "h_vertex": report.h_vertex,
+        "h_edge": report.h_edge,
+        "h_nbr_given_vertex": report.h_nbr_given_vertex,
+    }
 
 
 def _cmd_entropy_exact(args):
     rule = _load_rule(args.rule, args)
-    vertex, pair = entropy.exact_marginals(rule)
-    res = entropy.audit(vertex, pair)
-    return {
-        "vertex": _dist_payload(vertex),
-        "pair": _pair_payload(pair),
-        "h_vertex": res.report.h_vertex,
-        "h_edge": res.report.h_edge,
-        "h_nbr_given_vertex": res.report.h_nbr_given_vertex,
-    }, 0
+    return _laws_payload(*entropy.exact_marginals(rule)), 0
 
 
 def _cmd_entropy_mc(args):
     rule = _load_rule(args.rule, args)
     if not args.samples:
         raise UsageError("entropy mc needs --samples")
-    payload = {}
+    payload = {"samples": args.samples}
     seed = _seed_of(args, payload)
-    vertex, pair = entropy.mc_marginals(rule, args.samples, seed)
-    res = entropy.audit(vertex, pair)
-    payload.update(
-        {
-            "samples": args.samples,
-            "vertex": _dist_payload(vertex),
-            "pair": _pair_payload(pair),
-            "h_vertex": res.report.h_vertex,
-            "h_edge": res.report.h_edge,
-            "h_nbr_given_vertex": res.report.h_nbr_given_vertex,
-        }
-    )
+    payload.update(_laws_payload(*entropy.mc_marginals(rule, args.samples, seed)))
     return payload, 0
 
 
 def _cmd_entropy_audit(args):
     rule = _load_rule(args.rule, args)
-    (vertex, pair), _mode = _marginals_for(args, rule)
+    vertex, pair = _marginals_for(args, rule)
     H = _load_target(args.target) if args.target else None
     res = entropy.audit(vertex, pair, r=args.r, H=H)
     return res.to_json_dict(), 0 if res.all_passed() else 1
@@ -476,7 +465,6 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     args.command_echo = argv
-    out_lines = []
     try:
         payload, code = args.func(args)
     except UsageError as exc:
@@ -491,7 +479,7 @@ def main(argv=None):
     ) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    _emit(args, payload, out_lines)
+    _emit(args, payload)
     return code
 
 

@@ -72,6 +72,26 @@ def monte_carlo(n_samples):
     return Provenance("monte_carlo", n_samples)
 
 
+def _check_total(masses, provenance):
+    """InvalidDistribution unless the masses sum to 1, to 1e-9 unless exact.
+    Exact masses are summed as integer numerators per denominator, then over
+    the lcm of the few distinct denominators: several times faster than
+    adding Fractions one by one."""
+    if provenance.kind == "exact":
+        numerators = {}
+        for x in masses:
+            p, q = x.as_integer_ratio()
+            numerators[q] = numerators.get(q, 0) + p
+        common = math.lcm(*numerators)
+        total = Fraction(sum(p * (common // q) for q, p in numerators.items()), common)
+        if total != 1:
+            raise InvalidDistribution(f"exact masses sum to {total}, not 1")
+    else:
+        total = sum(masses)
+        if abs(total - 1) > 1e-9:
+            raise InvalidDistribution(f"masses sum to {total}, off by > 1e-9")
+
+
 @dataclass(frozen=True)
 class LabelDistribution:
     """Law of the output label at a random vertex."""
@@ -85,12 +105,7 @@ class LabelDistribution:
             raise InvalidDistribution("labels and masses must align and be nonempty")
         if any(x < 0 for x in self.p):
             raise InvalidDistribution("negative mass")
-        total = sum(self.p)
-        if self.provenance.kind == "exact":
-            if total != 1:
-                raise InvalidDistribution(f"exact masses sum to {total}, not 1")
-        elif abs(total - 1) > 1e-9:
-            raise InvalidDistribution(f"masses sum to {total}, off by > 1e-9")
+        _check_total(self.p, self.provenance)
 
     def mass(self, label):
         return self.p[self.labels.index(label)]
@@ -119,12 +134,7 @@ class PairDistribution:
                 raise InvalidDistribution("negative mass")
             if self.probs.get((b, a), 0) != x:
                 raise InvalidDistribution(f"not exchangeable at ({a!r}, {b!r})")
-        total = sum(self.probs.values())
-        if self.provenance.kind == "exact":
-            if total != 1:
-                raise InvalidDistribution(f"exact masses sum to {total}, not 1")
-        elif abs(total - 1) > 1e-9:
-            raise InvalidDistribution(f"masses sum to {total}, off by > 1e-9")
+        _check_total(self.probs.values(), self.provenance)
 
     def mass(self, a, b):
         return self.probs.get((a, b), 0)
@@ -233,14 +243,16 @@ def _half_tree_count(d, depth, q):
     return n
 
 
-def _truncated_code(node, depth):
-    """Code of a subtree node cut to the given depth (empty below depth 0)."""
+def _truncated_code(code, d, depth):
+    """A subtree code cut to the given depth (empty below depth 0).  Its
+    children are the d-1 equal slices of the code after the root byte."""
     if depth < 0:
         return b""
-    label, children = node
-    return bytes((label,)) + b"".join(
-        sorted(_truncated_code(c, depth - 1) for c in children)
-    )
+    if depth == 0:
+        return code[:1]
+    width = (len(code) - 1) // (d - 1)
+    kids = (code[k:k + width] for k in range(1, len(code), width))
+    return code[:1] + b"".join(sorted(_truncated_code(kid, d, depth - 1) for kid in kids))
 
 
 _HALF_TREE_CACHE = {}
@@ -266,12 +278,12 @@ def _half_tree_structure(d, t, q):
     if t == 0:
         cuts = [b""]
     else:
-        cuts = [code for code, _, _ in rules._alphabet_subtree_types(d, t - 1, q, d - 1)]
+        cuts = [code for code, _ in rules._alphabet_subtree_types(d, t - 1, q, d - 1)]
     cut_index = {code: i for i, code in enumerate(cuts)}
     width = rules.subtree_size(d, t - 1)
     cells = [[[] for _ in cuts] for _ in cuts]
-    for code, node, count in rules._alphabet_subtree_types(d, t, q, d - 1):
-        row = cells[cut_index[_truncated_code(node, t - 1)]]
+    for code, count in rules._alphabet_subtree_types(d, t, q, d - 1):
+        row = cells[cut_index[_truncated_code(code, d, t - 1)]]
         root = code[:1]
         kids = [code[k:k + width] for k in range(1, len(code), width)]
         for j, cut in enumerate(cuts):
@@ -351,7 +363,7 @@ def _mc_pair_counts_rank_t1(rule, n, rng):
     B = d + 1
     label_by_rank = {}
     for ball in rules.enumerate_canonical_balls(d, 1, rule.model):
-        label_by_rank[ball.labels[0]] = rule.table[ball.code]
+        label_by_rank[ball.code[0]] = rule.table[ball.code]
     counts = {}
     uniform = rng.random
     for _ in range(n):
@@ -472,18 +484,6 @@ class AuditResult:
         }
 
 
-def _consistency_tolerance(vertex, pair):
-    ns = [
-        p.n_samples
-        for p in (vertex.provenance, pair.provenance)
-        if p.kind == "monte_carlo"
-    ]
-    if not ns:
-        return 0
-    # 3 sigma with sigma <= 0.5/sqrt(n) per cell
-    return 1.5 / math.sqrt(min(ns)) + 1e-9
-
-
 def audit(vertex, pair, r=None, H=None):
     """Entropy report plus verdicts.
 
@@ -493,7 +493,9 @@ def audit(vertex, pair, r=None, H=None):
     neighbor entropy is at most ln r and the vertex entropy at most 3 ln r.
     Tolerance is 1e-9 for exact laws and 3 sigma for Monte Carlo ones.
     """
-    tol_mc = _consistency_tolerance(vertex, pair)
+    ns = [p.n_samples for p in (vertex.provenance, pair.provenance) if p.kind == "monte_carlo"]
+    # 3 sigma with sigma <= 0.5/sqrt(n) per cell
+    tol_mc = 1.5 / math.sqrt(min(ns)) + 1e-9 if ns else 0
     marg = pair.marginal().as_float_dict()
     vert = vertex.as_float_dict()
     for a in set(marg) | set(vert):
@@ -511,13 +513,8 @@ def audit(vertex, pair, r=None, H=None):
         degs = {len(adj) for adj in H.adjacency}
         r = degs.pop() if len(degs) == 1 else None
 
-    mc = vertex.provenance.kind == "monte_carlo" or pair.provenance.kind == "monte_carlo"
-    if mc:
-        n = min(
-            p.n_samples
-            for p in (vertex.provenance, pair.provenance)
-            if p.kind == "monte_carlo"
-        )
+    if ns:
+        n = min(ns)
         tol = 3 * (entropy_sigma(vertex, n) + entropy_sigma(pair.marginal(), n)) + 1e-9
     else:
         tol = 1e-9

@@ -325,7 +325,10 @@ def profile(G):
 # random regular graphs (configuration model, whole-graph rejection)
 
 
-def random_regular(n, d, rng_seed, max_attempts=2000):
+_PAIRING_ATTEMPTS = 2000
+
+
+def random_regular(n, d, rng_seed):
     """Uniform-ish simple d-regular graph via stub pairing with rejection.
 
     The whole pairing is resampled whenever a loop or repeated edge shows
@@ -337,7 +340,7 @@ def random_regular(n, d, rng_seed, max_attempts=2000):
         raise ParityError(f"n*d = {n * d} is odd, no {d}-regular graph on {n} vertices")
     rng = random.Random(rng_seed)
     stubs_master = [v for v in range(n) for _ in range(d)]
-    for _ in range(max_attempts):
+    for _ in range(_PAIRING_ATTEMPTS):
         stubs = stubs_master[:]
         rng.shuffle(stubs)
         edges = set()
@@ -355,7 +358,7 @@ def random_regular(n, d, rng_seed, max_attempts=2000):
         if ok:
             return build_graph(n, sorted(edges))
     raise RetryBudgetExceeded(
-        f"no simple pairing found in {max_attempts} attempts (n={n}, d={d})"
+        f"no simple pairing found in {_PAIRING_ATTEMPTS} attempts (n={n}, d={d})"
     )
 
 

@@ -9,7 +9,9 @@ in mixed-radix order over the canonical balls.
 Finite-alphabet seeds admit a shortcut: on the all-equal-tags configuration
 both endpoints see identical canonical balls, so every rule colors some
 edge monochromatically and no rule maps into a loopless target.  The
-certificate for that argument is replayable against any candidate rule.
+certificate for that argument is replayable against any candidate rule, and
+the checker answers alphabet rules into loopless targets with it exactly,
+at any radius.
 
 Every exhaustion result is relative to the searched finite-radius class;
 outcome reports carry that caveat verbatim.
@@ -86,43 +88,46 @@ def _random_config(layout, model, rng):
     return tuple((r, rng.randrange(model.q)) for r in ranks)
 
 
+def _loopless(H):
+    return not any(H.has_edge(v, v) for v in range(H.n))
+
+
 def is_homomorphism_rule(rule, H, samples=100_000, rng_seed=0):
     """Exact edge-ball scan in lexicographic order, or sampled falsification.
 
     Returns a CheckResult; a failed exact scan carries the lexicographically
-    first violating configuration as witness.
+    first violating configuration as witness.  An alphabet rule into a
+    loopless target fails exactly at any radius: the first configuration,
+    all tags zero, is the constant-seed certificate's.
     """
     _require_target_alphabet(rule, H)
+    if rule.model.kind == "alphabet" and _loopless(H):
+        cert = alphabet_impossibility_certificate(H, rule.d, rule.t, rule.model.q)
+        witness = replay_certificate(cert, rule, H)
+        return CheckResult(passed=False, exact=True, samples_checked=None, witness=witness)
     layout = rules.edge_ball_layout(rule.d, rule.t)
     try:
         rules.check_edge_budget(rule.d, rule.t, rule.model)
-        exact = True
     except BudgetExceeded:
         exact = False
+        rng = random.Random(rng_seed)
+        configs = (_random_config(layout, rule.model, rng) for _ in range(samples))
+    else:
+        exact = True
+        configs = rules.edge_configs(layout, rule.model)
     code_u, code_v = rules.edge_coders(rule.d, rule.t, rule.model)
-    if exact:
-        for config in rules.edge_configs(layout, rule.model):
-            x, y = rule.table[code_u(config)], rule.table[code_v(config)]
-            if not H.has_edge(x, y):
-                return CheckResult(
-                    passed=False,
-                    exact=True,
-                    samples_checked=None,
-                    witness=_witness_from_config(rule, config, (x, y)),
-                )
-        return CheckResult(passed=True, exact=True, samples_checked=None, witness=None)
-    rng = random.Random(rng_seed)
-    for _ in range(samples):
-        config = _random_config(layout, rule.model, rng)
+    for config in configs:
         x, y = rule.table[code_u(config)], rule.table[code_v(config)]
         if not H.has_edge(x, y):
             return CheckResult(
                 passed=False,
-                exact=False,
+                exact=exact,
                 samples_checked=None,
                 witness=_witness_from_config(rule, config, (x, y)),
             )
-    return CheckResult(passed=True, exact=False, samples_checked=samples, witness=None)
+    return CheckResult(
+        passed=True, exact=exact, samples_checked=None if exact else samples, witness=None
+    )
 
 
 def replay_witness(rule, H, witness):
@@ -150,7 +155,7 @@ class ConstantSeedCertificate:
 def alphabet_impossibility_certificate(H, d, t, q):
     """Certificate that no alphabet-model rule is a homomorphism rule into a
     loopless target: the all-zero-tags edge-ball configuration."""
-    if any(H.has_edge(v, v) for v in range(H.n)):
+    if not _loopless(H):
         raise ValueError("target must be loopless")
     layout = rules.edge_ball_layout(d, t)
     return ConstantSeedCertificate(
@@ -199,10 +204,8 @@ class SearchOutcome:
     caveat: str = ""
     certificate: ConstantSeedCertificate | None = None
 
-    def to_json_dict(self, witness_limit=10):
-        sample = [
-            {"rule_index": idx, **w.to_json_dict()} for idx, w in self.witnesses[:witness_limit]
-        ]
+    def to_json_dict(self):
+        sample = [{"rule_index": idx, **w.to_json_dict()} for idx, w in self.witnesses[:10]]
         return jsonable(
             {
                 "kind": self.kind,
@@ -247,9 +250,7 @@ def search(H, d, t, model, budget=None, force_enumeration=False):
     """
     budget = budget or SearchBudget()
     caveat = class_caveat(d, t, model)
-    loopless = not any(H.has_edge(v, v) for v in range(H.n))
-
-    if model.kind == "alphabet" and loopless and not force_enumeration:
+    if model.kind == "alphabet" and _loopless(H) and not force_enumeration:
         cert = alphabet_impossibility_certificate(H, d, t, model.q)
         return SearchOutcome(
             kind="ImpossibleByConstantSeeds",

@@ -29,6 +29,11 @@ sibling-sorted ball that rule tables and rule files are keyed by.  A memo
 interns the code of each non-root (label, child codes) key; root codes are
 joined afresh, as at rank t=2 almost every root is new.  Seeds are validated
 only at the public boundary (`canonicalize`, `evaluate`, `endpoint_codes`).
+
+A canonical ball is its code.  The enumerations build codes directly (from
+the codes of subtree types, rank blocks, or a rank code with a tag after
+each rank byte), and `CanonicalBall.labels` decodes the nested tuple on
+demand through `_decode`, the only place nested labels are made.
 """
 
 import random
@@ -335,16 +340,20 @@ def _checked_code(raw, d, t, model):
 class CanonicalBall:
     """Orbit representative of a seed-labeled rooted ball.
 
-    ``labels`` is the sibling-sorted nested tuple; ``code`` is its preorder
-    byte string (one byte per label component), which is what rule tables
-    are keyed by.
+    ``code`` is the preorder byte string of the sibling-sorted ball (one
+    byte per label component), which is what rule tables are keyed by; it
+    is the only stored form.  ``labels``, the sibling-sorted nested tuple,
+    is decoded from it on demand.
     """
 
     d: int
     t: int
     model: SeedModel
-    labels: tuple
     code: bytes
+
+    @property
+    def labels(self):
+        return _decode(self.code, self.d, self.t, self.model.kind)
 
 
 def canonicalize(raw, d, t, model):
@@ -354,9 +363,7 @@ def canonicalize(raw, d, t, model):
     seeds are first replaced by the induced ranking restricted to the ball.
     Idempotent, and constant on orbits of root-fixing ball automorphisms.
     """
-    code = _checked_code(raw, d, t, model)
-    labels = _decode(code, d, t, model.kind)
-    return CanonicalBall(d=d, t=t, model=model, labels=labels, code=code)
+    return CanonicalBall(d=d, t=t, model=model, code=_checked_code(raw, d, t, model))
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +377,9 @@ def check_enumeration_budget(d, t, model):
             raise BudgetExceeded(
                 f"alphabet enumeration needs q^{B} = {model.q**B} > {ALPHABET_ENUM_BUDGET}"
             )
-    elif model.kind == "rank":
-        if B > RANK_BALL_LIMIT:
-            raise BudgetExceeded(f"rank ball size {B} exceeds limit {RANK_BALL_LIMIT}")
-    else:
-        if B > RANK_BALL_LIMIT:
-            raise BudgetExceeded(f"hybrid ball size {B} exceeds limit {RANK_BALL_LIMIT}")
+    elif B > RANK_BALL_LIMIT:
+        raise BudgetExceeded(f"{model.kind} ball size {B} exceeds limit {RANK_BALL_LIMIT}")
+    elif model.kind == "hybrid":
         count = rank_ball_count(d, t) * model.q**B
         if count > ALPHABET_ENUM_BUDGET:
             raise BudgetExceeded(
@@ -386,35 +390,31 @@ def check_enumeration_budget(d, t, model):
 @lru_cache(maxsize=None)
 def _alphabet_subtree_types(d, depth, q, branching):
     """Canonical subtrees of the given depth whose root has `branching`
-    children and whose deeper internal vertices have d-1: list of
-    (code, node, count).  With branching d they are the balls of radius
-    depth."""
+    children and whose deeper internal vertices have d-1: sorted list of
+    (code, count).  With branching d they are the balls of radius depth."""
     if depth == 0:
-        return [(bytes((a,)), (a, ()), 1) for a in range(q)]
+        return [(_BYTE[a], 1) for a in range(q)]
     prev = _alphabet_subtree_types(d, depth - 1, q, d - 1)
     out = [
         _assemble(a, combo, branching)
         for a in range(q)
         for combo in combinations_with_replacement(prev, branching)
     ]
-    out.sort(key=lambda item: item[0])
+    out.sort()
     return out
 
 
 def _assemble(root_label, combo, slots):
-    """Node from a root label and a nondecreasing tuple of child types."""
+    """(code, count) from a root label and a nondecreasing tuple of child types."""
     mult = {}
-    for item in combo:
-        mult[item[0]] = mult.get(item[0], 0) + 1
-    arrangements = factorial(slots)
-    count = arrangements
+    for code, _ in combo:
+        mult[code] = mult.get(code, 0) + 1
+    count = factorial(slots)
     for mcount in mult.values():
         count //= factorial(mcount)
-    for item in combo:
-        count *= item[2]
-    node = (root_label, tuple(item[1] for item in combo))
-    code = _BYTE[root_label] + b"".join(item[0] for item in combo)
-    return (code, node, count)
+    for _, child_count in combo:
+        count *= child_count
+    return _BYTE[root_label] + b"".join(code for code, _ in combo), count
 
 
 def _block_partitions(elems, size):
@@ -433,44 +433,46 @@ def _block_partitions(elems, size):
 
 
 def _rank_subtree_assignments(ranks, d, depth):
-    """All canonical (code, node) subtrees over exactly the given rank set.
+    """Codes of all canonical subtrees over exactly the given rank set.
     The root gets (len(ranks) - 1) / subtree_size(d, depth - 1) children:
     d - 1 in a subtree, d when the ranks fill a whole ball of radius depth."""
     if depth == 0:
-        r = ranks[0]
-        return [(bytes((r,)), (r, ()))]
+        return [_BYTE[ranks[0]]]
     out = []
     block = subtree_size(d, depth - 1)
     for root_rank in ranks:
         rest = tuple(r for r in ranks if r != root_rank)
+        head = _BYTE[root_rank]
         for blocks in _block_partitions(rest, block):
             for parts in product(
                 *(_rank_subtree_assignments(b, d, depth - 1) for b in blocks)
             ):
-                parts = sorted(parts)
-                code = bytes((root_rank,)) + b"".join(p[0] for p in parts)
-                node = (root_rank, tuple(p[1] for p in parts))
-                out.append((code, node))
+                out.append(head + b"".join(sorted(parts)))
     return out
 
 
 def _enumerate_rank(d, t):
-    aut = ball_aut_order(d, t)
-    ranks = tuple(range(1, ball_size(d, t) + 1))
-    return sorted((code, node, aut) for code, node in _rank_subtree_assignments(ranks, d, t))
+    """Sorted codes of the canonical rank balls."""
+    return sorted(_rank_subtree_assignments(tuple(range(1, ball_size(d, t) + 1)), d, t))
 
 
 def _enumerate_hybrid(d, t, q):
+    """Sorted codes of the canonical hybrid balls: each rank code with every
+    tag assignment, each rank byte r followed by the tag of the vertex of
+    rank r.  Sibling codes start with distinct rank bytes, so the tags leave
+    the rank code's sibling order canonical."""
     B = ball_size(d, t)
-    aut = ball_aut_order(d, t)
-    code = ball_coder(d, t, hybrid(q))
+    rank_codes = _enumerate_rank(d, t)
     codes = []
-    for _, rnode, _ in _enumerate_rank(d, t):
-        ranks = _flatten(rnode, d, t)
-        for tags in product(range(q), repeat=B):
-            codes.append(code(tuple(zip(ranks, tags))))
+    buf = bytearray(2 * B)
+    for tags in product(range(q), repeat=B):
+        tag_of_rank = bytes((0, *tags)).ljust(256, b"\0")
+        for rank_code in rank_codes:
+            buf[0::2] = rank_code
+            buf[1::2] = rank_code.translate(tag_of_rank)
+            codes.append(bytes(buf))
     codes.sort()
-    return [(c, _decode(c, d, t, "hybrid"), aut) for c in codes]
+    return codes
 
 
 _ENUM_CACHE = {}
@@ -489,17 +491,21 @@ def enumerate_canonical_balls_weighted(d, t, model):
     check_enumeration_budget(d, t, model)
     B = ball_size(d, t)
     if model.kind == "alphabet":
-        raw = _alphabet_subtree_types(d, t, model.q, d)
+        weighted = _alphabet_subtree_types(d, t, model.q, d)
         total = model.q**B
-    elif model.kind == "rank":
-        raw = _enumerate_rank(d, t)
-        total = factorial(B)
     else:
-        raw = _enumerate_hybrid(d, t, model.q)
-        total = factorial(B) * model.q**B
+        # every rank and hybrid orbit is free: its size is the group order
+        aut = ball_aut_order(d, t)
+        if model.kind == "rank":
+            codes = _enumerate_rank(d, t)
+            total = factorial(B)
+        else:
+            codes = _enumerate_hybrid(d, t, model.q)
+            total = factorial(B) * model.q**B
+        weighted = [(code, aut) for code in codes]
     balls = [
-        (CanonicalBall(d=d, t=t, model=model, labels=node, code=code), count, total)
-        for code, node, count in raw
+        (CanonicalBall(d=d, t=t, model=model, code=code), count, total)
+        for code, count in weighted
     ]
     assert sum(c for _, c, _ in balls) == total
     _ENUM_CACHE[key] = balls
@@ -550,7 +556,7 @@ def make_rule(d, t, model, output_alphabet, table):
     extra = table.keys() - codes
     if extra:
         raise ValueError(f"table has {len(extra)} entries for unknown balls")
-    bad = {v for v in table.values() if v not in set(alpha)}
+    bad = set(table.values()) - set(alpha)
     if bad:
         raise ValueError(f"table outputs {bad} outside the output alphabet")
     return LocalRule(d=d, t=t, model=model, output_alphabet=alpha, table=dict(table))
@@ -577,22 +583,15 @@ def builtin_rule(name, **params):
         d = params.get("d", 3)
         balls = enumerate_canonical_balls(d, 1, rank())
         top = d + 1
-        table = {b.code: ("IN" if b.labels[0] == top else "OUT") for b in balls}
+        table = {b.code: ("IN" if b.code[0] == top else "OUT") for b in balls}
         return make_rule(d, 1, rank(), ("IN", "OUT"), table)
-    if name == "rank_table":
-        d, t = params["d"], params["t"]
+    if name in ("rank_table", "alphabet_table"):
+        model = rank() if name == "rank_table" else alphabet(params["q"])
         table = dict(params["table"])
         out = params.get("output_alphabet")
         if out is None:
             out = tuple(sorted(set(table.values()), key=str))
-        return make_rule(d, t, rank(), out, table)
-    if name == "alphabet_table":
-        d, t, q = params["d"], params["t"], params["q"]
-        table = dict(params["table"])
-        out = params.get("output_alphabet")
-        if out is None:
-            out = tuple(sorted(set(table.values()), key=str))
-        return make_rule(d, t, alphabet(q), out, table)
+        return make_rule(params["d"], params["t"], model, out, table)
     raise UnknownName(f"unknown builtin rule {name!r}")
 
 

@@ -236,6 +236,20 @@ class TestHomCommands:
         assert code == 1 and payload["passed"] is False
         assert not graphs.named_graph("C5").has_edge(*payload["witness"]["outputs"])
 
+    def test_check_alphabet_over_edge_budget_is_exact(self, capsys, tmp_path):
+        # the alphabet:2 t=3 edge ball has 2^30 configurations; the all-zero
+        # one, first in lexicographic order, decides the check exactly
+        path = str(tmp_path / "a.rule")
+        run(
+            capsys, "rule", "random", "--d", "3", "--t", "3", "--model", "alphabet:2",
+            "--alphabet", "0,1,2", "--seed", "7", "--out", path,
+        )
+        code, payload, _ = run(capsys, "hom", "check", "--rule", path, "--target", "K3")
+        assert code == 1 and payload["passed"] is False and payload["exact"] is True
+        assert payload["witness"]["config"] == [0] * 30
+        x, y = payload["witness"]["outputs"]
+        assert x == y
+
     def test_certificate(self, capsys):
         code, payload, _ = run(
             capsys, "hom", "certificate", "--target", "C5", "--d", "3", "--t", "2",

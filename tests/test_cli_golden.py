@@ -70,6 +70,16 @@ CASES = {
             ["hom", "check", "--rule", "r5.rule", "--target", "C5"],
         ],
     ),
+    "hom_check_alphabet_t3": (
+        1,
+        [
+            [
+                "rule", "random", "--d", "3", "--t", "3", "--model", "alphabet:2",
+                "--alphabet", "0,1,2", "--seed", "7", "--out", "a7.rule",
+            ],
+            ["hom", "check", "--rule", "a7.rule", "--target", "K3"],
+        ],
+    ),
 }
 
 

@@ -88,6 +88,19 @@ class TestConditionalEntropy:
         with pytest.raises(entropy.InvalidDistribution):
             PairDistribution((0, 1), {(0, 1): Fraction(1)}, EXACT)
 
+    def test_exact_total_enforced(self):
+        # unlike denominators: a total of exactly 1 passes, 1 - 2^-80 does not
+        probs = {
+            (0, 0): Fraction(1, 3),
+            (0, 1): Fraction(1, 4),
+            (1, 0): Fraction(1, 4),
+            (1, 1): Fraction(1, 6),
+        }
+        PairDistribution((0, 1), probs, EXACT)
+        probs[(1, 1)] -= Fraction(1, 2**80)
+        with pytest.raises(entropy.InvalidDistribution, match="sum to"):
+            PairDistribution((0, 1), probs, EXACT)
+
 
 class TestExactMarginals:
     def test_max_seed_vertex_law(self):

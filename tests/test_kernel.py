@@ -107,6 +107,13 @@ def test_kernel_codes_on_enumerated_balls(d, t, seed):
 
 
 @pytest.mark.parametrize("model", MODELS, ids=str)
+def test_labels_recode_to_code(model):
+    # `labels` is decoded from the code; canonicalizing it gives the code back
+    for ball in rules.enumerate_canonical_balls(3, 1, model):
+        assert rules.canonicalize(ball.labels, 3, 1, model).code == ball.code
+
+
+@pytest.mark.parametrize("model", MODELS, ids=str)
 def test_pair_table_equals_reference(model):
     layout = rules.edge_ball_layout(3, 1)
     counts = {}
@@ -305,4 +312,40 @@ def test_hot_builds_skip_public_canonicalize(monkeypatch):
     table = rules.edge_pair_table(3, 1, rules.hybrid(2))
     entropy._half_tree_structure(3, 2, 2)
     assert table.total == 46080
+    assert calls == []
+
+
+def test_enumerations_skip_coder_and_decode(monkeypatch):
+    """Cold enumerations build codes directly: no ball is coded by the
+    kernel or decoded to nested labels."""
+    calls = []
+    real_coder, real_decode = rules.ball_coder, rules._decode
+
+    def counted_coder(*args):
+        code = real_coder(*args)
+
+        def counted(seeds):
+            calls.append("coder")
+            return code(seeds)
+
+        return counted
+
+    def counted_decode(*args):
+        calls.append("_decode")
+        return real_decode(*args)
+
+    monkeypatch.setattr(rules, "ball_coder", counted_coder)
+    monkeypatch.setattr(rules, "_decode", counted_decode)
+    monkeypatch.setattr(rules, "_ENUM_CACHE", {})
+    rules._alphabet_subtree_types.cache_clear()
+    classes = [
+        (3, 2, rules.alphabet(2)),
+        (2, 3, rules.alphabet(3)),
+        (3, 1, rules.rank()),
+        (2, 3, rules.rank()),
+        (3, 1, rules.hybrid(2)),
+        (2, 2, rules.hybrid(3)),
+    ]
+    for d, t, model in classes:
+        assert rules.enumerate_canonical_balls_weighted(d, t, model)
     assert calls == []

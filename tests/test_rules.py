@@ -82,6 +82,22 @@ class TestEnumeration:
         balls = rules.enumerate_canonical_balls(3, 1, rules.hybrid(2))
         assert len(balls) == 4 * 2**4
 
+    @pytest.mark.parametrize("d,t,q", [(3, 1, 2), (3, 1, 3), (2, 2, 2)])
+    def test_hybrid_oracle(self, d, t, q):
+        # canonicalize every raw ball: distinct ranks 1..B with every tag vector
+        model = rules.hybrid(q)
+        B = rules.ball_size(d, t)
+        template = rules._preorder_template(d, t)
+        seen = {}
+        for perm in permutations(range(1, B + 1)):
+            for tags in product(range(q), repeat=B):
+                raw = rules.fill_ball(template, tuple(zip(perm, tags)))
+                code = rules.canonicalize(raw, d, t, model).code
+                seen[code] = seen.get(code, 0) + 1
+        weighted = rules.enumerate_canonical_balls_weighted(d, t, model)
+        assert seen == {b.code: c for b, c, _ in weighted}
+        assert weighted[0][2] == factorial(B) * q**B
+
     def test_weights_sum_to_total(self):
         for model in (rules.alphabet(2), rules.alphabet(3), rules.rank(), rules.hybrid(2)):
             weighted = rules.enumerate_canonical_balls_weighted(3, 1, model)
