@@ -266,7 +266,7 @@ def _cmd_hom_check(args):
     rule = _load_rule(args.rule, args)
     H = _load_target(args.target)
     res = homsearch.is_homomorphism_rule(
-        rule, H, samples=args.samples or 100_000, rng_seed=args.seed or 0
+        rule, H, samples=args.samples, rng_seed=args.seed or 0
     )
     payload = {
         "passed": res.passed,
@@ -425,7 +425,7 @@ def _build_parser():
     h = hom.add_parser("check", help="is the rule a homomorphism rule into the target")
     common(h, "rule", "seed")
     h.add_argument("--target", required=True)
-    h.add_argument("--samples", type=int, default=None)
+    h.add_argument("--samples", type=int, default=100_000)
     h.set_defaults(func=_cmd_hom_check)
     h = hom.add_parser("search", help="scan a whole rule class against the target")
     h.add_argument("--target", required=True)

@@ -6,6 +6,17 @@ scans configurations exactly when the space fits the budget and falls back
 to sampled falsification otherwise; the search enumerates whole rule tables
 in mixed-radix order over the canonical balls.
 
+The search walks the mixed-radix digits depth first, ball 0 most
+significant.  The endpoint pairs of the edge pair table are grouped by the
+later of their two balls, so assigning ball p decides exactly the pairs
+grouped under p.  A prefix whose decided pairs include a non-edge refutes
+the whole block of rules below it without building them: the block runs
+through the witness reservoir (Algorithm R, one draw per rule, as if each
+rule were scanned alone), and a witness -- the first violating pair entry,
+in pair-table order, for that rule's outputs -- is built only for the rules
+the reservoir keeps.  A rule whose pair entries are all edges is built and
+checked on its own.
+
 Finite-alphabet seeds admit a shortcut: on the all-equal-tags configuration
 both endpoints see identical canonical balls, so every rule colors some
 edge monochromatically and no rule maps into a loopless target.  The
@@ -19,7 +30,6 @@ outcome reports carry that caveat verbatim.
 
 import random
 from dataclasses import asdict, dataclass, field
-from itertools import product
 
 from . import jsonable, rules
 from .rules import BudgetExceeded
@@ -100,6 +110,8 @@ def is_homomorphism_rule(rule, H, samples=100_000, rng_seed=0):
     loopless target fails exactly at any radius: the first configuration,
     all tags zero, is the constant-seed certificate's.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     _require_target_alphabet(rule, H)
     if rule.model.kind == "alphabet" and _loopless(H):
         cert = alphabet_impossibility_certificate(H, rule.d, rule.t, rule.model.q)
@@ -218,18 +230,23 @@ class SearchOutcome:
         )
 
 
-def rule_table_at(balls, output_alphabet, index):
-    """Rule table number `index` in mixed-radix order: ball 0 (smallest
-    canonical code) is the most significant digit."""
-    L = len(output_alphabet)
+def _digits(index, base, n):
+    """The n base-`base` digits of `index`, most significant first."""
     digits = []
     x = index
-    for _ in balls:
-        digits.append(x % L)
-        x //= L
+    for _ in range(n):
+        x, digit = divmod(x, base)
+        digits.append(digit)
     if x:
         raise ValueError(f"rule index {index} out of range")
     digits.reverse()
+    return digits
+
+
+def rule_table_at(balls, output_alphabet, index):
+    """Rule table number `index` in mixed-radix order: ball 0 (smallest
+    canonical code) is the most significant digit."""
+    digits = _digits(index, len(output_alphabet), len(balls))
     return {b.code: output_alphabet[digit] for b, digit in zip(balls, digits)}
 
 
@@ -260,13 +277,17 @@ def search(H, d, t, model, budget=None, force_enumeration=False):
         )
 
     try:
+        # the edge budget is cheap to check and refuses before the ball
+        # enumeration, which can be large
+        rules.check_edge_budget(d, t, model)
         balls = rules.enumerate_canonical_balls(d, t, model)
         pair_table = rules.edge_pair_table(d, t, model)
     except BudgetExceeded:
         return SearchOutcome(kind="BudgetExceeded", rules_examined=0, caveat=caveat)
 
     labels = tuple(range(H.n))
-    total = len(labels) ** len(balls)
+    L, n = len(labels), len(balls)
+    total = L**n
     if total > budget.max_rules:
         return SearchOutcome(kind="BudgetExceeded", rules_examined=0, caveat=caveat)
 
@@ -277,20 +298,49 @@ def search(H, d, t, model, budget=None, force_enumeration=False):
     entries = [
         (ball_index[cu], ball_index[cv], cfg) for _, cu, cv, cfg in pair_table.order
     ]
+    # decided[p]: the entries whose pair is fixed once balls 0..p have outputs
+    decided = [[] for _ in balls]
+    for iu, iv, _ in entries:
+        decided[max(iu, iv)].append((iu, iv))
+    has_edge = H.has_edge
 
-    rng = random.Random(budget.rng_seed)
-    witnesses = []
-    refuted = 0
-    # product() runs in the mixed-radix order of rule_table_at, ball 0 most
-    # significant, so `index` is each rule's cursor
-    for index, outputs in enumerate(product(labels, repeat=len(balls))):
-        witness = None
+    def witness_at(index):
+        outputs = _digits(index, L, n)
         for iu, iv, cfg in entries:
             a, b = outputs[iu], outputs[iv]
-            if not H.has_edge(a, b):
-                witness = ViolationWitness(d=d, t=t, model=model, config=cfg, outputs=(a, b))
-                break
-        if witness is None:
+            if not has_edge(a, b):
+                return ViolationWitness(d=d, t=t, model=model, config=cfg, outputs=(a, b))
+
+    rng = random.Random(budget.rng_seed)
+    randrange = rng.randrange
+    cap = budget.witness_cap
+    stored = []  # (rule_index, witness, or None for witness_at(rule_index))
+
+    def refute(lo, hi, witness=None):
+        # Algorithm R over rules lo..hi-1, one draw per rule.  Every rule
+        # before a Found one is refuted, so rule i is the (i+1)-th refuted.
+        for i in range(lo, min(hi, cap)):
+            stored.append((i, witness))
+        for i in range(max(lo, cap), hi):
+            j = randrange(i + 1)
+            if j < cap:
+                stored[j] = (i, witness)
+
+    def witnesses():
+        return [(i, witness_at(i) if w is None else w) for i, w in stored]
+
+    # depth-first walk over the digits, ball 0 most significant, so `index`
+    # runs in rule_table_at order; `digits` are the outputs of rule `index`,
+    # and balls before p decide no violation.  A violation decided at ball p
+    # refutes the block of span[p] rules that share the prefix digits[:p+1].
+    span = [L ** (n - 1 - p) for p in range(n)]
+    digits = [0] * n
+    index = p = 0
+    while index < total:
+        while p < n and all(has_edge(digits[iu], digits[iv]) for iu, iv in decided[p]):
+            p += 1
+        if p == n:
+            p = n - 1
             rule = rule_at_cursor(d, t, model, labels, index)
             check = is_homomorphism_rule(rule, H)
             if check.passed:
@@ -298,22 +348,22 @@ def search(H, d, t, model, budget=None, force_enumeration=False):
                     kind="Found",
                     rules_examined=index + 1,
                     rule=rule,
-                    witnesses=witnesses,
+                    witnesses=witnesses(),
                     caveat=caveat,
                 )
-            witness = check.witness
-        # reservoir sample of refuted rules, deterministic per budget seed
-        refuted += 1
-        if len(witnesses) < budget.witness_cap:
-            witnesses.append((index, witness))
+            refute(index, index + 1, check.witness)
         else:
-            j = rng.randrange(refuted)
-            if j < budget.witness_cap:
-                witnesses[j] = (index, witness)
+            refute(index, index + span[p])
+        index += span[p]
+        # the next prefix: add one at digit p, carrying into the balls before
+        while p and digits[p] == L - 1:
+            digits[p] = 0
+            p -= 1
+        digits[p] += 1
 
     return SearchOutcome(
         kind="ExhaustedNone",
         rules_examined=total,
-        witnesses=witnesses,
+        witnesses=witnesses(),
         caveat=caveat,
     )

@@ -124,6 +124,14 @@ def subtree_size(d, depth):
     return size
 
 
+def check_degree_radius(d, t):
+    """ValueError unless d >= 1 and t >= 0.  Every rule class and edge ball
+    is built through this check: T_0 has no edge, and a negative radius no
+    ball."""
+    if d < 1 or t < 0:
+        raise ValueError(f"need d >= 1 and t >= 0, got d={d}, t={t}")
+
+
 def ball_size(d, t):
     """Vertices in the radius-t ball of the d-regular tree."""
     if t == 0:
@@ -488,6 +496,7 @@ def enumerate_canonical_balls_weighted(d, t, model):
     key = (d, t, model)
     if key in _ENUM_CACHE:
         return _ENUM_CACHE[key]
+    check_degree_radius(d, t)
     check_enumeration_budget(d, t, model)
     B = ball_size(d, t)
     if model.kind == "alphabet":
@@ -697,6 +706,7 @@ def _level_ids(template):
 
 @lru_cache(maxsize=None)
 def edge_ball_layout(d, t):
+    check_degree_radius(d, t)
     counter = [2]
 
     def build(depth):

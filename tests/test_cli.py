@@ -257,6 +257,33 @@ class TestHomCommands:
         )
         assert code == 0 and payload["config"] == [0] * 14
 
+    def test_negative_radius_and_degree_zero_are_usage_errors(self, capsys):
+        # T_0 has no edge and a negative radius no ball: every class refuses
+        # them with exit 2, before any enumeration
+        for argv in (
+            ["rule", "random", "--t", "-1", "--model", "rank", "--alphabet", "0,1",
+             "--seed", "1"],
+            ["hom", "search", "--t", "-1", "--target", "C5", "--model", "rank"],
+            ["hom", "certificate", "--t", "-1", "--target", "C5", "--model", "alphabet:2"],
+            ["hom", "search", "--d", "0", "--target", "C5", "--model", "rank"],
+        ):
+            assert cli.main(["--no-timestamp", *argv]) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and "need d >= 1 and t >= 0" in err, argv
+
+    def test_check_samples_must_be_positive(self, capsys, tmp_path):
+        # a rank t=2 rule is over the edge budget, so the check would sample
+        path = str(tmp_path / "r.rule")
+        run(
+            capsys, "rule", "random", "--d", "3", "--t", "2", "--model", "rank",
+            "--alphabet", "0,1,2,3,4", "--seed", "1", "--out", path,
+        )
+        for samples in ("-5", "0"):
+            argv = ["hom", "check", "--rule", path, "--target", "C5", "--samples", samples]
+            assert cli.main(["--no-timestamp", *argv]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "samples must be >= 1" in err
+
 
 class TestSimCommands:
     def test_run_and_labels(self, capsys, tmp_path):

@@ -24,6 +24,17 @@ CASES = {
         0,
         [["hom", "search", "--target", "C5", "--d", "3", "--t", "1", "--model", "rank"]],
     ),
+    # 10,000 refuted rules against the 1,000-witness cap: the stored sample
+    # comes from reservoir replacement
+    "hom_search_petersen_reservoir": (
+        0,
+        [
+            [
+                "hom", "search", "--target", "Petersen", "--d", "3", "--t", "1",
+                "--model", "rank", "--seed", "3",
+            ]
+        ],
+    ),
     "entropy_audit_exact": (
         0,
         [["entropy", "audit", "--rule", "builtin:max_seed_independent", "--exact"]],

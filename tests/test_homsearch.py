@@ -1,6 +1,10 @@
+import random
+from itertools import product
+
 import pytest
 
 from fiidlab import graphs, homsearch, rules
+from fiidlab.rules import BudgetExceeded
 
 
 C5 = graphs.named_graph("C5")
@@ -124,6 +128,161 @@ class TestSearch:
         assert payload["rules_examined"] == 625
         assert payload["class_caveat"]
         assert len(payload["witness_sample"]) == 10
+
+
+def reference_search(H, d, t, model, budget=None, force_enumeration=False):
+    """The per-rule scan that prefix pruning replaced: every rule table in
+    turn, each scanned over the pair entries and given its witness before
+    the reservoir draw."""
+    budget = budget or homsearch.SearchBudget()
+    caveat = homsearch.class_caveat(d, t, model)
+    if model.kind == "alphabet" and homsearch._loopless(H) and not force_enumeration:
+        cert = homsearch.alphabet_impossibility_certificate(H, d, t, model.q)
+        return homsearch.SearchOutcome(
+            kind="ImpossibleByConstantSeeds", rules_examined=0, caveat=caveat, certificate=cert
+        )
+    try:
+        balls = rules.enumerate_canonical_balls(d, t, model)
+        pair_table = rules.edge_pair_table(d, t, model)
+    except BudgetExceeded:
+        return homsearch.SearchOutcome(kind="BudgetExceeded", rules_examined=0, caveat=caveat)
+    labels = tuple(range(H.n))
+    total = len(labels) ** len(balls)
+    if total > budget.max_rules:
+        return homsearch.SearchOutcome(kind="BudgetExceeded", rules_examined=0, caveat=caveat)
+    ball_index = {b.code: i for i, b in enumerate(balls)}
+    entries = [(ball_index[cu], ball_index[cv], cfg) for _, cu, cv, cfg in pair_table.order]
+    rng = random.Random(budget.rng_seed)
+    witnesses = []
+    refuted = 0
+    for index, outputs in enumerate(product(labels, repeat=len(balls))):
+        witness = None
+        for iu, iv, cfg in entries:
+            a, b = outputs[iu], outputs[iv]
+            if not H.has_edge(a, b):
+                witness = homsearch.ViolationWitness(
+                    d=d, t=t, model=model, config=cfg, outputs=(a, b)
+                )
+                break
+        if witness is None:
+            rule = homsearch.rule_at_cursor(d, t, model, labels, index)
+            check = homsearch.is_homomorphism_rule(rule, H)
+            if check.passed:
+                return homsearch.SearchOutcome(
+                    kind="Found", rules_examined=index + 1, rule=rule,
+                    witnesses=witnesses, caveat=caveat,
+                )
+            witness = check.witness
+        refuted += 1
+        if len(witnesses) < budget.witness_cap:
+            witnesses.append((index, witness))
+        else:
+            j = rng.randrange(refuted)
+            if j < budget.witness_cap:
+                witnesses[j] = (index, witness)
+    return homsearch.SearchOutcome(
+        kind="ExhaustedNone", rules_examined=total, witnesses=witnesses, caveat=caveat
+    )
+
+
+def _summary(out):
+    return (
+        out.kind,
+        out.rules_examined,
+        [(index, w.config, w.outputs) for index, w in out.witnesses],
+        None if out.rule is None else out.rule.table,
+    )
+
+
+class LoopedTarget:
+    """A target with loops, which no named graph has: pair entries then
+    pass often, so the walk reaches deep prefixes, leaves and Found."""
+
+    def __init__(self, n, edges):
+        self.n = n
+        self.edge_set = {(a, b) for a, b in edges} | {(b, a) for a, b in edges}
+
+    def has_edge(self, a, b):
+        return (a, b) in self.edge_set
+
+
+CLASSES = [
+    (rules.rank(), 0),
+    (rules.rank(), 1),
+    (rules.alphabet(2), 0),
+    (rules.alphabet(2), 1),
+    (rules.hybrid(2), 0),
+]
+CAPS_SEEDS = list(product((1, 3, 50, 1000), (0, 5)))
+
+
+class TestSearchEqualsReference:
+    @pytest.mark.parametrize("target", ["K2", "K3", "K4", "C5", "Petersen"])
+    @pytest.mark.parametrize("model,t", CLASSES, ids=lambda x: str(x))
+    def test_named_targets(self, model, t, target):
+        H = graphs.named_graph(target)
+        runs = CAPS_SEEDS
+        if H.n ** len(rules.enumerate_canonical_balls(3, t, model)) > 100_000:
+            # alphabet:2 t=1 into C5, 390,625 rules: one run keeps the suite fast
+            runs = [(1000, 5)]
+        for cap, seed in runs:
+            budget = homsearch.SearchBudget(witness_cap=cap, rng_seed=seed)
+            want = reference_search(H, 3, t, model, budget, force_enumeration=True)
+            got = homsearch.search(H, 3, t, model, budget, force_enumeration=True)
+            assert _summary(got) == _summary(want), (cap, seed)
+
+    @pytest.mark.parametrize(
+        "H",
+        [
+            LoopedTarget(2, [(0, 1), (1, 1)]),
+            LoopedTarget(3, [(0, 1), (1, 2), (2, 2)]),
+            LoopedTarget(4, [(0, 1), (1, 2), (2, 3), (3, 3)]),
+            LoopedTarget(3, [(0, 1), (1, 2), (0, 2), (1, 1)]),
+        ],
+        ids=["K2+loop", "P3+loop", "P4+loop", "K3+loop"],
+    )
+    @pytest.mark.parametrize("model,t", CLASSES, ids=lambda x: str(x))
+    def test_looped_targets(self, model, t, H):
+        # a constant rule onto a loop is a homomorphism, so each search ends
+        # Found, most of them after more refuted rules than the smaller caps
+        for cap, seed in CAPS_SEEDS:
+            budget = homsearch.SearchBudget(witness_cap=cap, rng_seed=seed)
+            want = reference_search(H, 3, t, model, budget, force_enumeration=True)
+            got = homsearch.search(H, 3, t, model, budget, force_enumeration=True)
+            assert got.kind == "Found"
+            assert _summary(got) == _summary(want), (cap, seed)
+
+    def test_found(self):
+        # on T_1 the two endpoints always hold opposite ranks, so rule 1
+        # (rank 1 -> 0, rank 2 -> 1) maps every edge onto the edge 0-1
+        out = homsearch.search(C5, 1, 1, rules.rank())
+        assert out.kind == "Found" and out.rules_examined == 2
+        assert _summary(out) == _summary(reference_search(C5, 1, 1, rules.rank()))
+        assert homsearch.is_homomorphism_rule(out.rule, C5).passed
+
+    def test_max_rules_cut(self):
+        # rank t=1 into Petersen has 10,000 rules
+        for max_rules, kind in ((9_999, "BudgetExceeded"), (10_000, "ExhaustedNone")):
+            budget = homsearch.SearchBudget(max_rules=max_rules, witness_cap=3)
+            got = homsearch.search(PETERSEN, 3, 1, rules.rank(), budget)
+            want = reference_search(PETERSEN, 3, 1, rules.rank(), budget)
+            assert got.kind == kind and _summary(got) == _summary(want)
+
+    def test_witnesses_built_only_for_stored_rules(self, monkeypatch):
+        # 390,625 refuted rules, of which the reservoir keeps 1,000; a
+        # witness per refuted rule would be 390,625 of them
+        built = []
+        real = homsearch.ViolationWitness
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(homsearch, "ViolationWitness", counting)
+        out = homsearch.search(C5, 3, 1, rules.alphabet(2), force_enumeration=True)
+        assert out.kind == "ExhaustedNone" and out.rules_examined == 390_625
+        assert len(out.witnesses) == 1000
+        assert len(built) < 20_000
 
 
 class TestCertificate:
