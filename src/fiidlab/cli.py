@@ -194,10 +194,22 @@ def _cmd_rule_show(args):
     return payload, 0
 
 
+def _check_samples(args):
+    """--samples, where a subcommand takes it, is at least 1 and never goes
+    with --exact."""
+    samples = getattr(args, "samples", None)
+    if samples is None:
+        return
+    if samples < 1:
+        raise UsageError(f"--samples must be >= 1, got {samples}")
+    if getattr(args, "exact", False):
+        raise UsageError("give --exact or --samples N, not both")
+
+
 def _marginals_for(args, rule):
     if args.exact:
         return entropy.exact_marginals(rule)
-    if not args.samples:
+    if args.samples is None:
         raise UsageError("give --exact or --samples N")
     seed = args.seed if args.seed is not None else 0
     return entropy.mc_marginals(rule, args.samples, seed)
@@ -221,8 +233,6 @@ def _cmd_entropy_exact(args):
 
 def _cmd_entropy_mc(args):
     rule = _load_rule(args.rule, args)
-    if not args.samples:
-        raise UsageError("entropy mc needs --samples")
     payload = {"samples": args.samples}
     seed = _seed_of(args, payload)
     payload.update(_laws_payload(*entropy.mc_marginals(rule, args.samples, seed)))
@@ -319,7 +329,7 @@ def _cmd_sim_pipeline(args):
     H = _load_target(args.target)
     if args.c0 is None or args.C is None:
         raise UsageError("sim pipeline needs --c0 and --C")
-    if args.exact or not args.samples:
+    if args.samples is None:
         report = simulate.theorem_pipeline(rule, H, args.c0, args.C)
     else:
         report = simulate.theorem_pipeline(
@@ -466,6 +476,7 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     args.command_echo = argv
     try:
+        _check_samples(args)
         payload, code = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

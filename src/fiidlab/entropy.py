@@ -1,9 +1,10 @@
 """Label marginals of a rule on the d-regular tree and entropy audits.
 
 Exact marginals are computed in rational arithmetic.  The vertex law sums the
-orbit sizes of the canonical radius-t balls.  The rank and hybrid pair laws
-enumerate the edge ball (the union of the two endpoint balls).  The alphabet
-pair law instead splits the edge ball (u, v) into two disjoint half-trees:
+orbit sizes of the canonical radius-t balls.  No pair law enumerates the
+edge ball (the union of the two endpoint balls); each splits it instead.
+
+Alphabet seeds.  Split the edge ball (u, v) into two disjoint half-trees:
 A, u with its d-1 subtrees away from v, to depth t, and B, the same at v.
 Their seeds are independent.  Write A' and B' for A and B cut to depth t-1.
 The ball of u is A with B' as the root's d-th child, so its code is A's root
@@ -17,9 +18,45 @@ over q^(2|A|), where c_A counts the seed configurations of type A.  The
 rule-independent (A', B') cells are built once per (d, t, q) from the
 half-tree types of `rules._alphabet_subtree_types`; a rule costs one pass
 over their N_t * N_(t-1) entries, not q^(edge ball size) configurations.
-At t=0, A is the vertex alone and B' is empty.  Monte Carlo marginals are
-plug-in empirical laws from i.i.d. edge-ball samples, deterministic per seed
-via fixed-size blocks with derived substreams.
+At t=0, A is the vertex alone and B' is empty.
+
+Rank and hybrid seeds: core interleavings.  Let K = ball(u) & ball(v) be
+the core (k vertices), U the vertices only u sees and V those only v sees,
+and S the edge-ball size.  The seeds' order is uniform over S! orders and
+the tags over q^S (q = 1 for rank).  An order of the edge ball restricts to
+an order sigma of K and to orders of K+U and of K+V that extend sigma.  Let
+n and m count the U and the V vertices in each of the k+1 gaps of sigma.
+The orders of the edge ball that restrict to two given ones interleave U
+and V within each gap, so there are prod_i C(n_i + m_i, n_i) of them, and
+
+    P(a, b) = 1/(S! q^S) * sum over (sigma, core tags) of
+              sum_(n, m) F_a[n] * prod_i C(n_i + m_i, n_i) * G_b[m],
+
+where F_a[n] counts the orders of K+U (with U tags) that extend sigma, have
+gap vector n and whose u-ball code the rule maps to a; G_b[m] likewise at v.
+Vandermonde's identity C(n + m, n) = sum_j C(n, j) * C(m, j) splits the
+kernel: the inner sum is sum_j F'_a[j] * G'_b[j], where
+F'[j] = sum over n >= j of prod_i C(n_i, j_i) * F[n], so a rule lifts each
+count into the j below its gap vector and never forms the kernel.  Three
+symmetries keep the rule-independent (sigma, core tags, n) cells small:
+
+* the flip u_ids[i] -> v_ids[i] of `rules.edge_ball_layout` maps the v-ball
+  onto the u-ball and K onto itself, so G for sigma is F for sigma composed
+  with the flip: only the u side is built;
+* the sibling permutations inside K are automorphisms of both balls that
+  fix K, so F is constant on their orbits, and the sum runs over the pairs
+  (orbit of sigma, orbit of the flipped sigma), with multiplicities;
+* the sibling permutations inside U fix K pointwise, so each cell keeps one
+  order per orbit (ranks increasing along each sibling group), weighted by
+  the group order.
+
+At d=3, t=2 that is 180 core orbits, 210 gap vectors and 226,800 coded
+balls, where the edge ball has 14! orders.  The build codes B! q^B / |group|
+balls of size B, so the pair law needs only the vertex law's budget.
+
+Monte Carlo marginals are plug-in empirical laws from i.i.d. edge-ball
+samples, deterministic per seed via fixed-size blocks with derived
+substreams.
 
 All entropies are in nats.
 """
@@ -30,6 +67,8 @@ import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, permutations, product
+from operator import mul
 
 from . import jsonable, rules
 from .rules import BudgetExceeded
@@ -325,14 +364,171 @@ def _exact_pair_law_alphabet(rule):
     return PairDistribution(labels, probs, EXACT)
 
 
+def _core_key(node, label, core):
+    """Orbit key of a labelling of the core under its sibling permutations:
+    a vertex's label and the sorted keys of its children in the core."""
+    idx, kids = node
+    return (label[idx], tuple(sorted(_core_key(c, label, core) for c in kids if c[0] in core)))
+
+
+def _group_assignments(values, sizes):
+    """Flat tuples giving each sibling group in turn an increasing choice of
+    sizes[g] of the values: one per orbit of the permutations within groups."""
+    if not sizes:
+        yield ()
+        return
+    for block in combinations(values, sizes[0]):
+        rest = tuple(x for x in values if x not in block)
+        for tail in _group_assignments(rest, sizes[1:]):
+            yield block + tail
+
+
+_INTERLEAVING_CACHE = {}
+
+
+def _interleaving_structure(d, t, model):
+    """(codes, cells, terms, lifts, denominator) of the rank and hybrid pair
+    law; see the module docstring.  `codes` lists the canonical balls.
+    cells[i][n] lists the ball index of each order of the u-ball (with its
+    U tags) that extends core orbit i with gap vector n, one per orbit of
+    the sibling permutations inside U.  `terms` lists (i, j, weight): a core
+    orbit, the orbit of its flipped labellings, and how many core labellings
+    have that pair, times the squared order of the group inside U.  `lifts`
+    is (lift, width): lift[n] lists the (j index, prod_i C(n_i, j_i)) of
+    every j <= gap vector n, and width counts the j.  Rule-independent,
+    cached."""
+    key = (d, t, model)
+    if key in _INTERLEAVING_CACHE:
+        return _INTERLEAVING_CACHE[key]
+    balls = rules.enumerate_canonical_balls_weighted(d, t, model)
+    codes = tuple(ball.code for ball, _, _ in balls)
+    index = {code: i for i, code in enumerate(codes)}
+    coder = rules.ball_coder(d, t, model)
+    layout = rules.edge_ball_layout(d, t)
+    u_ids = layout.u_ids
+    flip = dict(zip(u_ids, layout.v_ids))
+    core = set(u_ids) & set(layout.v_ids)
+    assert {flip[x] for x in core} == core
+    core_ids = [x for x in u_ids if x in core]
+    groups = []
+
+    def collect(node):
+        group = [c[0] for c in node[1] if c[0] not in core]
+        if group:
+            groups.append(group)
+        for c in node[1]:
+            collect(c)
+
+    collect(layout.u_template)
+    if not core:  # t = 0: U is u alone
+        groups.append([0])
+    sizes = [len(group) for group in groups]
+    position = {x: p for p, x in enumerate(u_ids)}
+    core_pos = [position[x] for x in core_ids]
+    u_pos = [position[x] for group in groups for x in group]
+    B, k, s = len(u_ids), len(core_ids), len(u_pos)
+    hybrid = model.kind == "hybrid"
+    tag_range = range(model.q) if hybrid else (None,)
+
+    # u's child v is fixed; u's other children may be permuted
+    root = layout.u_template
+    halves = (root[1][0], (0, root[1][1:])) if core else ()
+    orbit_of, reps, pair_counts = {}, [], {}
+
+    def orbit(label):
+        okey = tuple(_core_key(half, label, core) for half in halves)
+        if okey not in orbit_of:
+            orbit_of[okey] = len(reps)
+            reps.append(label)
+        return orbit_of[okey]
+
+    for ranks in permutations(range(1, k + 1)):
+        for tags in product(tag_range, repeat=k):
+            seeds = list(zip(ranks, tags)) if hybrid else ranks
+            label = dict(zip(core_ids, seeds))
+            ij = (orbit(label), orbit({x: label[flip[x]] for x in core_ids}))
+            pair_counts[ij] = pair_counts.get(ij, 0) + 1
+
+    # the ranks of U in the u-ball, one set per gap vector
+    slot_sets = list(combinations(range(1, B + 1), s))
+    lifts, lift_index = [], {}
+    for slots in slot_sets:
+        gaps = [0] * (k + 1)
+        for p, r in enumerate(slots):
+            gaps[r - 1 - p] += 1
+        lifts.append([
+            (lift_index.setdefault(sub, len(lift_index)), math.prod(map(math.comb, gaps, sub)))
+            for sub in product(*(range(x + 1) for x in gaps))
+        ])
+    fillings = [
+        [
+            list(zip(assignment, u_tags)) if hybrid else assignment
+            for assignment in _group_assignments(slots, sizes)
+            for u_tags in product(tag_range, repeat=s)
+        ]
+        for slots in slot_sets
+    ]
+    cells = []
+    for label in reps:
+        row = []
+        for slots, filling in zip(slot_sets, fillings):
+            core_ranks = [r for r in range(1, B + 1) if r not in slots]
+            seeds = [None] * B
+            for p, x in zip(core_pos, core_ids):
+                if hybrid:
+                    r, g = label[x]
+                    seeds[p] = (core_ranks[r - 1], g)
+                else:
+                    seeds[p] = core_ranks[label[x] - 1]
+            cell = []
+            for u_seeds in filling:
+                for p, y in zip(u_pos, u_seeds):
+                    seeds[p] = y
+                cell.append(index[coder(seeds)])
+            row.append(cell)
+        cells.append(row)
+    aut = math.prod(math.factorial(size) for size in sizes)
+    terms = [(i, j, c * aut * aut) for (i, j), c in pair_counts.items()]
+    q = model.q if hybrid else 1
+    denominator = math.factorial(layout.size) * q**layout.size
+    result = (codes, cells, terms, (lifts, len(lift_index)), denominator)
+    _INTERLEAVING_CACHE[key] = result
+    return result
+
+
 def _exact_pair_law_ordered(rule):
-    pt = rules.edge_pair_table(rule.d, rule.t, rule.model)
+    codes, cells, terms, (lifts, width), denom = _interleaving_structure(
+        rule.d, rule.t, rule.model
+    )
+    labels = rule.output_alphabet
+    k = len(labels)
+    position = {a: i for i, a in enumerate(labels)}
+    table = rule.table
+    out = [position[table[code]] for code in codes]
+    # lifted[i][a][j]: core orbit i's u-ball orders with output a, lifted to j
+    lifted = []
+    for row in cells:
+        h = {}
+        for lift, cell in zip(lifts, row):
+            for ball in cell:
+                a = out[ball]
+                vec = h.get(a)
+                if vec is None:
+                    vec = h[a] = [0] * width
+                for j, x in lift:
+                    vec[j] += x
+        lifted.append(h)
     acc = {}
-    for (cu, cv), c in pt.counts.items():
-        key = (rule.table[cu], rule.table[cv])
-        acc[key] = acc.get(key, 0) + c
-    probs = {k: Fraction(v, pt.total) for k, v in acc.items()}
-    return PairDistribution(rule.output_alphabet, probs, EXACT)
+    for i, j, weight in terms:
+        for a, vec in lifted[i].items():
+            base = a * k
+            for b, other in lifted[j].items():
+                acc[base + b] = acc.get(base + b, 0) + weight * sum(map(mul, vec, other))
+    probs = {
+        (labels[key // k], labels[key % k]): Fraction(acc[key], denom)
+        for key in sorted(acc)
+    }
+    return PairDistribution(labels, probs, EXACT)
 
 
 def exact_marginals(rule):

@@ -206,6 +206,10 @@ class SearchBudget:
     witness_cap: int = 1000
     rng_seed: int = 0
 
+    def __post_init__(self):
+        if self.max_rules < 1:
+            raise ValueError(f"max_rules must be >= 1, got {self.max_rules}")
+
 
 @dataclass
 class SearchOutcome:

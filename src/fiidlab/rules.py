@@ -766,7 +766,9 @@ def edge_configs(layout, model):
 
 
 def check_edge_budget(d, t, model):
-    """Feasibility of exact edge-ball enumeration for (d, t, model)."""
+    """Feasibility of exact edge-ball enumeration for (d, t, model).  Only
+    the homomorphism scans enumerate the edge ball; the exact laws need
+    only `check_enumeration_budget`."""
     layout = edge_ball_layout(d, t)
     if model.kind == "alphabet":
         if model.q**layout.size > ALPHABET_ENUM_BUDGET:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import fiidlab
 from fiidlab import cli, graphs
@@ -199,6 +200,32 @@ class TestEntropyCommands:
                          "--alphabet", "0,1", "--seed", "7"]) == 2
         assert "BudgetExceeded" in capsys.readouterr().err
 
+    def test_rank_t2_exact(self, capsys, tmp_path):
+        # the 14-vertex edge ball is past the rank limit; the 10-vertex ball is not
+        path = str(tmp_path / "r.rule")
+        run(
+            capsys, "rule", "random", "--t", "2", "--model", "rank",
+            "--alphabet", "0,1", "--seed", "3", "--out", path,
+        )
+        code, payload, _ = run(capsys, "entropy", "exact", "--rule", path)
+        assert code == 0
+        assert sum(Fraction(x["exact"]) for x in payload["pair"].values()) == 1
+
+    def test_samples_below_one_or_with_exact_are_usage_errors(self, capsys):
+        rule = ["--rule", "builtin:max_seed_independent"]
+        pipeline = ["sim", "pipeline", "--rule", "builtin:constant:0", "--target",
+                    "Petersen", "--c0", "0.089", "--C", "5"]
+        for argv, message in (
+            (["entropy", "mc", *rule, "--samples", "0"], "--samples must be >= 1"),
+            (["entropy", "audit", *rule, "--samples", "-3"], "--samples must be >= 1"),
+            (["entropy", "audit", *rule, "--exact", "--samples", "100"], "not both"),
+            ([*pipeline, "--samples", "0"], "--samples must be >= 1"),
+            ([*pipeline, "--exact", "--samples", "100"], "not both"),
+        ):
+            assert cli.main(["--no-timestamp", *argv]) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and message in err, argv
+
 
 class TestHomCommands:
     def test_search_c5(self, capsys):
@@ -225,6 +252,14 @@ class TestHomCommands:
             "--model", "rank", "--max-rules", "10",
         )
         assert code == 1 and payload["kind"] == "BudgetExceeded"
+
+    def test_search_max_rules_must_be_positive(self, capsys):
+        for max_rules in ("-4", "0"):
+            argv = ["hom", "search", "--target", "C5", "--model", "rank",
+                    "--max-rules", max_rules]
+            assert cli.main(["--no-timestamp", *argv]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "max_rules must be >= 1" in err
 
     def test_check_violation_exits_one(self, capsys, tmp_path):
         path = str(tmp_path / "r.rule")

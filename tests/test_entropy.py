@@ -137,10 +137,21 @@ class TestExactMarginals:
                 assert pair.probs[(b, a)] == x
             assert pair.marginal().p == vertex.p  # exact rational equality
 
-    def test_rank_t2_pair_over_budget(self):
-        rule = rules.random_rule(3, 2, rules.rank(), (0, 1), 3)
+    def test_rank_d6_t1_pair_is_exact(self):
+        # ball 7, edge ball 12: the pair law needs only the ball budget
+        rule = rules.random_rule(6, 1, rules.rank(), (0, 1, 2), 26)
+        vertex, pair = entropy.exact_marginals(rule)
+        for (a, b), x in pair.probs.items():
+            assert pair.probs[(b, a)] == x
+        assert sum(pair.probs.values()) == 1
+        assert pair.marginal().p == vertex.p
+
+    @pytest.mark.parametrize("d,t,model", [(3, 3, rules.rank()), (3, 2, rules.hybrid(2))], ids=str)
+    def test_pair_law_over_ball_budget(self, d, t, model):
         with pytest.raises(entropy.BudgetExceeded):
-            entropy.exact_marginals(rule)
+            entropy._interleaving_structure(d, t, model)
+        with pytest.raises(entropy.BudgetExceeded):
+            rules.random_rule(d, t, model, (0, 1), 3)
 
 
 class TestMonteCarlo:

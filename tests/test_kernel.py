@@ -1,4 +1,4 @@
-"""The ball kernel and the alphabet pair law against the slower routes they
+"""The ball kernel and the exact pair laws against the slower routes they
 replaced.
 
 `reference_code` is the canonicalization `rules.canonicalize` used before the
@@ -9,6 +9,9 @@ pair law the library computed before the half-tree recursion: enumerate the
 seeds both endpoint balls see, and for each such configuration the private
 seeds of either side.  Its rows are checked against the recursive sort, and
 `entropy.exact_marginals` must give its pair laws exactly.
+`reference_pair_law_ordered` is the rank and hybrid pair law the library
+computed before the core interleavings: sum the edge pair table, which
+codes every edge-ball configuration.
 """
 
 import random
@@ -224,10 +227,9 @@ def test_alphabet_edge_structure_t2_equals_reference():
         assert [rows[i] for i in picks] == _reference_rows(3, 2, q, [shared[i] for i in picks])
 
 
-def _alphabet_rules(d, t, q):
+def _oracle_rules(d, t, model):
     """Seeded random rules, constant rules (one with an unused label) and
     the identity-factor rule, which gives each canonical ball its own label."""
-    model = rules.alphabet(q)
     balls = rules.enumerate_canonical_balls(d, t, model)
     for seed in range(3):
         yield rules.random_rule(d, t, model, ("x", "y", "z"), seed)
@@ -235,6 +237,13 @@ def _alphabet_rules(d, t, q):
     yield rules.make_rule(d, t, model, ("u", "c"), {b.code: "c" for b in balls})
     yield rules.make_rule(
         d, t, model, tuple(range(len(balls))), {b.code: i for i, b in enumerate(balls)}
+    )
+
+
+def _assert_alphabet_order(pair, rule):
+    position = {a: i for i, a in enumerate(rule.output_alphabet)}
+    assert list(pair.probs) == sorted(
+        pair.probs, key=lambda ab: (position[ab[0]], position[ab[1]])
     )
 
 
@@ -247,13 +256,38 @@ ENUMERABLE = [
 
 @pytest.mark.parametrize("d,t,q", ENUMERABLE)
 def test_pair_law_equals_edge_enumeration(d, t, q):
-    for rule in _alphabet_rules(d, t, q):
+    for rule in _oracle_rules(d, t, rules.alphabet(q)):
         pair = entropy.exact_marginals(rule)[1]
         assert pair.probs == reference_pair_law(rule)
-        position = {a: i for i, a in enumerate(rule.output_alphabet)}
-        assert list(pair.probs) == sorted(
-            pair.probs, key=lambda ab: (position[ab[0]], position[ab[1]])
-        )
+        _assert_alphabet_order(pair, rule)
+
+
+def reference_pair_law_ordered(rule):
+    """Pair-law masses of a rank or hybrid rule from `rules.edge_pair_table`."""
+    pt = rules.edge_pair_table(rule.d, rule.t, rule.model)
+    acc = {}
+    for (cu, cv), c in pt.counts.items():
+        key = (rule.table[cu], rule.table[cv])
+        acc[key] = acc.get(key, 0) + c
+    return {k: Fraction(v, pt.total) for k, v in acc.items()}
+
+
+ORDERED = [
+    (3, 1, rules.rank()),
+    (2, 2, rules.rank()),
+    (2, 3, rules.rank()),
+    (4, 1, rules.rank()),
+    (3, 1, rules.hybrid(2)),
+    (2, 2, rules.hybrid(2)),
+]
+
+
+@pytest.mark.parametrize("d,t,model", ORDERED, ids=str)
+def test_ordered_pair_law_equals_edge_enumeration(d, t, model):
+    for rule in _oracle_rules(d, t, model):
+        pair = entropy.exact_marginals(rule)[1]
+        assert pair.probs == reference_pair_law_ordered(rule)
+        _assert_alphabet_order(pair, rule)
 
 
 def _cut(node, depth):
@@ -261,12 +295,8 @@ def _cut(node, depth):
     return (label, () if depth == 0 else tuple(_cut(c, depth - 1) for c in children))
 
 
-@pytest.mark.parametrize("d,t,q", [(3, 3, 2), (4, 2, 2), (2, 3, 3)])
-def test_lifted_rule_keeps_its_laws(d, t, q):
-    """A radius-t rule that reads only the radius-(t-1) part of its ball has
-    the laws of the radius-(t-1) rule it lifts, Fraction for Fraction.  This
-    reaches classes the edge enumeration cannot afford (3, 3, 2 and 4, 2, 2)."""
-    model = rules.alphabet(q)
+def _assert_lift_keeps_laws(d, t, model, cut):
+    """`cut` maps a radius-t ball to the code of its radius-(t-1) part."""
     inner = rules.enumerate_canonical_balls(d, t - 1, model)
     bases = [
         rules.random_rule(d, t - 1, model, (0, 1, 2), 11),
@@ -274,17 +304,50 @@ def test_lifted_rule_keeps_its_laws(d, t, q):
             d, t - 1, model, tuple(range(len(inner))), {b.code: i for i, b in enumerate(inner)}
         ),
     ]
-    outer = rules.enumerate_canonical_balls(d, t, model)
+    outer = {b.code: cut(b) for b in rules.enumerate_canonical_balls(d, t, model)}
     for base in bases:
-        table = {
-            b.code: base.table[reference_code(_cut(b.labels, t - 1), "alphabet")]
-            for b in outer
-        }
+        table = {code: base.table[inner_code] for code, inner_code in outer.items()}
         lifted = rules.make_rule(d, t, model, base.output_alphabet, table)
         vertex, pair = entropy.exact_marginals(lifted)
         base_vertex, base_pair = entropy.exact_marginals(base)
         assert vertex.p == base_vertex.p
         assert pair.probs == base_pair.probs
+
+
+@pytest.mark.parametrize("d,t,q", [(3, 3, 2), (4, 2, 2), (2, 3, 3)])
+def test_lifted_rule_keeps_its_laws(d, t, q):
+    """A radius-t rule that reads only the radius-(t-1) part of its ball has
+    the laws of the radius-(t-1) rule it lifts, Fraction for Fraction.  This
+    reaches classes the edge enumeration cannot afford (3, 3, 2 and 4, 2, 2)."""
+    _assert_lift_keeps_laws(
+        d, t, rules.alphabet(q), lambda b: reference_code(_cut(b.labels, t - 1), "alphabet")
+    )
+
+
+def test_lifted_rank_rule_keeps_its_laws():
+    """The same at rank d=3, t=2, whose 14-vertex edge ball the enumeration
+    cannot afford.  A rank code is the preorder of its ranks, siblings in
+    rank order; the radius-1 part keeps the bytes above the leaves, re-ranked,
+    and re-ranking keeps the siblings in order."""
+    depths = []
+
+    def visit(depth, branching):
+        depths.append(depth)
+        if depth < 2:
+            for _ in range(branching):
+                visit(depth + 1, 2)
+
+    visit(0, 3)
+    keep = [p for p, depth in enumerate(depths) if depth < 2]
+
+    def cut(ball):
+        kept = [ball.code[p] for p in keep]
+        rank = {r: i for i, r in enumerate(sorted(kept), 1)}
+        return bytes(rank[r] for r in kept)
+
+    for ball in random.Random(2).sample(rules.enumerate_canonical_balls(3, 2, rules.rank()), 300):
+        assert cut(ball) == reference_code(_cut(ball.labels, 1), "rank")
+    _assert_lift_keeps_laws(3, 2, rules.rank(), cut)
 
 
 def test_alphabet3_t3_over_budget():
@@ -309,8 +372,11 @@ def test_hot_builds_skip_public_canonicalize(monkeypatch):
     monkeypatch.setattr(rules, "_PAIR_CACHE", {})
     monkeypatch.setattr(rules, "_ENUM_CACHE", {})
     monkeypatch.setattr(entropy, "_HALF_TREE_CACHE", {})
+    monkeypatch.setattr(entropy, "_INTERLEAVING_CACHE", {})
     table = rules.edge_pair_table(3, 1, rules.hybrid(2))
     entropy._half_tree_structure(3, 2, 2)
+    for d, t, model in ((3, 1, rules.hybrid(2)), (2, 3, rules.rank())):
+        assert entropy._interleaving_structure(d, t, model)[1]
     assert table.total == 46080
     assert calls == []
 
