@@ -329,12 +329,14 @@ def _cmd_sim_pipeline(args):
     H = _load_target(args.target)
     if args.c0 is None or args.C is None:
         raise UsageError("sim pipeline needs --c0 and --C")
-    if args.samples is None:
+    if args.exact:
         report = simulate.theorem_pipeline(rule, H, args.c0, args.C)
-    else:
+    elif args.samples is not None:
         report = simulate.theorem_pipeline(
             rule, H, args.c0, args.C, mode="mc", samples=args.samples, rng_seed=args.seed or 0
         )
+    else:
+        raise UsageError("give --exact or --samples N")
     refuted = report.classification.startswith("refuted")
     return report.to_json_dict(), 0 if refuted else 1
 

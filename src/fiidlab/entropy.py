@@ -1,8 +1,11 @@
 """Label marginals of a rule on the d-regular tree and entropy audits.
 
-Exact marginals are computed in rational arithmetic.  The vertex law sums the
-orbit sizes of the canonical radius-t balls.  No pair law enumerates the
-edge ball (the union of the two endpoint balls); each splits it instead.
+A law stores `counts` over one `denominator`.  An exact law counts seed
+configurations (or orders) as ints over their total, and its `p`, `probs`
+and `mass` are Fraction views; a Monte Carlo law holds float masses over 1.
+The exact vertex law is the marginal of the exact pair law.  No pair law
+enumerates the edge ball (the union of the two endpoint balls); each splits
+it instead.
 
 Alphabet seeds.  Split the edge ball (u, v) into two disjoint half-trees:
 A, u with its d-1 subtrees away from v, to depth t, and B, the same at v.
@@ -66,7 +69,7 @@ import math
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 from operator import mul
 
@@ -111,40 +114,36 @@ def monte_carlo(n_samples):
     return Provenance("monte_carlo", n_samples)
 
 
-def _check_total(masses, provenance):
-    """InvalidDistribution unless the masses sum to 1, to 1e-9 unless exact.
-    Exact masses are summed as integer numerators per denominator, then over
-    the lcm of the few distinct denominators: several times faster than
-    adding Fractions one by one."""
-    if provenance.kind == "exact":
-        numerators = {}
-        for x in masses:
-            p, q = x.as_integer_ratio()
-            numerators[q] = numerators.get(q, 0) + p
-        common = math.lcm(*numerators)
-        total = Fraction(sum(p * (common // q) for q, p in numerators.items()), common)
-        if total != 1:
-            raise InvalidDistribution(f"exact masses sum to {total}, not 1")
-    else:
-        total = sum(masses)
-        if abs(total - 1) > 1e-9:
-            raise InvalidDistribution(f"masses sum to {total}, off by > 1e-9")
+def _check_sum(total, law):
+    """InvalidDistribution unless the counts sum to the denominator: exactly
+    for an exact law, to 1e-9 for a Monte Carlo one."""
+    if abs(total - law.denominator) > (0 if law.provenance.kind == "exact" else 1e-9):
+        raise InvalidDistribution(f"masses sum to {total} over {law.denominator}, not 1")
 
 
 @dataclass(frozen=True)
 class LabelDistribution:
-    """Law of the output label at a random vertex."""
+    """Law of the output label at a random vertex: labels[i] has mass
+    counts[i] / denominator (see the module docstring)."""
 
     labels: tuple
-    p: tuple
+    counts: tuple
     provenance: Provenance
+    denominator: int = 1
 
     def __post_init__(self):
-        if len(self.labels) != len(self.p) or not self.labels:
+        if len(self.labels) != len(self.counts) or not self.labels:
             raise InvalidDistribution("labels and masses must align and be nonempty")
-        if any(x < 0 for x in self.p):
+        if any(x < 0 for x in self.counts):
             raise InvalidDistribution("negative mass")
-        _check_total(self.p, self.provenance)
+        _check_sum(sum(self.counts), self)
+
+    @cached_property
+    def p(self):
+        """Masses in label order: Fractions if exact, floats if Monte Carlo."""
+        if self.provenance.kind != "exact":
+            return self.counts
+        return tuple(Fraction(c, self.denominator) for c in self.counts)
 
     def mass(self, label):
         return self.p[self.labels.index(label)]
@@ -157,95 +156,101 @@ class LabelDistribution:
 class PairDistribution:
     """Exchangeable law of the ordered label pair across a fixed tree edge.
 
-    ``probs`` maps ordered pairs to masses; absent pairs have mass zero.
+    ``counts`` maps ordered pairs to counts over ``denominator``; absent
+    pairs have mass zero.
     """
 
     labels: tuple
-    probs: dict
+    counts: dict
     provenance: Provenance
+    denominator: int = 1
 
     def __post_init__(self):
         universe = set(self.labels)
-        for (a, b), x in self.probs.items():
+        for (a, b), x in self.counts.items():
             if a not in universe or b not in universe:
                 raise InvalidDistribution(f"pair ({a!r}, {b!r}) outside the alphabet")
             if x < 0:
                 raise InvalidDistribution("negative mass")
-            if self.probs.get((b, a), 0) != x:
+            if self.counts.get((b, a), 0) != x:
                 raise InvalidDistribution(f"not exchangeable at ({a!r}, {b!r})")
-        _check_total(self.probs.values(), self.provenance)
+        _check_sum(sum(self.counts.values()), self)
+
+    @cached_property
+    def probs(self):
+        """Masses of the ordered pairs: Fractions if exact, floats if Monte Carlo."""
+        if self.provenance.kind != "exact":
+            return self.counts
+        return {k: Fraction(c, self.denominator) for k, c in self.counts.items()}
 
     def mass(self, a, b):
         return self.probs.get((a, b), 0)
 
-    def support(self):
-        return frozenset(k for k, x in self.probs.items() if x > 0)
-
     def marginal(self):
         sums = {a: 0 for a in self.labels}
-        for (a, _), x in self.probs.items():
+        for (a, _), x in self.counts.items():
             sums[a] += x
         return LabelDistribution(
-            labels=self.labels,
-            p=tuple(sums[a] for a in self.labels),
-            provenance=self.provenance,
+            self.labels, tuple(sums[a] for a in self.labels), self.provenance, self.denominator
         )
 
 
 def uniform_distribution(labels):
-    k = len(labels)
-    return LabelDistribution(tuple(labels), tuple(Fraction(1, k) for _ in range(k)), EXACT)
+    return LabelDistribution(tuple(labels), (1,) * len(labels), EXACT, len(labels))
 
 
 def point_mass(labels, label):
-    return LabelDistribution(
-        tuple(labels),
-        tuple(Fraction(1) if a == label else Fraction(0) for a in labels),
-        EXACT,
-    )
+    return LabelDistribution(tuple(labels), tuple(int(a == label) for a in labels), EXACT)
 
 
-def pair_from_edge_weights(H, weights, provenance=EXACT):
-    """Exchangeable pair law supported on the edges of H from per-edge weights."""
-    total = sum(weights.values()) * 2
-    probs = {}
+def pair_from_edge_weights(H, weights):
+    """Exact exchangeable pair law supported on the edges of H from integer
+    per-edge weights."""
+    counts = {}
     for (u, v), w in weights.items():
         if not H.has_edge(u, v):
             raise InvalidDistribution(f"({u}, {v}) is not an edge of the target")
-        probs[(u, v)] = probs.get((u, v), 0) + Fraction(w, total)
-        probs[(v, u)] = probs.get((v, u), 0) + Fraction(w, total)
-    return PairDistribution(tuple(range(H.n)), probs, provenance)
+        counts[(u, v)] = counts.get((u, v), 0) + w
+        counts[(v, u)] = counts.get((v, u), 0) + w
+    return PairDistribution(tuple(range(H.n)), counts, EXACT, 2 * sum(weights.values()))
 
 
 # ---------------------------------------------------------------------------
-# entropies
+# entropies: a mass is c / D, which for ints is correctly rounded, so equals
+# float(Fraction(c, D)); Fraction counts over 1 turn float in mixed arithmetic
 
 
 def entropy(dist):
     """Shannon entropy -sum p ln p in nats, with 0 ln 0 = 0."""
-    return -sum(float(x) * math.log(float(x)) for x in dist.p if x > 0)
+    D = dist.denominator
+    return -sum(c / D * math.log(c / D) for c in dist.counts if c > 0)
 
 
 def joint_entropy(pair):
-    return -sum(float(x) * math.log(float(x)) for x in pair.probs.values() if x > 0)
+    D = pair.denominator
+    return -sum(c / D * math.log(c / D) for c in pair.counts.values() if c > 0)
 
 
 def conditional_entropy(pair):
     """h(X|Y) for (X, Y) distributed as the pair law, via the defining sum."""
+    D = pair.denominator
     my = {}
-    for (_, b), x in pair.probs.items():
-        my[b] = my.get(b, 0) + x
+    for (_, b), c in pair.counts.items():
+        my[b] = my.get(b, 0) + c
+    my = {b: float(m / D) for b, m in my.items()}
     h = 0.0
-    for (_, b), x in pair.probs.items():
-        if x > 0:
-            h -= float(x) * math.log(float(x) / float(my[b]))
+    for (_, b), c in pair.counts.items():
+        if c > 0:
+            x = c / D
+            h -= x * math.log(x / my[b])
     return h
 
 
 def entropy_sigma(dist, n_samples):
     """Delta-method standard error of the plug-in entropy estimate."""
     h = entropy(dist)
-    second = sum(float(x) * math.log(float(x)) ** 2 for x in dist.p if x > 0)
+    D = dist.denominator
+    second = sum(c / D * math.log(c / D) ** 2 for c in dist.counts if c > 0)
     var = max(second - h * h, 0.0)
     return math.sqrt(var / n_samples)
 
@@ -258,19 +263,6 @@ def total_variation(d1, d2):
 
 # ---------------------------------------------------------------------------
 # exact marginals
-
-
-def _exact_vertex_law(rule):
-    weighted = rules.enumerate_canonical_balls_weighted(rule.d, rule.t, rule.model)
-    sums = {a: 0 for a in rule.output_alphabet}
-    total = weighted[0][2]
-    for ball, count, _ in weighted:
-        sums[rule.table[ball.code]] += count
-    return LabelDistribution(
-        labels=rule.output_alphabet,
-        p=tuple(Fraction(sums[a], total) for a in rule.output_alphabet),
-        provenance=EXACT,
-    )
 
 
 def _half_tree_count(d, depth, q):
@@ -305,13 +297,13 @@ def _half_tree_structure(d, t, q):
     key = (d, t, q)
     if key in _HALF_TREE_CACHE:
         return _HALF_TREE_CACHE[key]
+    balls = rules.enumerate_canonical_balls_weighted(d, t, rules.alphabet(q))
     entries = _half_tree_count(d, t, q) * _half_tree_count(d, t - 1, q)
     if entries > rules.ALPHABET_ENUM_BUDGET:
         raise BudgetExceeded(
             f"alphabet pair law needs {entries} half-tree type pairs "
             f"> {rules.ALPHABET_ENUM_BUDGET}"
         )
-    balls = rules.enumerate_canonical_balls_weighted(d, t, rules.alphabet(q))
     codes = tuple(ball.code for ball, _, _ in balls)
     index = {code: i for i, code in enumerate(codes)}
     if t == 0:
@@ -357,11 +349,8 @@ def _exact_pair_law_alphabet(rule):
                 base = a * k
                 for b, y in g_v.items():
                     acc[base + b] = acc.get(base + b, 0) + x * y
-    probs = {
-        (labels[key // k], labels[key % k]): Fraction(acc[key], denom)
-        for key in sorted(acc)
-    }
-    return PairDistribution(labels, probs, EXACT)
+    counts = {(labels[key // k], labels[key % k]): acc[key] for key in sorted(acc)}
+    return PairDistribution(labels, counts, EXACT, denom)
 
 
 def _core_key(node, label, core):
@@ -433,10 +422,16 @@ def _interleaving_structure(d, t, model):
     # u's child v is fixed; u's other children may be permuted
     root = layout.u_template
     halves = (root[1][0], (0, root[1][1:])) if core else ()
+    # a sibling group lies in the core (v's d-1 other children) only at d >= 3
+    # and t >= 2; without one, each labelling is its own orbit
+    symmetric = d > 2 and t > 1
     orbit_of, reps, pair_counts = {}, [], {}
 
     def orbit(label):
-        okey = tuple(_core_key(half, label, core) for half in halves)
+        if symmetric:
+            okey = tuple(_core_key(half, label, core) for half in halves)
+        else:
+            okey = tuple(label.values())
         if okey not in orbit_of:
             orbit_of[okey] = len(reps)
             reps.append(label)
@@ -524,21 +519,18 @@ def _exact_pair_law_ordered(rule):
             base = a * k
             for b, other in lifted[j].items():
                 acc[base + b] = acc.get(base + b, 0) + weight * sum(map(mul, vec, other))
-    probs = {
-        (labels[key // k], labels[key % k]): Fraction(acc[key], denom)
-        for key in sorted(acc)
-    }
-    return PairDistribution(labels, probs, EXACT)
+    counts = {(labels[key // k], labels[key % k]): acc[key] for key in sorted(acc)}
+    return PairDistribution(labels, counts, EXACT, denom)
 
 
 def exact_marginals(rule):
-    """Exact (LabelDistribution, PairDistribution) of a rule, rational arithmetic."""
-    vertex = _exact_vertex_law(rule)
+    """Exact (LabelDistribution, PairDistribution) of a rule: integer counts
+    over one denominator, the vertex law being the pair law's marginal."""
     if rule.model.kind == "alphabet":
         pair = _exact_pair_law_alphabet(rule)
     else:
         pair = _exact_pair_law_ordered(rule)
-    return vertex, pair
+    return pair.marginal(), pair
 
 
 # ---------------------------------------------------------------------------
@@ -689,6 +681,8 @@ def audit(vertex, pair, r=None, H=None):
     neighbor entropy is at most ln r and the vertex entropy at most 3 ln r.
     Tolerance is 1e-9 for exact laws and 3 sigma for Monte Carlo ones.
     """
+    if r is not None and r < 1:
+        raise ValueError(f"regularity r must be >= 1, got {r}")
     ns = [p.n_samples for p in (vertex.provenance, pair.provenance) if p.kind == "monte_carlo"]
     # 3 sigma with sigma <= 0.5/sqrt(n) per cell
     tol_mc = 1.5 / math.sqrt(min(ns)) + 1e-9 if ns else 0
@@ -721,8 +715,8 @@ def audit(vertex, pair, r=None, H=None):
     support_ok = None
     if H is not None:
         bad_mass = sum(
-            float(x)
-            for (a, b), x in pair.probs.items()
+            float(x / pair.denominator)
+            for (a, b), x in pair.counts.items()
             if x > 0
             and not (
                 isinstance(a, int)

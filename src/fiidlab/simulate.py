@@ -218,6 +218,8 @@ def pipeline_from_laws(vertex, pair, H, c0, C, marginal_mode="exact"):
     if prof.regular_degree is None:
         raise ValueError("the pipeline needs a regular target graph")
     r = prof.regular_degree
+    if r < 1:
+        raise ValueError(f"the pipeline needs a target of degree >= 1, got degree {r}")
     c0f = ent.c0_fraction(c0)
     mc = vertex.provenance.kind == "monte_carlo"
     tol = 1e-9

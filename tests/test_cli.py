@@ -226,6 +226,13 @@ class TestEntropyCommands:
             out, err = capsys.readouterr()
             assert out == "" and message in err, argv
 
+    def test_audit_regularity_below_one_is_refused(self, capsys):
+        for r in ("0", "-3"):
+            assert cli.main(["--no-timestamp", "entropy", "audit", "--rule",
+                             "builtin:max_seed_independent", "--exact", "--r", r]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and f"regularity r must be >= 1, got {r}" in err
+
 
 class TestHomCommands:
     def test_search_c5(self, capsys):
@@ -345,6 +352,20 @@ class TestSimCommands:
     def test_usage_error_exit_two(self, capsys):
         assert cli.main(["sim", "pipeline", "--rule", "builtin:constant:0",
                          "--target", "Petersen"]) == 2
+
+    def test_pipeline_needs_exact_or_samples(self, capsys):
+        assert cli.main(["--no-timestamp", "sim", "pipeline", "--rule", "builtin:constant:0",
+                         "--target", "Petersen", "--c0", "0.089", "--C", "5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "give --exact or --samples N" in err
+
+    def test_pipeline_into_zero_regular_target_is_refused(self, capsys, tmp_path):
+        g = str(tmp_path / "empty.graph")
+        run(capsys, "graph", "gen", "--n", "4", "--d", "0", "--out", g)
+        assert cli.main(["--no-timestamp", "sim", "pipeline", "--rule", "builtin:constant:0",
+                         "--target", g, "--c0", "0.089", "--C", "2", "--exact"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "target of degree >= 1, got degree 0" in err
 
     def test_bad_flag_exit_two(self):
         assert cli.main(["graph", "profile", "--garbage"]) == 2

@@ -91,6 +91,28 @@ CASES = {
             ["hom", "check", "--rule", "a7.rule", "--target", "K3"],
         ],
     ),
+    # a rank t=1 rule over ten labels uses four: the six unused labels print
+    # an exact "0" and a Monte Carlo integer 0
+    "entropy_exact_unused_labels": (
+        0,
+        [
+            [
+                "rule", "random", "--d", "3", "--t", "1", "--model", "rank",
+                "--alphabet", "0,1,2,3,4,5,6,7,8,9", "--seed", "4", "--out", "r10.rule",
+            ],
+            ["entropy", "exact", "--rule", "r10.rule"],
+        ],
+    ),
+    "entropy_mc_unused_labels": (
+        0,
+        [
+            [
+                "rule", "random", "--d", "3", "--t", "1", "--model", "rank",
+                "--alphabet", "0,1,2,3,4,5,6,7,8,9", "--seed", "4", "--out", "r10.rule",
+            ],
+            ["entropy", "mc", "--rule", "r10.rule", "--samples", "1000", "--seed", "2"],
+        ],
+    ),
 }
 
 

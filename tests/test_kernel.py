@@ -11,9 +11,15 @@ seeds of either side.  Its rows are checked against the recursive sort, and
 `entropy.exact_marginals` must give its pair laws exactly.
 `reference_pair_law_ordered` is the rank and hybrid pair law the library
 computed before the core interleavings: sum the edge pair table, which
-codes every edge-ball configuration.
+codes every edge-ball configuration.  `reference_vertex_law` is the vertex
+law computed before it became the pair law's marginal (the orbit sizes of
+the canonical balls summed by label), and `reference_entropy` and
+`reference_conditional_entropy` are the entropies computed from Fraction
+masses before laws became integer counts; the counts must reproduce them
+float for float.
 """
 
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -288,6 +294,56 @@ def test_ordered_pair_law_equals_edge_enumeration(d, t, model):
         pair = entropy.exact_marginals(rule)[1]
         assert pair.probs == reference_pair_law_ordered(rule)
         _assert_alphabet_order(pair, rule)
+
+
+def reference_vertex_law(rule):
+    """Vertex-law masses, in label order, from the canonical balls' orbit sizes."""
+    weighted = rules.enumerate_canonical_balls_weighted(rule.d, rule.t, rule.model)
+    sums = {a: 0 for a in rule.output_alphabet}
+    total = weighted[0][2]
+    for ball, count, _ in weighted:
+        sums[rule.table[ball.code]] += count
+    return tuple(Fraction(sums[a], total) for a in rule.output_alphabet)
+
+
+def reference_entropy(masses):
+    return -sum(float(x) * math.log(float(x)) for x in masses if x > 0)
+
+
+def reference_conditional_entropy(probs):
+    my = {}
+    for (_, b), x in probs.items():
+        my[b] = my.get(b, 0) + x
+    h = 0.0
+    for (_, b), x in probs.items():
+        if x > 0:
+            h -= float(x) * math.log(float(x) / float(my[b]))
+    return h
+
+
+def _class_denominator(d, t, model):
+    """q^(2|A|) for alphabet seeds, S! q^S for rank and hybrid ones."""
+    if model.kind == "alphabet":
+        return model.q ** (2 * rules.subtree_size(d, t))
+    size = rules.edge_ball_layout(d, t).size
+    return math.factorial(size) * (model.q if model.kind == "hybrid" else 1) ** size
+
+
+@pytest.mark.parametrize(
+    "d,t,model", [(d, t, rules.alphabet(q)) for d, t, q in ENUMERABLE] + ORDERED, ids=str
+)
+def test_exact_laws_are_counts_matching_references(d, t, model):
+    denominator = _class_denominator(d, t, model)
+    for rule in _oracle_rules(d, t, model):
+        vertex, pair = entropy.exact_marginals(rule)
+        reference_p = reference_vertex_law(rule)
+        assert vertex.p == reference_p
+        assert entropy.entropy(vertex) == reference_entropy(reference_p)
+        assert entropy.joint_entropy(pair) == reference_entropy(pair.probs.values())
+        assert entropy.conditional_entropy(pair) == reference_conditional_entropy(pair.probs)
+        assert vertex.denominator == pair.denominator == denominator
+        assert all(type(c) is int for c in vertex.counts)
+        assert all(type(c) is int for c in pair.counts.values())
 
 
 def _cut(node, depth):
