@@ -276,10 +276,11 @@ def _half_tree_count(d, depth, q):
 
 def _truncated_code(code, d, depth):
     """A subtree code cut to the given depth (empty below depth 0).  Its
-    children are the d-1 equal slices of the code after the root byte."""
+    children are the d-1 equal slices of the code after the root byte; at
+    d=1 there are none, and a half-tree is its root alone."""
     if depth < 0:
         return b""
-    if depth == 0:
+    if depth == 0 or d == 1:
         return code[:1]
     width = (len(code) - 1) // (d - 1)
     kids = (code[k:k + width] for k in range(1, len(code), width))
@@ -297,14 +298,13 @@ def _half_tree_structure(d, t, q):
     key = (d, t, q)
     if key in _HALF_TREE_CACHE:
         return _HALF_TREE_CACHE[key]
-    balls = rules.enumerate_canonical_balls_weighted(d, t, rules.alphabet(q))
+    codes = rules.enumerate_canonical_balls(d, t, rules.alphabet(q))
     entries = _half_tree_count(d, t, q) * _half_tree_count(d, t - 1, q)
     if entries > rules.ALPHABET_ENUM_BUDGET:
         raise BudgetExceeded(
             f"alphabet pair law needs {entries} half-tree type pairs "
             f"> {rules.ALPHABET_ENUM_BUDGET}"
         )
-    codes = tuple(ball.code for ball, _, _ in balls)
     index = {code: i for i, code in enumerate(codes)}
     if t == 0:
         cuts = [b""]
@@ -389,8 +389,7 @@ def _interleaving_structure(d, t, model):
     key = (d, t, model)
     if key in _INTERLEAVING_CACHE:
         return _INTERLEAVING_CACHE[key]
-    balls = rules.enumerate_canonical_balls_weighted(d, t, model)
-    codes = tuple(ball.code for ball, _, _ in balls)
+    codes = rules.enumerate_canonical_balls(d, t, model)
     index = {code: i for i, code in enumerate(codes)}
     coder = rules.ball_coder(d, t, model)
     layout = rules.edge_ball_layout(d, t)
@@ -548,10 +547,9 @@ def _block_seed(rng_seed, block_index):
 def _mc_pair_counts_rank_t1(rule, n, rng):
     """Fast path: only the root's rank in its closed ball matters at t=1."""
     d = rule.d
-    B = d + 1
-    label_by_rank = {}
-    for ball in rules.enumerate_canonical_balls(d, 1, rule.model):
-        label_by_rank[ball.code[0]] = rule.table[ball.code]
+    label_by_rank = {
+        code[0]: rule.table[code] for code in rules.enumerate_canonical_balls(d, 1, rule.model)
+    }
     counts = {}
     uniform = rng.random
     for _ in range(n):
@@ -684,15 +682,22 @@ def audit(vertex, pair, r=None, H=None):
     if r is not None and r < 1:
         raise ValueError(f"regularity r must be >= 1, got {r}")
     ns = [p.n_samples for p in (vertex.provenance, pair.provenance) if p.kind == "monte_carlo"]
-    # 3 sigma with sigma <= 0.5/sqrt(n) per cell
-    tol_mc = 1.5 / math.sqrt(min(ns)) + 1e-9 if ns else 0
-    marg = pair.marginal().as_float_dict()
-    vert = vertex.as_float_dict()
-    for a in set(marg) | set(vert):
-        if abs(marg.get(a, 0.0) - vert.get(a, 0.0)) > max(tol_mc, 1e-12):
+    marginal = pair.marginal()
+    M, V = marginal.denominator, vertex.denominator
+    marg = dict(zip(marginal.labels, marginal.counts))
+    vert = dict(zip(vertex.labels, vertex.counts))
+    for a in dict.fromkeys(marginal.labels + vertex.labels):
+        x, y = marg.get(a, 0), vert.get(a, 0)
+        if ns:
+            # 3 sigma with sigma <= 0.5/sqrt(n) per cell
+            differ = abs(x / M - y / V) > 1.5 / math.sqrt(min(ns)) + 1e-9
+        else:
+            # exact laws: counts cross-multiplied by the other denominator
+            differ = x * V != y * M
+        if differ:
             raise InconsistentMarginals(
                 f"pair marginal and vertex law differ at {a!r}: "
-                f"{marg.get(a, 0.0)} vs {vert.get(a, 0.0)}"
+                f"{float(x / M)} vs {float(y / V)}"
             )
 
     h_v = entropy(vertex)
@@ -705,7 +710,7 @@ def audit(vertex, pair, r=None, H=None):
 
     if ns:
         n = min(ns)
-        tol = 3 * (entropy_sigma(vertex, n) + entropy_sigma(pair.marginal(), n)) + 1e-9
+        tol = 3 * (entropy_sigma(vertex, n) + entropy_sigma(marginal, n)) + 1e-9
     else:
         tol = 1e-9
 

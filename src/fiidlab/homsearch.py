@@ -14,8 +14,8 @@ the whole block of rules below it without building them: the block runs
 through the witness reservoir (Algorithm R, one draw per rule, as if each
 rule were scanned alone), and a witness -- the first violating pair entry,
 in pair-table order, for that rule's outputs -- is built only for the rules
-the reservoir keeps.  A rule whose pair entries are all edges is built and
-checked on its own.
+the reservoir keeps.  The first rule whose pair entries are all edges is a
+homomorphism rule, and the search returns it.
 
 Finite-alphabet seeds admit a shortcut: on the all-equal-tags configuration
 both endpoints see identical canonical balls, so every rule colors some
@@ -247,16 +247,16 @@ def _digits(index, base, n):
     return digits
 
 
-def rule_table_at(balls, output_alphabet, index):
-    """Rule table number `index` in mixed-radix order: ball 0 (smallest
-    canonical code) is the most significant digit."""
-    digits = _digits(index, len(output_alphabet), len(balls))
-    return {b.code: output_alphabet[digit] for b, digit in zip(balls, digits)}
+def rule_table_at(codes, output_alphabet, index):
+    """Rule table number `index` in mixed-radix order over the sorted
+    canonical codes: codes[0] is the most significant digit."""
+    digits = _digits(index, len(output_alphabet), len(codes))
+    return {code: output_alphabet[digit] for code, digit in zip(codes, digits)}
 
 
 def rule_at_cursor(d, t, model, output_alphabet, index):
-    balls = rules.enumerate_canonical_balls(d, t, model)
-    table = rule_table_at(balls, tuple(output_alphabet), index)
+    codes = rules.enumerate_canonical_balls(d, t, model)
+    table = rule_table_at(codes, tuple(output_alphabet), index)
     return rules.make_rule(d, t, model, tuple(output_alphabet), table)
 
 
@@ -284,18 +284,18 @@ def search(H, d, t, model, budget=None, force_enumeration=False):
         # the edge budget is cheap to check and refuses before the ball
         # enumeration, which can be large
         rules.check_edge_budget(d, t, model)
-        balls = rules.enumerate_canonical_balls(d, t, model)
+        codes = rules.enumerate_canonical_balls(d, t, model)
         pair_table = rules.edge_pair_table(d, t, model)
     except BudgetExceeded:
         return SearchOutcome(kind="BudgetExceeded", rules_examined=0, caveat=caveat)
 
     labels = tuple(range(H.n))
-    L, n = len(labels), len(balls)
+    L, n = len(labels), len(codes)
     total = L**n
     if total > budget.max_rules:
         return SearchOutcome(kind="BudgetExceeded", rules_examined=0, caveat=caveat)
 
-    ball_index = {b.code: i for i, b in enumerate(balls)}
+    ball_index = {code: i for i, code in enumerate(codes)}
     # pair entries by first lexicographic occurrence; scanning them in this
     # order makes the first violating entry the lexicographically first
     # violating configuration
@@ -303,7 +303,7 @@ def search(H, d, t, model, budget=None, force_enumeration=False):
         (ball_index[cu], ball_index[cv], cfg) for _, cu, cv, cfg in pair_table.order
     ]
     # decided[p]: the entries whose pair is fixed once balls 0..p have outputs
-    decided = [[] for _ in balls]
+    decided = [[] for _ in codes]
     for iu, iv, _ in entries:
         decided[max(iu, iv)].append((iu, iv))
     has_edge = H.has_edge
@@ -318,25 +318,27 @@ def search(H, d, t, model, budget=None, force_enumeration=False):
     rng = random.Random(budget.rng_seed)
     randrange = rng.randrange
     cap = budget.witness_cap
-    stored = []  # (rule_index, witness, or None for witness_at(rule_index))
+    stored = []  # rule indices
 
-    def refute(lo, hi, witness=None):
+    def refute(lo, hi):
         # Algorithm R over rules lo..hi-1, one draw per rule.  Every rule
         # before a Found one is refuted, so rule i is the (i+1)-th refuted.
         for i in range(lo, min(hi, cap)):
-            stored.append((i, witness))
+            stored.append(i)
         for i in range(max(lo, cap), hi):
             j = randrange(i + 1)
             if j < cap:
-                stored[j] = (i, witness)
+                stored[j] = i
 
     def witnesses():
-        return [(i, witness_at(i) if w is None else w) for i, w in stored]
+        return [(i, witness_at(i)) for i in stored]
 
     # depth-first walk over the digits, ball 0 most significant, so `index`
     # runs in rule_table_at order; `digits` are the outputs of rule `index`,
     # and balls before p decide no violation.  A violation decided at ball p
     # refutes the block of span[p] rules that share the prefix digits[:p+1].
+    # Past the last ball every pair entry is an edge, so rule `index` maps
+    # every edge-ball configuration to an edge: it is a homomorphism rule.
     span = [L ** (n - 1 - p) for p in range(n)]
     digits = [0] * n
     index = p = 0
@@ -344,20 +346,14 @@ def search(H, d, t, model, budget=None, force_enumeration=False):
         while p < n and all(has_edge(digits[iu], digits[iv]) for iu, iv in decided[p]):
             p += 1
         if p == n:
-            p = n - 1
-            rule = rule_at_cursor(d, t, model, labels, index)
-            check = is_homomorphism_rule(rule, H)
-            if check.passed:
-                return SearchOutcome(
-                    kind="Found",
-                    rules_examined=index + 1,
-                    rule=rule,
-                    witnesses=witnesses(),
-                    caveat=caveat,
-                )
-            refute(index, index + 1, check.witness)
-        else:
-            refute(index, index + span[p])
+            return SearchOutcome(
+                kind="Found",
+                rules_examined=index + 1,
+                rule=rule_at_cursor(d, t, model, labels, index),
+                witnesses=witnesses(),
+                caveat=caveat,
+            )
+        refute(index, index + span[p])
         index += span[p]
         # the next prefix: add one at digit p, carrying into the balls before
         while p and digits[p] == L - 1:

@@ -30,10 +30,12 @@ interns the code of each non-root (label, child codes) key; root codes are
 joined afresh, as at rank t=2 almost every root is new.  Seeds are validated
 only at the public boundary (`canonicalize`, `evaluate`, `endpoint_codes`).
 
-A canonical ball is its code.  The enumerations build codes directly (from
-the codes of subtree types, rank blocks, or a rank code with a tag after
-each rank byte), and `CanonicalBall.labels` decodes the nested tuple on
-demand through `_decode`, the only place nested labels are made.
+A canonical ball is its code, a plain `bytes`: `canonicalize` returns it,
+and a class's canonical balls are one cached, sorted tuple of codes.  The
+enumerations build codes directly (from the codes of subtree types, rank
+blocks, or a rank code with a tag after each rank byte).  Nested labels are
+made only by `_decode`, which turns a code back into its sibling-sorted
+ball.
 """
 
 import random
@@ -334,44 +336,19 @@ def _decode(code, d, t, kind):
     return fill_ball(_preorder_template(d, t), labels)
 
 
-def _checked_code(raw, d, t, model):
-    seeds = _flatten(raw, d, t)
-    _check_seeds(seeds, model)
-    return ball_coder(d, t, model)(seeds)
-
-
-# ---------------------------------------------------------------------------
-# canonical encoding
-
-
-@dataclass(frozen=True)
-class CanonicalBall:
-    """Orbit representative of a seed-labeled rooted ball.
-
-    ``code`` is the preorder byte string of the sibling-sorted ball (one
-    byte per label component), which is what rule tables are keyed by; it
-    is the only stored form.  ``labels``, the sibling-sorted nested tuple,
-    is decoded from it on demand.
-    """
-
-    d: int
-    t: int
-    model: SeedModel
-    code: bytes
-
-    @property
-    def labels(self):
-        return _decode(self.code, self.d, self.t, self.model.kind)
-
-
 def canonicalize(raw, d, t, model):
-    """Canonical form of a raw seed-labeled ball.
+    """Canonical code of a raw seed-labeled ball: the preorder byte string
+    (one byte per label component) of the sibling-sorted ball, which is what
+    rule tables are keyed by.  `_decode` gives the sorted ball back.
 
     Sibling subtrees are recursively sorted by their own code, and rank-model
     seeds are first replaced by the induced ranking restricted to the ball.
-    Idempotent, and constant on orbits of root-fixing ball automorphisms.
+    Constant on orbits of root-fixing ball automorphisms, and the decoded
+    code canonicalizes to itself.  MalformedBall on a bad shape or seed.
     """
-    return CanonicalBall(d=d, t=t, model=model, code=_checked_code(raw, d, t, model))
+    seeds = _flatten(raw, d, t)
+    _check_seeds(seeds, model)
+    return ball_coder(d, t, model)(seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +464,12 @@ _ENUM_CACHE = {}
 
 
 def enumerate_canonical_balls_weighted(d, t, model):
-    """All canonical balls with orbit sizes: list of (CanonicalBall, count, total).
+    """All canonical balls with orbit sizes: (codes, counts, total).
 
-    ``count`` is the number of raw seed configurations in the orbit and
-    ``total`` the size of the raw configuration space, so count/total is the
-    probability of the orbit under the seed model.
+    ``codes`` is the sorted tuple of canonical codes, ``counts[i]`` the
+    number of raw seed configurations in the orbit of codes[i], and
+    ``total`` the size of the raw configuration space, so counts[i]/total is
+    the probability of the orbit under the seed model.  Cached per class.
     """
     key = (d, t, model)
     if key in _ENUM_CACHE:
@@ -500,36 +478,26 @@ def enumerate_canonical_balls_weighted(d, t, model):
     check_enumeration_budget(d, t, model)
     B = ball_size(d, t)
     if model.kind == "alphabet":
-        weighted = _alphabet_subtree_types(d, t, model.q, d)
+        codes, counts = zip(*_alphabet_subtree_types(d, t, model.q, d))
         total = model.q**B
     else:
-        # every rank and hybrid orbit is free: its size is the group order
-        aut = ball_aut_order(d, t)
         if model.kind == "rank":
-            codes = _enumerate_rank(d, t)
+            codes = tuple(_enumerate_rank(d, t))
             total = factorial(B)
         else:
-            codes = _enumerate_hybrid(d, t, model.q)
+            codes = tuple(_enumerate_hybrid(d, t, model.q))
             total = factorial(B) * model.q**B
-        weighted = [(code, aut) for code in codes]
-    balls = [
-        (CanonicalBall(d=d, t=t, model=model, code=code), count, total)
-        for code, count in weighted
-    ]
-    assert sum(c for _, c, _ in balls) == total
-    _ENUM_CACHE[key] = balls
-    return balls
+        # every rank and hybrid orbit is free: its size is the group order
+        counts = (ball_aut_order(d, t),) * len(codes)
+    assert sum(counts) == total
+    result = _ENUM_CACHE[key] = (codes, counts, total)
+    return result
 
 
 def enumerate_canonical_balls(d, t, model):
-    """One representative per orbit of root-fixing ball automorphisms,
-    sorted by canonical code."""
-    return [b for b, _, _ in enumerate_canonical_balls_weighted(d, t, model)]
-
-
-@lru_cache(maxsize=None)
-def _code_set(d, t, model):
-    return frozenset(b.code for b in enumerate_canonical_balls(d, t, model))
+    """Sorted tuple of the canonical codes, one per orbit of root-fixing
+    ball automorphisms."""
+    return enumerate_canonical_balls_weighted(d, t, model)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -556,15 +524,15 @@ def make_rule(d, t, model, output_alphabet, table):
         text = str(label)
         if not text or any(ch.isspace() or ch == "," for ch in text):
             raise ValueError(f"label {label!r} not serializable (space or comma)")
-    codes = _code_set(d, t, model)
-    missing = codes - table.keys()
-    if missing:
+    codes = enumerate_canonical_balls(d, t, model)
+    covered = sum(map(table.__contains__, codes))
+    if covered < len(codes):
         raise IncompleteTable(
             f"table covers {len(table)} of {len(codes)} canonical balls"
         )
-    extra = table.keys() - codes
-    if extra:
-        raise ValueError(f"table has {len(extra)} entries for unknown balls")
+    # every code is covered, so the keys beyond them are unknown
+    if len(table) > covered:
+        raise ValueError(f"table has {len(table) - covered} entries for unknown balls")
     bad = set(table.values()) - set(alpha)
     if bad:
         raise ValueError(f"table outputs {bad} outside the output alphabet")
@@ -573,7 +541,7 @@ def make_rule(d, t, model, output_alphabet, table):
 
 def evaluate(rule, raw):
     """Output of the rule at the root of a raw seed-labeled ball."""
-    code = _checked_code(raw, rule.d, rule.t, rule.model)
+    code = canonicalize(raw, rule.d, rule.t, rule.model)
     try:
         return rule.table[code]
     except KeyError as exc:  # unreachable for validated rules
@@ -586,13 +554,13 @@ def builtin_rule(name, **params):
         label = params["label"]
         d = params.get("d", 3)
         out = tuple(params.get("output_alphabet") or (label,))
-        balls = enumerate_canonical_balls(d, 0, rank())
-        return make_rule(d, 0, rank(), out, {b.code: label for b in balls})
+        codes = enumerate_canonical_balls(d, 0, rank())
+        return make_rule(d, 0, rank(), out, dict.fromkeys(codes, label))
     if name == "max_seed_independent":
         d = params.get("d", 3)
-        balls = enumerate_canonical_balls(d, 1, rank())
+        codes = enumerate_canonical_balls(d, 1, rank())
         top = d + 1
-        table = {b.code: ("IN" if b.code[0] == top else "OUT") for b in balls}
+        table = {code: ("IN" if code[0] == top else "OUT") for code in codes}
         return make_rule(d, 1, rank(), ("IN", "OUT"), table)
     if name in ("rank_table", "alphabet_table"):
         model = rank() if name == "rank_table" else alphabet(params["q"])
@@ -606,10 +574,10 @@ def builtin_rule(name, **params):
 
 def random_rule(d, t, model, output_alphabet, rng_seed):
     """Independent uniform output per canonical ball; deterministic per seed."""
-    balls = enumerate_canonical_balls(d, t, model)
+    codes = enumerate_canonical_balls(d, t, model)
     rng = random.Random(rng_seed)
     alpha = tuple(output_alphabet)
-    table = {b.code: alpha[rng.randrange(len(alpha))] for b in balls}
+    table = {code: alpha[rng.randrange(len(alpha))] for code in codes}
     return make_rule(d, t, model, alpha, table)
 
 

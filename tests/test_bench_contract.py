@@ -1,0 +1,58 @@
+"""The library API that the benchmark in `perfbench/` relies on.
+
+`perfbench/spans.py` wraps each function it names in `TRACED` and binds the
+arguments of each call to the function's signature for its hooks.  A
+renamed function or parameter would break the benchmark only when it runs;
+these checks make it fail the test suite at once.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+# the arguments each hook reads from the bound call, by traced function
+BOUND = {
+    "rules.enumerate_canonical_balls_weighted": ("d", "t", "model"),
+    "rules.edge_pair_table": ("d", "t", "model"),
+    "entropy.exact_marginals": ("rule",),
+    "entropy.mc_marginals": ("rule", "n_samples"),
+    "simulate.run_on_graph": ("G",),
+}
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SPANS = _spans()
+TRACED = [
+    f"{module}.{name}" for module, names in SPANS.TRACED.items() for name in names
+]
+
+
+@pytest.mark.parametrize("qualname", TRACED)
+def test_traced_function_exists(qualname):
+    module_name, name = qualname.split(".")
+    module = importlib.import_module(f"fiidlab.{module_name}")
+    assert callable(getattr(module, name, None)), qualname
+
+
+def test_every_bound_function_has_a_hook():
+    assert set(BOUND) <= set(SPANS.HOOKS)
+
+
+@pytest.mark.parametrize("qualname", sorted(SPANS.HOOKS))
+def test_hook_arguments_are_parameters(qualname):
+    module_name, name = qualname.split(".")
+    fn = getattr(importlib.import_module(f"fiidlab.{module_name}"), name)
+    params = inspect.signature(fn).parameters
+    missing = [p for p in BOUND.get(qualname, ()) if p not in params]
+    assert not missing, f"{qualname} lacks {missing}"

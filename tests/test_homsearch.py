@@ -150,7 +150,7 @@ def reference_search(H, d, t, model, budget=None, force_enumeration=False):
     total = len(labels) ** len(balls)
     if total > budget.max_rules:
         return homsearch.SearchOutcome(kind="BudgetExceeded", rules_examined=0, caveat=caveat)
-    ball_index = {b.code: i for i, b in enumerate(balls)}
+    ball_index = {code: i for i, code in enumerate(balls)}
     entries = [(ball_index[cu], ball_index[cv], cfg) for _, cu, cv, cfg in pair_table.order]
     rng = random.Random(budget.rng_seed)
     witnesses = []

@@ -96,8 +96,8 @@ def random_raw_ball(d, t, model, rng):
 )
 def test_kernel_codes_equal_reference(d, t, model, seed):
     raw = random_raw_ball(d, t, model, random.Random(seed))
-    ball = rules.canonicalize(raw, d, t, model)
-    assert (ball.code, ball.labels) == reference(raw, model.kind)
+    code = rules.canonicalize(raw, d, t, model)
+    assert (code, rules._decode(code, d, t, model.kind)) == reference(raw, model.kind)
 
 
 @settings(max_examples=50, deadline=None)
@@ -110,16 +110,17 @@ def test_kernel_codes_on_enumerated_balls(d, t, seed):
             balls = rules.enumerate_canonical_balls(d, t, model)
         except rules.BudgetExceeded:
             continue
-        ball = random.Random(seed).choice(balls)
-        assert rules.canonicalize(ball.labels, d, t, model).code == ball.code
-        assert reference_code(ball.labels, model.kind) == ball.code
+        code = random.Random(seed).choice(balls)
+        labels = rules._decode(code, d, t, model.kind)
+        assert rules.canonicalize(labels, d, t, model) == code
+        assert reference_code(labels, model.kind) == code
 
 
 @pytest.mark.parametrize("model", MODELS, ids=str)
 def test_labels_recode_to_code(model):
-    # `labels` is decoded from the code; canonicalizing it gives the code back
-    for ball in rules.enumerate_canonical_balls(3, 1, model):
-        assert rules.canonicalize(ball.labels, 3, 1, model).code == ball.code
+    # `_decode` gives a code's labels; canonicalizing them gives the code back
+    for code in rules.enumerate_canonical_balls(3, 1, model):
+        assert rules.canonicalize(rules._decode(code, 3, 1, model.kind), 3, 1, model) == code
 
 
 @pytest.mark.parametrize("model", MODELS, ids=str)
@@ -239,10 +240,10 @@ def _oracle_rules(d, t, model):
     balls = rules.enumerate_canonical_balls(d, t, model)
     for seed in range(3):
         yield rules.random_rule(d, t, model, ("x", "y", "z"), seed)
-    yield rules.make_rule(d, t, model, ("c",), {b.code: "c" for b in balls})
-    yield rules.make_rule(d, t, model, ("u", "c"), {b.code: "c" for b in balls})
+    yield rules.make_rule(d, t, model, ("c",), dict.fromkeys(balls, "c"))
+    yield rules.make_rule(d, t, model, ("u", "c"), dict.fromkeys(balls, "c"))
     yield rules.make_rule(
-        d, t, model, tuple(range(len(balls))), {b.code: i for i, b in enumerate(balls)}
+        d, t, model, tuple(range(len(balls))), {code: i for i, code in enumerate(balls)}
     )
 
 
@@ -254,10 +255,11 @@ def _assert_alphabet_order(pair, rule):
 
 
 # every class with d in {2, 3, 4}, t <= 2, q in {2, 3} whose edge ball the
-# enumeration can afford: all but d=4, t=2 (q^26 and q^17 > the budget)
+# enumeration can afford: all but d=4, t=2 (q^26 and q^17 > the budget);
+# and d=1, where a half-tree is its root alone, at t <= 3
 ENUMERABLE = [
     (d, t, q) for d in (2, 3, 4) for t in (0, 1, 2) for q in (2, 3) if (d, t) != (4, 2)
-]
+] + [(1, t, 2) for t in (0, 1, 2, 3)]
 
 
 @pytest.mark.parametrize("d,t,q", ENUMERABLE)
@@ -298,11 +300,10 @@ def test_ordered_pair_law_equals_edge_enumeration(d, t, model):
 
 def reference_vertex_law(rule):
     """Vertex-law masses, in label order, from the canonical balls' orbit sizes."""
-    weighted = rules.enumerate_canonical_balls_weighted(rule.d, rule.t, rule.model)
+    codes, counts, total = rules.enumerate_canonical_balls_weighted(rule.d, rule.t, rule.model)
     sums = {a: 0 for a in rule.output_alphabet}
-    total = weighted[0][2]
-    for ball, count, _ in weighted:
-        sums[rule.table[ball.code]] += count
+    for code, count in zip(codes, counts):
+        sums[rule.table[code]] += count
     return tuple(Fraction(sums[a], total) for a in rule.output_alphabet)
 
 
@@ -352,15 +353,15 @@ def _cut(node, depth):
 
 
 def _assert_lift_keeps_laws(d, t, model, cut):
-    """`cut` maps a radius-t ball to the code of its radius-(t-1) part."""
+    """`cut` maps a radius-t code to the code of its radius-(t-1) part."""
     inner = rules.enumerate_canonical_balls(d, t - 1, model)
     bases = [
         rules.random_rule(d, t - 1, model, (0, 1, 2), 11),
         rules.make_rule(
-            d, t - 1, model, tuple(range(len(inner))), {b.code: i for i, b in enumerate(inner)}
+            d, t - 1, model, tuple(range(len(inner))), {code: i for i, code in enumerate(inner)}
         ),
     ]
-    outer = {b.code: cut(b) for b in rules.enumerate_canonical_balls(d, t, model)}
+    outer = {code: cut(code) for code in rules.enumerate_canonical_balls(d, t, model)}
     for base in bases:
         table = {code: base.table[inner_code] for code, inner_code in outer.items()}
         lifted = rules.make_rule(d, t, model, base.output_alphabet, table)
@@ -375,9 +376,11 @@ def test_lifted_rule_keeps_its_laws(d, t, q):
     """A radius-t rule that reads only the radius-(t-1) part of its ball has
     the laws of the radius-(t-1) rule it lifts, Fraction for Fraction.  This
     reaches classes the edge enumeration cannot afford (3, 3, 2 and 4, 2, 2)."""
-    _assert_lift_keeps_laws(
-        d, t, rules.alphabet(q), lambda b: reference_code(_cut(b.labels, t - 1), "alphabet")
-    )
+
+    def cut(code):
+        return reference_code(_cut(rules._decode(code, d, t, "alphabet"), t - 1), "alphabet")
+
+    _assert_lift_keeps_laws(d, t, rules.alphabet(q), cut)
 
 
 def test_lifted_rank_rule_keeps_its_laws():
@@ -396,13 +399,13 @@ def test_lifted_rank_rule_keeps_its_laws():
     visit(0, 3)
     keep = [p for p, depth in enumerate(depths) if depth < 2]
 
-    def cut(ball):
-        kept = [ball.code[p] for p in keep]
+    def cut(code):
+        kept = [code[p] for p in keep]
         rank = {r: i for i, r in enumerate(sorted(kept), 1)}
         return bytes(rank[r] for r in kept)
 
-    for ball in random.Random(2).sample(rules.enumerate_canonical_balls(3, 2, rules.rank()), 300):
-        assert cut(ball) == reference_code(_cut(ball.labels, 1), "rank")
+    for code in random.Random(2).sample(rules.enumerate_canonical_balls(3, 2, rules.rank()), 300):
+        assert cut(code) == reference_code(_cut(rules._decode(code, 3, 2, "rank"), 1), "rank")
     _assert_lift_keeps_laws(3, 2, rules.rank(), cut)
 
 

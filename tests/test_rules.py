@@ -44,8 +44,8 @@ class TestEnumeration:
         seen = set()
         for labs in product(range(2), repeat=4):
             raw = (labs[0], tuple((x, ()) for x in labs[1:]))
-            seen.add(rules.canonicalize(raw, 3, 1, rules.alphabet(2)).code)
-        assert seen == {b.code for b in balls}
+            seen.add(rules.canonicalize(raw, 3, 1, rules.alphabet(2)))
+        assert seen == set(balls)
 
     def test_alphabet_t2_oracle(self):
         balls = rules.enumerate_canonical_balls(3, 2, rules.alphabet(2))
@@ -58,8 +58,8 @@ class TestEnumeration:
                     for i in range(3)
                 ),
             )
-            seen.add(rules.canonicalize(raw, 3, 2, rules.alphabet(2)).code)
-        assert seen == {b.code for b in balls}
+            seen.add(rules.canonicalize(raw, 3, 2, rules.alphabet(2)))
+        assert seen == set(balls)
         assert len(balls) == 112
 
     def test_rank_t1_count_and_oracle(self):
@@ -68,15 +68,15 @@ class TestEnumeration:
         seen = set()
         for perm in permutations(range(1, 5)):
             raw = (perm[0], tuple((x, ()) for x in perm[1:]))
-            seen.add(rules.canonicalize(raw, 3, 1, rules.rank()).code)
-        assert seen == {b.code for b in balls}
-        # the four orbits are exactly the root ranks
-        assert sorted(b.labels[0] for b in balls) == [1, 2, 3, 4]
+            seen.add(rules.canonicalize(raw, 3, 1, rules.rank()))
+        assert seen == set(balls)
+        # the four orbits are exactly the root ranks, each code's first byte
+        assert sorted(code[0] for code in balls) == [1, 2, 3, 4]
 
     def test_rank_t2_count_formula(self):
         balls = rules.enumerate_canonical_balls(3, 2, rules.rank())
         assert len(balls) == factorial(10) // 48 == 75600
-        assert len({b.code for b in balls}) == 75600
+        assert len(set(balls)) == 75600
 
     def test_hybrid_t1_count(self):
         balls = rules.enumerate_canonical_balls(3, 1, rules.hybrid(2))
@@ -92,25 +92,37 @@ class TestEnumeration:
         for perm in permutations(range(1, B + 1)):
             for tags in product(range(q), repeat=B):
                 raw = rules.fill_ball(template, tuple(zip(perm, tags)))
-                code = rules.canonicalize(raw, d, t, model).code
+                code = rules.canonicalize(raw, d, t, model)
                 seen[code] = seen.get(code, 0) + 1
-        weighted = rules.enumerate_canonical_balls_weighted(d, t, model)
-        assert seen == {b.code: c for b, c, _ in weighted}
-        assert weighted[0][2] == factorial(B) * q**B
+        codes, counts, total = rules.enumerate_canonical_balls_weighted(d, t, model)
+        assert seen == dict(zip(codes, counts))
+        assert total == factorial(B) * q**B
 
     def test_weights_sum_to_total(self):
         for model in (rules.alphabet(2), rules.alphabet(3), rules.rank(), rules.hybrid(2)):
-            weighted = rules.enumerate_canonical_balls_weighted(3, 1, model)
-            total = weighted[0][2]
-            assert sum(c for _, c, _ in weighted) == total
+            _, counts, total = rules.enumerate_canonical_balls_weighted(3, 1, model)
+            assert sum(counts) == total
+
+    @pytest.mark.parametrize(
+        "model",
+        (rules.alphabet(2), rules.alphabet(3), rules.rank(), rules.hybrid(2)),
+        ids=str,
+    )
+    def test_enumeration_is_one_tuple_of_codes(self, model):
+        weighted = rules.enumerate_canonical_balls_weighted(3, 1, model)
+        codes, counts, total = weighted
+        assert type(codes) is tuple and all(type(code) is bytes for code in codes)
+        assert rules.enumerate_canonical_balls(3, 1, model) is weighted[0]
+        assert len(counts) == len(codes)
+        assert sum(counts) == total
 
     def test_orbit_size_of_repeated_tags(self):
         # (root, children {a, a, b}) has 3 raw labelings
-        weighted = rules.enumerate_canonical_balls_weighted(3, 1, rules.alphabet(2))
-        by_code = {b.code: c for b, c, _ in weighted}
+        codes, counts, _ = rules.enumerate_canonical_balls_weighted(3, 1, rules.alphabet(2))
+        by_code = dict(zip(codes, counts))
         code = rules.canonicalize(
             (0, ((0, ()), (0, ()), (1, ()))), 3, 1, rules.alphabet(2)
-        ).code
+        )
         assert by_code[code] == 3
 
     def test_budget_exceeded(self):
@@ -122,7 +134,7 @@ class TestEnumeration:
     def test_deterministic_order(self):
         a = rules.enumerate_canonical_balls(3, 1, rules.alphabet(3))
         b = rules.enumerate_canonical_balls(3, 1, rules.alphabet(3))
-        assert [x.code for x in a] == [x.code for x in b] == sorted(x.code for x in a)
+        assert a == b == tuple(sorted(a))
 
 
 class TestCanonicalize:
@@ -130,28 +142,29 @@ class TestCanonicalize:
         m = rules.alphabet(2)
         a = rules.canonicalize((1, ((1, ()), (0, ()), (1, ()))), 3, 1, m)
         b = rules.canonicalize((1, ((0, ()), (1, ()), (1, ()))), 3, 1, m)
-        assert a.code == b.code
+        assert a == b
 
     def test_rank_root_rank(self):
-        ball = rules.canonicalize(
+        code = rules.canonicalize(
             (0.9, ((0.1, ()), (0.5, ()), (0.3, ()))), 3, 1, rules.rank()
         )
-        assert ball.labels[0] == 4  # root is the largest of 4
-        assert ball.code == bytes((4, 1, 2, 3))
+        assert rules._decode(code, 3, 1, "rank")[0] == 4  # root is the largest of 4
+        assert code == bytes((4, 1, 2, 3))
 
     def test_subtree_swap_invariance_t2(self):
         m = rules.alphabet(2)
         raw = (1, ((0, ((1, ()), (0, ()))), (1, ((0, ()), (0, ()))), (0, ((1, ()), (1, ())))))
         swapped = (1, ((1, ((0, ()), (0, ()))), (0, ((1, ()), (0, ()))), (0, ((1, ()), (1, ())))))
-        assert rules.canonicalize(raw, 3, 2, m).code == rules.canonicalize(swapped, 3, 2, m).code
+        assert rules.canonicalize(raw, 3, 2, m) == rules.canonicalize(swapped, 3, 2, m)
 
     def test_idempotent(self):
         m = rules.rank()
         rng = random.Random(3)
         raw = random_raw_ball(3, 2, m, rng)
         once = rules.canonicalize(raw, 3, 2, m)
-        twice = rules.canonicalize(once.labels, 3, 2, m)
-        assert once.code == twice.code and once.labels == twice.labels
+        labels = rules._decode(once, 3, 2, m.kind)
+        twice = rules.canonicalize(labels, 3, 2, m)
+        assert once == twice and rules._decode(twice, 3, 2, m.kind) == labels
 
     def test_tied_seeds_rejected(self):
         tied = (0.5, ((0.5, ()), (0.1, ()), (0.2, ())))
@@ -209,8 +222,8 @@ class TestCanonicalize:
             raw = random_raw_ball(3, 2, model, random.Random(ball_seed))
             mixed = shuffle_siblings(raw, random.Random(shuffle_seed))
             assert (
-                rules.canonicalize(raw, 3, 2, model).code
-                == rules.canonicalize(mixed, 3, 2, model).code
+                rules.canonicalize(raw, 3, 2, model)
+                == rules.canonicalize(mixed, 3, 2, model)
             )
 
 
@@ -237,8 +250,8 @@ class TestEvaluate:
 
     def test_table_total_for_enumerated_balls(self):
         rule = rules.random_rule(3, 1, rules.alphabet(2), (0, 1), 5)
-        for ball in rules.enumerate_canonical_balls(3, 1, rules.alphabet(2)):
-            assert rules.evaluate(rule, ball.labels) in (0, 1)
+        for code in rules.enumerate_canonical_balls(3, 1, rules.alphabet(2)):
+            assert rules.evaluate(rule, rules._decode(code, 3, 1, "alphabet")) in (0, 1)
 
 
 class TestBuiltinRules:
@@ -253,9 +266,17 @@ class TestBuiltinRules:
 
     def test_incomplete_table(self):
         balls = rules.enumerate_canonical_balls(3, 1, rules.rank())
-        table = {b.code: "x" for b in balls[:3]}
+        table = {code: "x" for code in balls[:3]}
         with pytest.raises(rules.IncompleteTable):
             rules.builtin_rule("rank_table", d=3, t=1, table=table)
+        unknown = bytes((9, 9, 9, 9))
+        with pytest.raises(ValueError, match="^table has 1 entries for unknown balls$"):
+            rules.builtin_rule(
+                "rank_table", d=3, t=1, table={**dict.fromkeys(balls, "x"), unknown: "x"}
+            )
+        # missing and unknown keys together: the missing ones are reported
+        with pytest.raises(rules.IncompleteTable, match="^table covers 4 of 4 canonical balls$"):
+            rules.builtin_rule("rank_table", d=3, t=1, table={**table, unknown: "x"})
 
     def test_unknown_name(self):
         with pytest.raises(rules.UnknownName):
@@ -263,7 +284,7 @@ class TestBuiltinRules:
 
     def test_rank_table_roundtrip_values(self):
         balls = rules.enumerate_canonical_balls(3, 1, rules.rank())
-        table = {b.code: i for i, b in enumerate(balls)}
+        table = {code: i for i, code in enumerate(balls)}
         rule = rules.builtin_rule("rank_table", d=3, t=1, table=table)
         assert rule.output_alphabet == (0, 1, 2, 3)
 
