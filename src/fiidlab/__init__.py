@@ -3,6 +3,7 @@ audits, homomorphism rule search, and emulation on finite graphs."""
 
 import math
 from fractions import Fraction
+from itertools import repeat
 
 __version__ = "0.1.0"
 
@@ -24,6 +25,42 @@ def jsonable(x):
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
     return x
+
+
+# Seeded draws.  Random.randrange(n) is getrandbits(n.bit_length()) drawn
+# again while the result is >= n, and Random.shuffle(x) makes that draw with
+# n = i + 1 for i from len(x) - 1 down to 1.  The helpers below make the same
+# getrandbits calls in the same order, without randrange's per-call Python
+# frames, so every seed gives the same values and the same generator state
+# afterwards.  tests/test_draws.py holds them to the library functions.
+
+
+def randbelows(rng, n, count):
+    """[rng.randrange(n) for _ in range(count)]."""
+    if n < 1 and count:
+        raise ValueError("empty range for randrange()")
+    k = n.bit_length()
+    out = []
+    # each accepted draw fills one place, so a batch of as many draws as
+    # places left never draws past the last value
+    while len(out) < count:
+        out += filter(n.__gt__, map(rng.getrandbits, repeat(k, count - len(out))))
+    return out
+
+
+def shuffle(rng, x):
+    """rng.shuffle(x): the bit width is fixed over each power-of-two run of i."""
+    getrandbits = rng.getrandbits
+    i = len(x) - 1
+    while i > 0:
+        k = (i + 1).bit_length()
+        low = (1 << (k - 1)) - 1  # the least i with (i + 1).bit_length() == k
+        for i in range(i, low - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        i = low - 1
 
 
 # the CLI is left out, so `python -m fiidlab.cli` does not find it imported

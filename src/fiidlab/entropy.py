@@ -73,7 +73,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 from operator import mul
 
-from . import jsonable, rules
+from . import jsonable, randbelows, rules
 from .rules import BudgetExceeded
 
 
@@ -187,6 +187,11 @@ class PairDistribution:
         return self.probs.get((a, b), 0)
 
     def marginal(self):
+        """The law of either label, computed once per pair law."""
+        return self._marginal
+
+    @cached_property
+    def _marginal(self):
         sums = {a: 0 for a in self.labels}
         for (a, _), x in self.counts.items():
             sums[a] += x
@@ -221,14 +226,17 @@ def pair_from_edge_weights(H, weights):
 
 
 def entropy(dist):
-    """Shannon entropy -sum p ln p in nats, with 0 ln 0 = 0."""
+    """Shannon entropy -sum p ln p in nats, with 0 ln 0 = 0.
+
+    The sum is subtracted from 0.0, which is -sum for every nonzero sum and
+    gives 0.0, not -0.0, for a point mass; joint_entropy does the same."""
     D = dist.denominator
-    return -sum(c / D * math.log(c / D) for c in dist.counts if c > 0)
+    return 0.0 - sum(c / D * math.log(c / D) for c in dist.counts if c > 0)
 
 
 def joint_entropy(pair):
     D = pair.denominator
-    return -sum(c / D * math.log(c / D) for c in pair.counts.values() if c > 0)
+    return 0.0 - sum(c / D * math.log(c / D) for c in pair.counts.values() if c > 0)
 
 
 def conditional_entropy(pair):
@@ -575,10 +583,12 @@ def _mc_pair_counts_generic(rule, n, rng):
     for _ in range(n):
         # (draw, index) keys, as in emulation: equal draws still rank apart
         if model.kind == "alphabet":
-            config = [rng.randrange(model.q) for _ in range(size)]
+            config = randbelows(rng, model.q, size)
         elif model.kind == "rank":
             config = [(rng.random(), i) for i in range(size)]
         else:
+            # random() and randrange alternate per vertex, so the tags cannot
+            # be drawn as one run of randbelows without changing the stream
             config = [((rng.random(), i), rng.randrange(model.q)) for i in range(size)]
         key = (table[code_u(config)], table[code_v(config)])
         counts[key] = counts.get(key, 0) + 1

@@ -13,6 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import shuffle
+
 INFINITE = math.inf
 
 EXACT_INVARIANT_MAX_N = 40
@@ -244,10 +246,13 @@ def _two_color_components(G):
 
 def girth(G):
     """Exact girth via per-root truncated BFS; ``INFINITE`` for forests."""
+    return _girth(G, _two_color_components(G)[1])
+
+
+def _girth(G, components):
+    """girth(G), given the number of connected components of G."""
     n = G.n
-    if n == 0 or G.m == 0:
-        return INFINITE
-    _, components = _two_color_components(G)
+    # a forest has n - components edges
     if G.m == n - components:
         return INFINITE
     best = n + 1
@@ -314,7 +319,7 @@ def profile(G):
     degs = {len(a) for a in G.adjacency}
     regular = degs.pop() if len(degs) == 1 else None
     return GraphProfile(
-        girth=girth(G),
+        girth=_girth(G, components),
         regular_degree=regular,
         bipartite=bipartite,
         connected=components <= 1,
@@ -342,7 +347,7 @@ def random_regular(n, d, rng_seed):
     stubs_master = [v for v in range(n) for _ in range(d)]
     for _ in range(_PAIRING_ATTEMPTS):
         stubs = stubs_master[:]
-        rng.shuffle(stubs)
+        shuffle(rng, stubs)
         edges = set()
         ok = True
         it = iter(stubs)

@@ -11,11 +11,17 @@ significant.  The endpoint pairs of the edge pair table are grouped by the
 later of their two balls, so assigning ball p decides exactly the pairs
 grouped under p.  A prefix whose decided pairs include a non-edge refutes
 the whole block of rules below it without building them: the block runs
-through the witness reservoir (Algorithm R, one draw per rule, as if each
-rule were scanned alone), and a witness -- the first violating pair entry,
-in pair-table order, for that rule's outputs -- is built only for the rules
-the reservoir keeps.  The first rule whose pair entries are all edges is a
-homomorphism rule, and the search returns it.
+through the witness reservoir (Algorithm R, as if each rule were scanned
+alone), and a witness -- the first violating pair entry, in pair-table
+order, for that rule's outputs -- is built only for the rules the reservoir
+keeps.  The first rule whose pair entries are all edges is a homomorphism
+rule, and the search returns it.
+
+The reservoir's draws: rules 0..cap-1 fill it without a draw, and each
+later refuted rule i takes one value j = rng.randrange(i + 1), replacing
+slot j when j < cap.  The value is drawn as randrange draws it,
+getrandbits((i + 1).bit_length()) again until it is <= i, so the stored
+rules are those of one randrange call per rule.
 
 Finite-alphabet seeds admit a shortcut: on the all-equal-tags configuration
 both endpoints see identical canonical balls, so every rule colors some
@@ -31,7 +37,7 @@ outcome reports carry that caveat verbatim.
 import random
 from dataclasses import asdict, dataclass, field
 
-from . import jsonable, rules
+from . import jsonable, randbelows, rules, shuffle
 from .rules import BudgetExceeded
 
 
@@ -88,14 +94,13 @@ def _require_target_alphabet(rule, H):
 def _random_config(layout, model, rng):
     size = layout.size
     if model.kind == "alphabet":
-        return tuple(rng.randrange(model.q) for _ in range(size))
-    if model.kind == "rank":
-        ranks = list(range(1, size + 1))
-        rng.shuffle(ranks)
-        return tuple(ranks)
+        return tuple(randbelows(rng, model.q, size))
     ranks = list(range(1, size + 1))
-    rng.shuffle(ranks)
-    return tuple((r, rng.randrange(model.q)) for r in ranks)
+    shuffle(rng, ranks)
+    if model.kind == "rank":
+        return tuple(ranks)
+    # the tags are drawn after the whole shuffle
+    return tuple(zip(ranks, randbelows(rng, model.q, size)))
 
 
 def _loopless(H):
@@ -315,20 +320,27 @@ def search(H, d, t, model, budget=None, force_enumeration=False):
             if not has_edge(a, b):
                 return ViolationWitness(d=d, t=t, model=model, config=cfg, outputs=(a, b))
 
-    rng = random.Random(budget.rng_seed)
-    randrange = rng.randrange
+    getrandbits = random.Random(budget.rng_seed).getrandbits
     cap = budget.witness_cap
     stored = []  # rule indices
 
     def refute(lo, hi):
-        # Algorithm R over rules lo..hi-1, one draw per rule.  Every rule
-        # before a Found one is refuted, so rule i is the (i+1)-th refuted.
-        for i in range(lo, min(hi, cap)):
-            stored.append(i)
-        for i in range(max(lo, cap), hi):
-            j = randrange(i + 1)
-            if j < cap:
-                stored[j] = i
+        # Algorithm R over rules lo..hi-1, drawn as the module docstring
+        # says.  Every rule before a Found one is refuted, so rule i is the
+        # (i+1)-th refuted.  The bit width k of rule i's draw is the same
+        # for every rule up to the next power of two.
+        stored.extend(range(lo, min(hi, cap)))
+        i = max(lo, cap)
+        while i < hi:
+            k = (i + 1).bit_length()
+            end = min(hi, (1 << k) - 1)
+            for i in range(i, end):
+                j = getrandbits(k)
+                while j > i:
+                    j = getrandbits(k)
+                if j < cap:
+                    stored[j] = i
+            i = end
 
     def witnesses():
         return [(i, witness_at(i)) for i in stored]

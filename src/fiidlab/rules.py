@@ -45,6 +45,8 @@ from itertools import combinations, combinations_with_replacement, count, permut
 from math import factorial
 from operator import itemgetter
 
+from . import randbelows
+
 ALPHABET_ENUM_BUDGET = 10_000_000
 RANK_BALL_LIMIT = 10
 
@@ -528,7 +530,7 @@ def make_rule(d, t, model, output_alphabet, table):
     covered = sum(map(table.__contains__, codes))
     if covered < len(codes):
         raise IncompleteTable(
-            f"table covers {len(table)} of {len(codes)} canonical balls"
+            f"table covers {covered} of {len(codes)} canonical balls"
         )
     # every code is covered, so the keys beyond them are unknown
     if len(table) > covered:
@@ -575,9 +577,9 @@ def builtin_rule(name, **params):
 def random_rule(d, t, model, output_alphabet, rng_seed):
     """Independent uniform output per canonical ball; deterministic per seed."""
     codes = enumerate_canonical_balls(d, t, model)
-    rng = random.Random(rng_seed)
     alpha = tuple(output_alphabet)
-    table = {code: alpha[rng.randrange(len(alpha))] for code in codes}
+    draws = randbelows(random.Random(rng_seed), len(alpha), len(codes))
+    table = {code: alpha[j] for code, j in zip(codes, draws)}
     return make_rule(d, t, model, alpha, table)
 
 

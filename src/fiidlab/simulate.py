@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import asdict, dataclass
 
 from . import entropy as ent
-from . import graphs, jsonable, rules
+from . import graphs, jsonable, randbelows, rules
 
 
 class DegreeMismatch(Exception):
@@ -102,7 +102,7 @@ def run_on_graph(rule, G, rng_seed, target=None):
     n = G.n
     collisions = 0
     if model.kind == "alphabet":
-        seeds = [rng.randrange(model.q) for _ in range(n)]
+        seeds = randbelows(rng, model.q, n)
     else:
         draws = [rng.random() for _ in range(n)]
         collisions = n - len(set(draws))
@@ -110,7 +110,9 @@ def run_on_graph(rule, G, rng_seed, target=None):
         if model.kind == "rank":
             seeds = [(draws[v], v) for v in range(n)]
         else:
-            seeds = [((draws[v], v), rng.randrange(model.q)) for v in range(n)]
+            # the tags are drawn after all the uniforms
+            tags = randbelows(rng, model.q, n)
+            seeds = [((draws[v], v), tags[v]) for v in range(n)]
 
     code = rules.ball_coder(d, t, model)
     table = rule.table

@@ -28,7 +28,12 @@ class TestEntropy:
         )
 
     def test_point_mass(self):
-        assert entropy.entropy(dist(1, 0, 0)) == 0.0
+        # +0.0, not -0.0, which the CLI would print with its sign
+        h = entropy.entropy(dist(1, 0, 0))
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
+        pair = PairDistribution((0, 1), {(1, 1): 1}, EXACT)
+        h = entropy.joint_entropy(pair)
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
 
     def test_half_quarter_quarter(self):
         value = entropy.entropy(dist(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
@@ -83,6 +88,12 @@ class TestConditionalEntropy:
                 - entropy.conditional_entropy(pair)
             )
             assert abs(resid) < 1e-12
+
+    def test_marginal_is_computed_once(self):
+        pair = PairDistribution((0, 1), {(0, 1): 1, (1, 0): 1, (1, 1): 2}, EXACT, 4)
+        first = pair.marginal()
+        assert pair.marginal() is first
+        assert first.counts == (1, 3) and first.denominator == 4
 
     def test_exchangeability_enforced(self):
         with pytest.raises(entropy.InvalidDistribution):

@@ -101,6 +101,15 @@ class TestProfile:
             G = random_graph(seed % 6 + 7, 0.25, seed)
             assert graphs.girth(G) == graphs.girth_by_enumeration(G)
 
+    def test_profile_girth_matches_enumeration(self):
+        # sparse graphs give forests and disconnected graphs, where the
+        # component count decides INFINITE; plus the graphs with no vertex
+        # or no edge
+        corpus = [random_graph(8, p, 2000 + seed) for seed in range(30) for p in (0.1, 0.3)]
+        corpus += [graphs.build_graph(0, []), graphs.build_graph(3, [])]
+        for G in corpus:
+            assert graphs.profile(G).girth == graphs.girth_by_enumeration(G) == graphs.girth(G)
+
     def test_bipartite_implies_even_or_infinite_girth(self):
         for seed in range(40):
             G = random_graph(8, 0.3, 1000 + seed)
