@@ -11,7 +11,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -65,9 +64,7 @@ def _load_rule(spec, args):
                 raise UsageError("builtin:constant needs a label, e.g. builtin:constant:0")
             label = rules._parse_label(parts[2])
             out = None
-            if getattr(args, "alphabet", None):
-                out = tuple(rules._parse_label(x) for x in args.alphabet.split(","))
-            elif getattr(args, "target", None):
+            if getattr(args, "target", None):
                 out = tuple(range(_load_target(args.target).n))
             return rules.builtin_rule("constant", label=label, d=d, output_alphabet=out)
         raise UsageError(f"unknown builtin rule {name!r}")
@@ -195,22 +192,22 @@ def _cmd_rule_show(args):
 
 
 def _check_samples(args):
-    """--samples, where a subcommand takes it, is at least 1 and never goes
-    with --exact."""
+    """--samples, where a subcommand takes it, is at least 1; where the
+    subcommand also takes --exact, exactly one of the two is given."""
     samples = getattr(args, "samples", None)
-    if samples is None:
-        return
-    if samples < 1:
+    if samples is not None and samples < 1:
         raise UsageError(f"--samples must be >= 1, got {samples}")
-    if getattr(args, "exact", False):
+    if not hasattr(args, "exact"):
+        return
+    if args.exact and samples is not None:
         raise UsageError("give --exact or --samples N, not both")
+    if not args.exact and samples is None:
+        raise UsageError("give --exact or --samples N")
 
 
 def _marginals_for(args, rule):
     if args.exact:
         return entropy.exact_marginals(rule)
-    if args.samples is None:
-        raise UsageError("give --exact or --samples N")
     seed = args.seed if args.seed is not None else 0
     return entropy.mc_marginals(rule, args.samples, seed)
 
@@ -275,12 +272,10 @@ def _cmd_entropy_tail(args):
 def _cmd_hom_check(args):
     rule = _load_rule(args.rule, args)
     H = _load_target(args.target)
-    res = homsearch.is_homomorphism_rule(
-        rule, H, samples=args.samples, rng_seed=args.seed or 0
-    )
+    res = homsearch.is_homomorphism_rule(rule, H)
     payload = {
         "passed": res.passed,
-        "exact": res.exact,
+        "exact": True,
         "verdict": res.verdict,
         "witness": None if res.witness is None else res.witness.to_json_dict(),
     }
@@ -300,10 +295,8 @@ def _cmd_hom_search(args):
 def _cmd_hom_certificate(args):
     H = _load_target(args.target)
     model = rules.SeedModel.parse(args.model)
-    if model.kind != "alphabet":
-        raise UsageError("the constant-seed certificate applies to alphabet models")
-    cert = homsearch.alphabet_impossibility_certificate(H, args.d, args.t, model.q)
-    return asdict(cert), 0
+    cert = homsearch.impossibility_certificate(H, args.d, args.t, model)
+    return cert.to_json_dict(), 0
 
 
 def _cmd_sim_run(args):
@@ -331,12 +324,10 @@ def _cmd_sim_pipeline(args):
         raise UsageError("sim pipeline needs --c0 and --C")
     if args.exact:
         report = simulate.theorem_pipeline(rule, H, args.c0, args.C)
-    elif args.samples is not None:
+    else:
         report = simulate.theorem_pipeline(
             rule, H, args.c0, args.C, mode="mc", samples=args.samples, rng_seed=args.seed or 0
         )
-    else:
-        raise UsageError("give --exact or --samples N")
     refuted = report.classification.startswith("refuted")
     return report.to_json_dict(), 0 if refuted else 1
 
@@ -435,16 +426,15 @@ def _build_parser():
         dest="sub", required=True
     )
     h = hom.add_parser("check", help="is the rule a homomorphism rule into the target")
-    common(h, "rule", "seed")
+    common(h, "rule")
     h.add_argument("--target", required=True)
-    h.add_argument("--samples", type=int, default=100_000)
     h.set_defaults(func=_cmd_hom_check)
     h = hom.add_parser("search", help="scan a whole rule class against the target")
     h.add_argument("--target", required=True)
     common(h, "dt", "model", "seed")
     h.add_argument("--max-rules", type=int, default=1_000_000)
     h.set_defaults(func=_cmd_hom_search)
-    h = hom.add_parser("certificate", help="constant-seed impossibility certificate")
+    h = hom.add_parser("certificate", help="impossibility certificate into a loopless target")
     h.add_argument("--target", required=True)
     common(h, "dt", "model")
     h.set_defaults(func=_cmd_hom_certificate)

@@ -295,17 +295,12 @@ def _truncated_code(code, d, depth):
     return code[:1] + b"".join(sorted(_truncated_code(kid, d, depth - 1) for kid in kids))
 
 
-_HALF_TREE_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def _half_tree_structure(d, t, q):
     """(codes, cells, denominator) of the alphabet pair law; see the module
     docstring.  `codes` lists the canonical balls; cells[i][j] lists the
     (ball index, c_A) of every half-tree type A cut to type i, coded with
     cut type j as the root's d-th child.  Rule-independent, cached."""
-    key = (d, t, q)
-    if key in _HALF_TREE_CACHE:
-        return _HALF_TREE_CACHE[key]
     codes = rules.enumerate_canonical_balls(d, t, rules.alphabet(q))
     entries = _half_tree_count(d, t, q) * _half_tree_count(d, t - 1, q)
     if entries > rules.ALPHABET_ENUM_BUDGET:
@@ -327,9 +322,7 @@ def _half_tree_structure(d, t, q):
         kids = [code[k:k + width] for k in range(1, len(code), width)]
         for j, cut in enumerate(cuts):
             row[j].append((index[root + b"".join(sorted(kids + [cut]))], count))
-    result = (codes, cells, q ** (2 * rules.subtree_size(d, t)))
-    _HALF_TREE_CACHE[key] = result
-    return result
+    return codes, cells, q ** (2 * rules.subtree_size(d, t))
 
 
 def _exact_pair_law_alphabet(rule):
@@ -380,9 +373,7 @@ def _group_assignments(values, sizes):
             yield block + tail
 
 
-_INTERLEAVING_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def _interleaving_structure(d, t, model):
     """(codes, cells, terms, lifts, denominator) of the rank and hybrid pair
     law; see the module docstring.  `codes` lists the canonical balls.
@@ -394,9 +385,6 @@ def _interleaving_structure(d, t, model):
     is (lift, width): lift[n] lists the (j index, prod_i C(n_i, j_i)) of
     every j <= gap vector n, and width counts the j.  Rule-independent,
     cached."""
-    key = (d, t, model)
-    if key in _INTERLEAVING_CACHE:
-        return _INTERLEAVING_CACHE[key]
     codes = rules.enumerate_canonical_balls(d, t, model)
     index = {code: i for i, code in enumerate(codes)}
     coder = rules.ball_coder(d, t, model)
@@ -493,9 +481,7 @@ def _interleaving_structure(d, t, model):
     terms = [(i, j, c * aut * aut) for (i, j), c in pair_counts.items()]
     q = model.q if hybrid else 1
     denominator = math.factorial(layout.size) * q**layout.size
-    result = (codes, cells, terms, (lifts, len(lift_index)), denominator)
-    _INTERLEAVING_CACHE[key] = result
-    return result
+    return codes, cells, terms, (lifts, len(lift_index)), denominator
 
 
 def _exact_pair_law_ordered(rule):

@@ -2,9 +2,10 @@
 
 A rule is a homomorphism rule when, for every seed configuration of the
 edge ball, the two endpoint outputs form an edge of the target.  The checker
-scans configurations exactly when the space fits the budget and falls back
-to sampled falsification otherwise; the search enumerates whole rule tables
-in mixed-radix order over the canonical balls.
+scans the configurations in lexicographic order when they fit the edge
+budget; beyond it, into a loopless target, it replays the impossibility
+certificate below, so its answer is exact at every radius.  The search
+enumerates whole rule tables in mixed-radix order over the canonical balls.
 
 The search walks the mixed-radix digits depth first, ball 0 most
 significant.  The endpoint pairs of the edge pair table are grouped by the
@@ -23,21 +24,34 @@ slot j when j < cap.  The value is drawn as randrange draws it,
 getrandbits((i + 1).bit_length()) again until it is <= i, so the stored
 rules are those of one randrange call per rule.
 
-Finite-alphabet seeds admit a shortcut: on the all-equal-tags configuration
-both endpoints see identical canonical balls, so every rule colors some
-edge monochromatically and no rule maps into a loopless target.  The
-certificate for that argument is replayable against any candidate rule, and
-the checker answers alphabet rules into loopless targets with it exactly,
-at any radius.
+The impossibility certificate.  At d >= 2 no finite-radius rule maps into
+a loopless target; the same argument rules out finite-radius colorings of
+Z^d (Holroyd, Schramm and Wilson, Finitary coloring, Ann. Probab. 2017).
+Run an axis ... -> w -> u -> v -> b -> ... through the edge, where w is the
+root of u's first side subtree and b that of v's, each continued through
+first children, and give its vertices positions p (u = 0, v = 1).  A vertex
+at distance delta from its axis projection at position p gets the key
+(delta - p, p, child-index path from the axis); delta - p is a Busemann
+function of the axis.  The certificate configuration ranks the edge ball in
+key order (rank), adds tag 0 to each rank (hybrid), or sets every tag to 0
+(alphabet).  The translation one step along the axis maps u to v and
+ball(u) onto ball(v), and adds (-1, +1) to the first two key entries of
+every vertex, so it keeps the order.  Hence the two endpoint balls have the
+same canonical code, every rule gives both endpoints the same label, and
+that pair is not an edge of a loopless target.  The configuration has
+positive probability, so no rule of the class is a homomorphism rule.  At
+d = 1 there is no axis beyond the edge: the endpoint codes differ for
+t >= 1, and the constructor refuses.  The certificate is replayable against
+any rule of its class.
 
 Every exhaustion result is relative to the searched finite-radius class;
 outcome reports carry that caveat verbatim.
 """
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
-from . import jsonable, randbelows, rules, shuffle
+from . import jsonable, rules
 from .rules import BudgetExceeded
 
 
@@ -65,17 +79,11 @@ class ViolationWitness:
 @dataclass(frozen=True)
 class CheckResult:
     passed: bool
-    exact: bool
-    samples_checked: int | None
     witness: ViolationWitness | None
 
     @property
     def verdict(self):
-        if not self.passed:
-            return "violation found"
-        if self.exact:
-            return "homomorphism rule (exact scan)"
-        return f"no violation found in {self.samples_checked} samples"
+        return "homomorphism rule (exact scan)" if self.passed else "violation found"
 
 
 def _witness_from_config(rule, config, outputs):
@@ -91,60 +99,33 @@ def _require_target_alphabet(rule, H):
         )
 
 
-def _random_config(layout, model, rng):
-    size = layout.size
-    if model.kind == "alphabet":
-        return tuple(randbelows(rng, model.q, size))
-    ranks = list(range(1, size + 1))
-    shuffle(rng, ranks)
-    if model.kind == "rank":
-        return tuple(ranks)
-    # the tags are drawn after the whole shuffle
-    return tuple(zip(ranks, randbelows(rng, model.q, size)))
-
-
 def _loopless(H):
     return not any(H.has_edge(v, v) for v in range(H.n))
 
 
-def is_homomorphism_rule(rule, H, samples=100_000, rng_seed=0):
-    """Exact edge-ball scan in lexicographic order, or sampled falsification.
+def is_homomorphism_rule(rule, H):
+    """Exact answer: a scan of the edge ball in lexicographic order, or,
+    over the edge budget, the impossibility certificate.
 
-    Returns a CheckResult; a failed exact scan carries the lexicographically
-    first violating configuration as witness.  An alphabet rule into a
-    loopless target fails exactly at any radius: the first configuration,
-    all tags zero, is the constant-seed certificate's.
+    Returns a CheckResult; a failed scan carries the lexicographically first
+    violating configuration as witness, a certificate its configuration.
+    BudgetExceeded over the edge budget into a target with a loop, where no
+    certificate applies.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
     _require_target_alphabet(rule, H)
-    if rule.model.kind == "alphabet" and _loopless(H):
-        cert = alphabet_impossibility_certificate(H, rule.d, rule.t, rule.model.q)
-        witness = replay_certificate(cert, rule, H)
-        return CheckResult(passed=False, exact=True, samples_checked=None, witness=witness)
-    layout = rules.edge_ball_layout(rule.d, rule.t)
     try:
-        rules.check_edge_budget(rule.d, rule.t, rule.model)
+        layout = rules.check_edge_budget(rule.d, rule.t, rule.model)
     except BudgetExceeded:
-        exact = False
-        rng = random.Random(rng_seed)
-        configs = (_random_config(layout, rule.model, rng) for _ in range(samples))
-    else:
-        exact = True
-        configs = rules.edge_configs(layout, rule.model)
+        if not _loopless(H):
+            raise
+        cert = impossibility_certificate(H, rule.d, rule.t, rule.model)
+        return CheckResult(passed=False, witness=replay_certificate(cert, rule, H))
     code_u, code_v = rules.edge_coders(rule.d, rule.t, rule.model)
-    for config in configs:
+    for config in rules.edge_configs(layout, rule.model):
         x, y = rule.table[code_u(config)], rule.table[code_v(config)]
         if not H.has_edge(x, y):
-            return CheckResult(
-                passed=False,
-                exact=exact,
-                samples_checked=None,
-                witness=_witness_from_config(rule, config, (x, y)),
-            )
-    return CheckResult(
-        passed=True, exact=exact, samples_checked=None if exact else samples, witness=None
-    )
+            return CheckResult(passed=False, witness=_witness_from_config(rule, config, (x, y)))
+    return CheckResult(passed=True, witness=None)
 
 
 def replay_witness(rule, H, witness):
@@ -157,31 +138,84 @@ def replay_witness(rule, H, witness):
 
 
 # ---------------------------------------------------------------------------
-# the constant-seed collapse certificate
+# the impossibility certificate (see the module docstring)
 
 
 @dataclass(frozen=True)
-class ConstantSeedCertificate:
+class ImpossibilityCertificate:
     d: int
     t: int
-    q: int
+    model: rules.SeedModel
     config: tuple
     reasoning: tuple
 
+    def to_json_dict(self):
+        # an alphabet certificate's q names its model; hybrid:q shares q, so
+        # the other models print their name
+        if self.model.kind == "alphabet":
+            model = {"q": self.model.q}
+        else:
+            model = {"model": str(self.model)}
+        return jsonable(
+            {"d": self.d, "t": self.t, **model, "config": self.config, "reasoning": self.reasoning}
+        )
 
-def alphabet_impossibility_certificate(H, d, t, q):
-    """Certificate that no alphabet-model rule is a homomorphism rule into a
-    loopless target: the all-zero-tags edge-ball configuration."""
+
+def _axis_keys(layout):
+    """{vertex id: (delta - p, p, child-index path)} over the edge ball, for
+    the axis of the module docstring."""
+    keys = {}
+
+    def visit(node, p, step, delta, path):
+        keys[node[0]] = (delta - p, p, path)
+        kids = node[1]
+        if not delta and kids:  # an axis vertex: its first child goes on
+            visit(kids[0], p + step, step, 0, ())
+            kids = kids[1:]
+        for j, kid in enumerate(kids):
+            visit(kid, p, step, delta + 1, path + (j,))
+
+    # each endpoint's first child in its template is the other endpoint
+    for (root, kids), p, step in ((layout.u_template, 0, -1), (layout.v_template, 1, 1)):
+        visit((root, kids[1:]), p, step, 0, ())
+    return keys
+
+
+def impossibility_certificate(H, d, t, model):
+    """Certificate that no rule of the class is a homomorphism rule into the
+    loopless target H: an edge-ball configuration on which both endpoint
+    balls have the same canonical code.  ValueError when H has a loop, or
+    when the two codes differ (at d = 1, t >= 1)."""
     if not _loopless(H):
         raise ValueError("target must be loopless")
     layout = rules.edge_ball_layout(d, t)
-    return ConstantSeedCertificate(
+    if model.kind == "alphabet":
+        config = (0,) * layout.size
+        first = "all tags equal, so the two endpoint balls have identical canonical codes"
+    else:
+        keys = _axis_keys(layout)
+        rank = {i: r for r, i in enumerate(sorted(keys, key=keys.__getitem__), 1)}
+        config = tuple(
+            rank[i] if model.kind == "rank" else (rank[i], 0) for i in range(layout.size)
+        )
+        first = (
+            "seeds ordered along an axis through the edge, so the translation along it "
+            "carries ball(u) onto ball(v) and the two endpoint balls have identical "
+            "canonical codes"
+        )
+    code_u, code_v = rules.endpoint_codes(layout, model, config)
+    if code_u != code_v:
+        raise ValueError(
+            f"no impossibility certificate for {model} at d={d}, t={t}: "
+            "the axis configuration gives the endpoint balls different codes"
+        )
+    return ImpossibilityCertificate(
         d=d,
         t=t,
-        q=q,
-        config=tuple(0 for _ in range(layout.size)),
+        model=model,
+        config=config,
         reasoning=(
-            "all tags equal, so the two endpoint balls have identical canonical codes",
+            first,
             "equal canonical codes force equal outputs at both endpoints",
             "the target has no loops, so the monochromatic pair is not an edge",
         ),
@@ -189,9 +223,9 @@ def alphabet_impossibility_certificate(H, d, t, q):
 
 
 def replay_certificate(cert, rule, H):
-    """Run the certificate configuration against a candidate alphabet rule;
-    returns the resulting ViolationWitness."""
-    if rule.model != rules.alphabet(cert.q) or (rule.d, rule.t) != (cert.d, cert.t):
+    """Run the certificate configuration against a candidate rule of its
+    class; returns the resulting ViolationWitness."""
+    if (rule.d, rule.t, rule.model) != (cert.d, cert.t, cert.model):
         raise ValueError("rule does not match the certificate class")
     layout = rules.edge_ball_layout(cert.d, cert.t)
     cu, cv = rules.endpoint_codes(layout, rule.model, cert.config)
@@ -223,7 +257,7 @@ class SearchOutcome:
     rule: object = None
     witnesses: list = field(default_factory=list)  # (rule_index, ViolationWitness)
     caveat: str = ""
-    certificate: ConstantSeedCertificate | None = None
+    certificate: ImpossibilityCertificate | None = None
 
     def to_json_dict(self):
         sample = [{"rule_index": idx, **w.to_json_dict()} for idx, w in self.witnesses[:10]]
@@ -234,7 +268,9 @@ class SearchOutcome:
                 "witnesses_stored": len(self.witnesses),
                 "witness_sample": sample,
                 "class_caveat": self.caveat,
-                "certificate": None if self.certificate is None else asdict(self.certificate),
+                "certificate": (
+                    None if self.certificate is None else self.certificate.to_json_dict()
+                ),
             }
         )
 
@@ -277,7 +313,7 @@ def search(H, d, t, model, budget=None, force_enumeration=False):
     budget = budget or SearchBudget()
     caveat = class_caveat(d, t, model)
     if model.kind == "alphabet" and _loopless(H) and not force_enumeration:
-        cert = alphabet_impossibility_certificate(H, d, t, model.q)
+        cert = impossibility_certificate(H, d, t, model)
         return SearchOutcome(
             kind="ImpossibleByConstantSeeds",
             rules_examined=0,

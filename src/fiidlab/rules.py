@@ -462,9 +462,7 @@ def _enumerate_hybrid(d, t, q):
     return codes
 
 
-_ENUM_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def enumerate_canonical_balls_weighted(d, t, model):
     """All canonical balls with orbit sizes: (codes, counts, total).
 
@@ -473,9 +471,6 @@ def enumerate_canonical_balls_weighted(d, t, model):
     ``total`` the size of the raw configuration space, so counts[i]/total is
     the probability of the orbit under the seed model.  Cached per class.
     """
-    key = (d, t, model)
-    if key in _ENUM_CACHE:
-        return _ENUM_CACHE[key]
     check_degree_radius(d, t)
     check_enumeration_budget(d, t, model)
     B = ball_size(d, t)
@@ -492,8 +487,7 @@ def enumerate_canonical_balls_weighted(d, t, model):
         # every rank and hybrid orbit is free: its size is the group order
         counts = (ball_aut_order(d, t),) * len(codes)
     assert sum(counts) == total
-    result = _ENUM_CACHE[key] = (codes, counts, total)
-    return result
+    return codes, counts, total
 
 
 def enumerate_canonical_balls(d, t, model):
@@ -551,7 +545,7 @@ def evaluate(rule, raw):
 
 
 def builtin_rule(name, **params):
-    """Built-in rules: constant, max_seed_independent, rank_table, alphabet_table."""
+    """Built-in rules: constant, max_seed_independent, rank_table."""
     if name == "constant":
         label = params["label"]
         d = params.get("d", 3)
@@ -564,13 +558,12 @@ def builtin_rule(name, **params):
         top = d + 1
         table = {code: ("IN" if code[0] == top else "OUT") for code in codes}
         return make_rule(d, 1, rank(), ("IN", "OUT"), table)
-    if name in ("rank_table", "alphabet_table"):
-        model = rank() if name == "rank_table" else alphabet(params["q"])
+    if name == "rank_table":
         table = dict(params["table"])
         out = params.get("output_alphabet")
         if out is None:
             out = tuple(sorted(set(table.values()), key=str))
-        return make_rule(params["d"], params["t"], model, out, table)
+        return make_rule(params["d"], params["t"], rank(), out, table)
     raise UnknownName(f"unknown builtin rule {name!r}")
 
 
@@ -798,13 +791,8 @@ class EdgePairTable:
     order: tuple  # ((position, code_u, code_v, config), ...) sorted by position
 
 
-_PAIR_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def edge_pair_table(d, t, model):
-    key = (d, t, model)
-    if key in _PAIR_CACHE:
-        return _PAIR_CACHE[key]
     layout = check_edge_budget(d, t, model)
     code_u, code_v = edge_coders(d, t, model)
     counts = {}
@@ -819,6 +807,4 @@ def edge_pair_table(d, t, model):
     order = tuple(
         sorted((pos, pair[0], pair[1], cfg) for pair, (pos, cfg) in first.items())
     )
-    table = EdgePairTable(d=d, t=t, model=model, total=total, counts=counts, order=order)
-    _PAIR_CACHE[key] = table
-    return table
+    return EdgePairTable(d=d, t=t, model=model, total=total, counts=counts, order=order)

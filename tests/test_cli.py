@@ -313,18 +313,32 @@ class TestHomCommands:
             out, err = capsys.readouterr()
             assert out == "" and "need d >= 1 and t >= 0" in err, argv
 
-    def test_check_samples_must_be_positive(self, capsys, tmp_path):
-        # a rank t=2 rule is over the edge budget, so the check would sample
+    def test_check_over_edge_budget_is_exact(self, capsys, tmp_path):
+        # the rank t=2 edge ball has 14! orders; the certificate decides
         path = str(tmp_path / "r.rule")
         run(
             capsys, "rule", "random", "--d", "3", "--t", "2", "--model", "rank",
             "--alphabet", "0,1,2,3,4", "--seed", "1", "--out", path,
         )
-        for samples in ("-5", "0"):
-            argv = ["hom", "check", "--rule", path, "--target", "C5", "--samples", samples]
-            assert cli.main(["--no-timestamp", *argv]) == 2
-            out, err = capsys.readouterr()
-            assert out == "" and "samples must be >= 1" in err
+        code, payload, _ = run(capsys, "hom", "check", "--rule", path, "--target", "C5")
+        assert code == 1 and payload["passed"] is False and payload["exact"] is True
+        x, y = payload["witness"]["outputs"]
+        assert x == y
+        _, cert, _ = run(
+            capsys, "hom", "certificate", "--target", "C5", "--d", "3", "--t", "2",
+            "--model", "rank",
+        )
+        assert payload["witness"]["config"] == cert["config"]
+        argv = ["hom", "check", "--rule", path, "--target", "C5", "--samples", "5"]
+        assert cli.main(["--no-timestamp", *argv]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_certificate_refused_on_a_single_edge(self, capsys):
+        argv = ["hom", "certificate", "--target", "C5", "--model", "rank", "--d", "1",
+                "--t", "1"]
+        assert cli.main(["--no-timestamp", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "no impossibility certificate for rank at d=1, t=1" in err
 
 
 class TestSimCommands:

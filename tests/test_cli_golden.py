@@ -91,6 +91,26 @@ CASES = {
             ["hom", "check", "--rule", "a7.rule", "--target", "K3"],
         ],
     ),
+    # over the edge budget: the rank certificate's configuration is the witness
+    "hom_check_rank_t2": (
+        1,
+        [
+            [
+                "rule", "random", "--d", "3", "--t", "2", "--model", "rank",
+                "--alphabet", "0,1,2,3,4", "--seed", "1", "--out", "r1.rule",
+            ],
+            ["hom", "check", "--rule", "r1.rule", "--target", "C5"],
+        ],
+    ),
+    "hom_certificate_rank": (
+        0,
+        [
+            [
+                "hom", "certificate", "--target", "C5", "--d", "3", "--t", "2",
+                "--model", "rank",
+            ]
+        ],
+    ),
     # a rank t=1 rule over ten labels uses four: the six unused labels print
     # an exact "0" and a Monte Carlo integer 0
     "entropy_exact_unused_labels": (

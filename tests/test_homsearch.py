@@ -16,7 +16,7 @@ class TestChecker:
     def test_constant_rule_monochromatic(self):
         rule = rules.builtin_rule("constant", label=0, output_alphabet=tuple(range(5)))
         res = homsearch.is_homomorphism_rule(rule, C5)
-        assert not res.passed and res.exact
+        assert not res.passed
         assert res.witness.outputs == (0, 0)
 
     def test_alphabet_rule_fails_at_all_zeros(self):
@@ -60,14 +60,25 @@ class TestChecker:
         with pytest.raises(ValueError):
             homsearch.is_homomorphism_rule(rule, C5)
 
-    def test_sampled_fallback_for_rank_t2(self):
-        rule = rules.random_rule(3, 2, rules.rank(), tuple(range(5)), 1)
-        res = homsearch.is_homomorphism_rule(rule, C5, samples=500, rng_seed=2)
-        assert not res.exact
-        if res.passed:
-            assert "samples" in res.verdict
-        else:
-            assert homsearch.replay_witness(rule, C5, res.witness)
+    @pytest.mark.parametrize(
+        "d,t,model",
+        [(3, 3, rules.alphabet(2)), (2, 3, rules.hybrid(2)), (3, 1, rules.hybrid(5))],
+        ids=str,
+    )
+    def test_over_edge_budget_answers_with_certificate(self, d, t, model):
+        with pytest.raises(BudgetExceeded):
+            rules.check_edge_budget(d, t, model)
+        rule = rules.random_rule(d, t, model, tuple(range(5)), 4)
+        res = homsearch.is_homomorphism_rule(rule, C5)
+        cert = homsearch.impossibility_certificate(C5, d, t, model)
+        assert not res.passed and res.witness.config == cert.config
+        assert res.witness.outputs[0] == res.witness.outputs[1]
+        assert homsearch.replay_witness(rule, C5, res.witness)
+
+    def test_over_edge_budget_into_looped_target_is_refused(self):
+        rule = rules.random_rule(3, 1, rules.hybrid(5), (0, 1), 4)
+        with pytest.raises(BudgetExceeded):
+            homsearch.is_homomorphism_rule(rule, LoopedTarget(2, [(0, 1), (1, 1)]))
 
 
 class TestSearch:
@@ -137,7 +148,7 @@ def reference_search(H, d, t, model, budget=None, force_enumeration=False):
     budget = budget or homsearch.SearchBudget()
     caveat = homsearch.class_caveat(d, t, model)
     if model.kind == "alphabet" and homsearch._loopless(H) and not force_enumeration:
-        cert = homsearch.alphabet_impossibility_certificate(H, d, t, model.q)
+        cert = homsearch.impossibility_certificate(H, d, t, model)
         return homsearch.SearchOutcome(
             kind="ImpossibleByConstantSeeds", rules_examined=0, caveat=caveat, certificate=cert
         )
@@ -287,7 +298,7 @@ class TestSearchEqualsReference:
 
 class TestCertificate:
     def test_replayable_on_random_rules(self):
-        cert = homsearch.alphabet_impossibility_certificate(PETERSEN, 3, 1, 2)
+        cert = homsearch.impossibility_certificate(PETERSEN, 3, 1, rules.alphabet(2))
         assert cert.config == (0,) * 6
         for seed in range(50):
             rule = rules.random_rule(3, 1, rules.alphabet(2), tuple(range(10)), seed)
@@ -296,12 +307,49 @@ class TestCertificate:
             assert not PETERSEN.has_edge(*witness.outputs)
 
     def test_t2_shape(self):
-        cert = homsearch.alphabet_impossibility_certificate(C5, 3, 2, 3)
+        cert = homsearch.impossibility_certificate(C5, 3, 2, rules.alphabet(3))
         assert cert.config == (0,) * 14
         assert len(cert.reasoning) == 3
 
     def test_wrong_class_rejected(self):
-        cert = homsearch.alphabet_impossibility_certificate(C5, 3, 1, 2)
-        rule = rules.random_rule(3, 1, rules.alphabet(3), tuple(range(5)), 1)
-        with pytest.raises(ValueError):
-            homsearch.replay_certificate(cert, rule, C5)
+        cert = homsearch.impossibility_certificate(C5, 3, 1, rules.alphabet(2))
+        for model in (rules.alphabet(3), rules.hybrid(2)):
+            rule = rules.random_rule(3, 1, model, tuple(range(5)), 1)
+            with pytest.raises(ValueError):
+                homsearch.replay_certificate(cert, rule, C5)
+
+    @pytest.mark.parametrize("model", [rules.alphabet(2), rules.rank(), rules.hybrid(2)], ids=str)
+    def test_endpoint_codes_equal(self, model):
+        for d, t in product(range(2, 6), range(4)):
+            cert = homsearch.impossibility_certificate(C5, d, t, model)
+            layout = rules.edge_ball_layout(d, t)
+            code_u, code_v = rules.endpoint_codes(layout, model, cert.config)
+            assert code_u == code_v, (d, t)
+
+    @pytest.mark.parametrize(
+        "d,t,model",
+        [(3, 1, rules.rank()), (2, 3, rules.rank()), (3, 1, rules.hybrid(2)),
+         (2, 2, rules.hybrid(2))],
+        ids=str,
+    )
+    def test_replay_on_random_ordered_rules(self, d, t, model):
+        for H in (C5, PETERSEN):
+            cert = homsearch.impossibility_certificate(H, d, t, model)
+            for seed in range(10):
+                rule = rules.random_rule(d, t, model, tuple(range(H.n)), seed)
+                witness = homsearch.replay_certificate(cert, rule, H)
+                assert witness.outputs[0] == witness.outputs[1]
+                assert not H.has_edge(*witness.outputs)
+                assert homsearch.replay_witness(rule, H, witness)
+
+    def test_refused_where_the_endpoint_codes_differ(self):
+        # T_1 is one edge: at t >= 1 the endpoints hold opposite ranks (see
+        # test_found), at t = 0 each sees its own seed alone
+        assert homsearch.impossibility_certificate(C5, 1, 0, rules.rank()).config == (2, 1)
+        for model in (rules.rank(), rules.hybrid(2)):
+            with pytest.raises(ValueError, match="no impossibility certificate"):
+                homsearch.impossibility_certificate(C5, 1, 1, model)
+
+    def test_looped_target_refused(self):
+        with pytest.raises(ValueError, match="loopless"):
+            homsearch.impossibility_certificate(LoopedTarget(2, [(1, 1)]), 3, 1, rules.rank())

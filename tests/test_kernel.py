@@ -428,10 +428,13 @@ def test_hot_builds_skip_public_canonicalize(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(rules, name, counted)
-    monkeypatch.setattr(rules, "_PAIR_CACHE", {})
-    monkeypatch.setattr(rules, "_ENUM_CACHE", {})
-    monkeypatch.setattr(entropy, "_HALF_TREE_CACHE", {})
-    monkeypatch.setattr(entropy, "_INTERLEAVING_CACHE", {})
+    for cached in (
+        rules.edge_pair_table,
+        rules.enumerate_canonical_balls_weighted,
+        entropy._half_tree_structure,
+        entropy._interleaving_structure,
+    ):
+        cached.cache_clear()
     table = rules.edge_pair_table(3, 1, rules.hybrid(2))
     entropy._half_tree_structure(3, 2, 2)
     for d, t, model in ((3, 1, rules.hybrid(2)), (2, 3, rules.rank())):
@@ -461,7 +464,7 @@ def test_enumerations_skip_coder_and_decode(monkeypatch):
 
     monkeypatch.setattr(rules, "ball_coder", counted_coder)
     monkeypatch.setattr(rules, "_decode", counted_decode)
-    monkeypatch.setattr(rules, "_ENUM_CACHE", {})
+    rules.enumerate_canonical_balls_weighted.cache_clear()
     rules._alphabet_subtree_types.cache_clear()
     classes = [
         (3, 2, rules.alphabet(2)),
