@@ -213,13 +213,12 @@ def _marginals_for(args, rule):
 
 
 def _laws_payload(vertex, pair):
-    report = entropy.audit(vertex, pair).report
     return {
         "vertex": _dist_payload(vertex),
         "pair": _pair_payload(pair),
-        "h_vertex": report.h_vertex,
-        "h_edge": report.h_edge,
-        "h_nbr_given_vertex": report.h_nbr_given_vertex,
+        "h_vertex": entropy.entropy(vertex),
+        "h_edge": entropy.joint_entropy(pair),
+        "h_nbr_given_vertex": entropy.conditional_entropy(pair),
     }
 
 

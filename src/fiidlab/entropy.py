@@ -73,7 +73,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 from operator import mul
 
-from . import jsonable, randbelows, rules
+from . import graphs, jsonable, randbelows, rules
 from .rules import BudgetExceeded
 
 
@@ -666,14 +666,40 @@ class AuditResult:
         }
 
 
+def support_violations(pair, H):
+    """(mass as float, a, b) of each positive pair that is not an edge of H,
+    in the order of pair.counts."""
+    D = pair.denominator
+    return [
+        (float(x / D), a, b)
+        for (a, b), x in pair.counts.items()
+        if x > 0 and not H.has_edge(a, b)
+    ]
+
+
+def entropy_caps(r):
+    """(ln r, 3 ln r): the caps on the neighbor entropy h(X|Y) and on the
+    vertex entropy of a d=3 law supported on the edges of an r-regular target."""
+    return math.log(r), 3 * math.log(r)
+
+
+def tolerance(dists, n_samples):
+    """Slack of the entropy verdicts: 1e-9 for exact laws (n_samples None);
+    for Monte Carlo laws of n_samples, 3 sigma per distribution plus 1e-9."""
+    if n_samples is None:
+        return 1e-9
+    return 3 * sum(entropy_sigma(dist, n_samples) for dist in dists) + 1e-9
+
+
 def audit(vertex, pair, r=None, H=None):
     """Entropy report plus verdicts.
 
     Checks, in order: (a) the edge law dominates 4/3 of the vertex entropy;
     (b) when a target graph is given, the pair support lies inside its edge
-    set; (c) when the support check passes and a regularity r is known, the
-    neighbor entropy is at most ln r and the vertex entropy at most 3 ln r.
-    Tolerance is 1e-9 for exact laws and 3 sigma for Monte Carlo ones.
+    set; (c) when the support check passes and a regularity r is known (or
+    read from H), the neighbor and vertex entropies are within
+    `entropy_caps(r)`.  The slack is `tolerance` of the vertex law and the
+    pair marginal.
     """
     if r is not None and r < 1:
         raise ValueError(f"regularity r must be >= 1, got {r}")
@@ -701,45 +727,23 @@ def audit(vertex, pair, r=None, H=None):
     h_n = conditional_entropy(pair)
 
     if H is not None and r is None:
-        degs = {len(adj) for adj in H.adjacency}
-        r = degs.pop() if len(degs) == 1 else None
+        r = graphs.regular_degree(H)
 
-    if ns:
-        n = min(ns)
-        tol = 3 * (entropy_sigma(vertex, n) + entropy_sigma(marginal, n)) + 1e-9
-    else:
-        tol = 1e-9
-
+    tol = tolerance((vertex, marginal), min(ns) if ns else None)
     slack = h_e - (4.0 / 3.0) * h_v
     verdicts = [Verdict("edge_vertex", slack >= -tol, slack)]
 
     support_ok = None
     if H is not None:
-        bad_mass = sum(
-            float(x / pair.denominator)
-            for (a, b), x in pair.counts.items()
-            if x > 0
-            and not (
-                isinstance(a, int)
-                and isinstance(b, int)
-                and 0 <= a < H.n
-                and 0 <= b < H.n
-                and H.has_edge(a, b)
-            )
-        )
-        support_ok = bad_mass == 0
-        verdicts.append(Verdict("support_in_target", support_ok, -bad_mass))
+        bad = support_violations(pair, H)
+        support_ok = not bad
+        verdicts.append(Verdict("support_in_target", support_ok, -sum(x for x, _, _ in bad)))
 
     if r is not None and (support_ok or (H is None)):
+        nbr_cap, vertex_cap = entropy_caps(r)
+        verdicts.append(Verdict("nbr_entropy_cap", h_n <= nbr_cap + tol, nbr_cap - h_n))
         verdicts.append(
-            Verdict("nbr_entropy_cap", h_n <= math.log(r) + tol, math.log(r) - h_n)
-        )
-        verdicts.append(
-            Verdict(
-                "vertex_entropy_cap",
-                h_v <= 3 * math.log(r) + tol,
-                3 * math.log(r) - h_v,
-            )
+            Verdict("vertex_entropy_cap", h_v <= vertex_cap + tol, vertex_cap - h_v)
         )
 
     report = EntropyReport(

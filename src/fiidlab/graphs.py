@@ -71,9 +71,6 @@ class FiniteGraph:
     def degree(self, v):
         return len(self.adjacency[v])
 
-    def neighbors(self, v):
-        return self.adjacency[v]
-
     def max_degree(self):
         return max((len(a) for a in self.adjacency), default=0)
 
@@ -313,14 +310,18 @@ def girth_by_enumeration(G, max_len=None):
     return INFINITE
 
 
+def regular_degree(G):
+    """The common degree of G's vertices, or None if they differ (or G is empty)."""
+    degs = {len(a) for a in G.adjacency}
+    return degs.pop() if len(degs) == 1 else None
+
+
 def profile(G):
     """Girth, regularity, bipartiteness, and connectivity of G."""
     bipartite, components = _two_color_components(G)
-    degs = {len(a) for a in G.adjacency}
-    regular = degs.pop() if len(degs) == 1 else None
     return GraphProfile(
         girth=_girth(G, components),
-        regular_degree=regular,
+        regular_degree=regular_degree(G),
         bipartite=bipartite,
         connected=components <= 1,
     )

@@ -184,10 +184,18 @@ def _axis_keys(layout):
 def impossibility_certificate(H, d, t, model):
     """Certificate that no rule of the class is a homomorphism rule into the
     loopless target H: an edge-ball configuration on which both endpoint
-    balls have the same canonical code.  ValueError when H has a loop, or
+    balls have the same canonical code.  ValueError when H has a loop, when
+    a rank or hybrid ball has more vertices than a code byte holds ranks, or
     when the two codes differ (at d = 1, t >= 1)."""
     if not _loopless(H):
         raise ValueError("target must be loopless")
+    rules.check_degree_radius(d, t)
+    size = rules.ball_size(d, t)
+    if model.kind != "alphabet" and size > 255:
+        raise ValueError(
+            f"no impossibility certificate for {model} at d={d}, t={t}: "
+            f"its balls have {size} vertices, more ranks than a code byte holds (255)"
+        )
     layout = rules.edge_ball_layout(d, t)
     if model.kind == "alphabet":
         config = (0,) * layout.size

@@ -545,7 +545,7 @@ def evaluate(rule, raw):
 
 
 def builtin_rule(name, **params):
-    """Built-in rules: constant, max_seed_independent, rank_table."""
+    """Built-in rules: constant, max_seed_independent."""
     if name == "constant":
         label = params["label"]
         d = params.get("d", 3)
@@ -558,12 +558,6 @@ def builtin_rule(name, **params):
         top = d + 1
         table = {code: ("IN" if code[0] == top else "OUT") for code in codes}
         return make_rule(d, 1, rank(), ("IN", "OUT"), table)
-    if name == "rank_table":
-        table = dict(params["table"])
-        out = params.get("output_alphabet")
-        if out is None:
-            out = tuple(sorted(set(table.values()), key=str))
-        return make_rule(params["d"], params["t"], rank(), out, table)
     raise UnknownName(f"unknown builtin rule {name!r}")
 
 

@@ -11,12 +11,12 @@ The pipeline walks the refutation chain for a candidate rule against a
 regular target H: (1) is the pair law supported on edges of H, (2) is the
 vertex entropy within 3 ln r, (3) how much mass escapes the C-1 heaviest
 labels, (4) is the selected set acyclic in H, (5) does the composed partial
-2-coloring reach domain mass 1 - c0.  Each step reports its numbers; the
-classification names the refuting step or states that no refutation follows
-at the chosen parameters.
+2-coloring reach domain mass 1 - c0.  Steps 1 and 2 use the checks of
+`entropy.audit`: `support_violations`, `entropy_caps` and `tolerance`.  Each
+step reports its numbers; the classification names the refuting step or
+states that no refutation follows at the chosen parameters.
 """
 
-import math
 import random
 from collections import deque
 from dataclasses import asdict, dataclass
@@ -210,11 +210,13 @@ def _weakened(C, r, c0):
         return True
 
 
-def pipeline_from_laws(vertex, pair, H, c0, C, marginal_mode="exact"):
+def pipeline_from_laws(vertex, pair, H, c0, C):
     """Run the refutation chain on explicitly given marginals.
 
     This is the testing hook behind `theorem_pipeline`; it accepts any
     consistent (vertex, pair) laws, so synthetic laws can be audited too.
+    The report's `marginal_mode` is "exact" or "mc:<n>", from the vertex
+    law's provenance.
     """
     prof = graphs.profile(H)
     if prof.regular_degree is None:
@@ -223,19 +225,11 @@ def pipeline_from_laws(vertex, pair, H, c0, C, marginal_mode="exact"):
     if r < 1:
         raise ValueError(f"the pipeline needs a target of degree >= 1, got degree {r}")
     c0f = ent.c0_fraction(c0)
-    mc = vertex.provenance.kind == "monte_carlo"
-    tol = 1e-9
-    if mc:
-        tol = 3 * ent.entropy_sigma(vertex, vertex.provenance.n_samples) + 1e-9
-
+    n_samples = vertex.provenance.n_samples
     steps = []
 
     # (1) support: every positive pair must be an edge of H
-    bad = sorted(
-        (float(x), a, b)
-        for (a, b), x in pair.probs.items()
-        if x > 0 and not H.has_edge(a, b)
-    )
+    bad = sorted(ent.support_violations(pair, H))
     bad_mass = sum(x for x, _, _ in bad)
     support_ok = not bad
     steps.append(
@@ -252,8 +246,8 @@ def pipeline_from_laws(vertex, pair, H, c0, C, marginal_mode="exact"):
 
     # (2) vertex entropy against 3 ln r
     h_v = ent.entropy(vertex)
-    cap = 3 * math.log(r)
-    cap_ok = h_v <= cap + tol
+    _, cap = ent.entropy_caps(r)
+    cap_ok = h_v <= cap + ent.tolerance((vertex,), n_samples)
     steps.append(
         PipelineStep(
             2,
@@ -340,7 +334,7 @@ def pipeline_from_laws(vertex, pair, H, c0, C, marginal_mode="exact"):
         r=r,
         girth=prof.girth,
         hypothesis_weakened=_weakened(C, r, c0f),
-        marginal_mode=marginal_mode,
+        marginal_mode="exact" if n_samples is None else f"mc:{n_samples}",
         steps=steps,
         classification=classification,
     )
@@ -352,12 +346,10 @@ def theorem_pipeline(rule, H, c0, C, mode="exact", samples=None, rng_seed=None):
         raise ValueError("rule output alphabet must equal the target vertex set")
     if mode == "exact":
         vertex, pair = ent.exact_marginals(rule)
-        label = "exact"
     elif mode == "mc":
         if not samples:
             raise ValueError("mc mode needs a sample count")
         vertex, pair = ent.mc_marginals(rule, samples, rng_seed or 0)
-        label = f"mc:{samples}"
     else:
         raise ValueError(f"unknown marginal mode {mode!r}")
-    return pipeline_from_laws(vertex, pair, H, c0, C, marginal_mode=label)
+    return pipeline_from_laws(vertex, pair, H, c0, C)

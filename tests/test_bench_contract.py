@@ -1,7 +1,8 @@
 """The library API that the benchmark in `perfbench/` relies on.
 
 `perfbench/spans.py` wraps each function it names in `TRACED` and binds the
-arguments of each call to the function's signature for its hooks.  A
+arguments of each call to the function's signature for its hooks, and
+`perfbench/workloads.py` calls the library with keyword arguments.  A
 renamed function or parameter would break the benchmark only when it runs;
 these checks make it fail the test suite at once.
 """
@@ -22,6 +23,14 @@ BOUND = {
     "entropy.exact_marginals": ("rule",),
     "entropy.mc_marginals": ("rule", "n_samples"),
     "simulate.run_on_graph": ("G",),
+}
+
+# the keyword arguments the workloads pass, by called function or class
+CALLED = {
+    "entropy.audit": ("r",),
+    "simulate.theorem_pipeline": ("mode",),
+    "homsearch.search": ("budget", "force_enumeration"),
+    "homsearch.SearchBudget": ("rng_seed",),
 }
 
 
@@ -49,10 +58,20 @@ def test_every_bound_function_has_a_hook():
     assert set(BOUND) <= set(SPANS.HOOKS)
 
 
-@pytest.mark.parametrize("qualname", sorted(SPANS.HOOKS))
-def test_hook_arguments_are_parameters(qualname):
+def _missing(qualname, names):
     module_name, name = qualname.split(".")
     fn = getattr(importlib.import_module(f"fiidlab.{module_name}"), name)
     params = inspect.signature(fn).parameters
-    missing = [p for p in BOUND.get(qualname, ()) if p not in params]
+    return [p for p in names if p not in params]
+
+
+@pytest.mark.parametrize("qualname", sorted(SPANS.HOOKS))
+def test_hook_arguments_are_parameters(qualname):
+    missing = _missing(qualname, BOUND.get(qualname, ()))
+    assert not missing, f"{qualname} lacks {missing}"
+
+
+@pytest.mark.parametrize("qualname", sorted(CALLED))
+def test_workload_keywords_are_parameters(qualname):
+    missing = _missing(qualname, CALLED[qualname])
     assert not missing, f"{qualname} lacks {missing}"

@@ -340,6 +340,25 @@ class TestHomCommands:
         out, err = capsys.readouterr()
         assert out == "" and "no impossibility certificate for rank at d=1, t=1" in err
 
+    def test_certificate_refused_by_name_past_a_code_byte(self, capsys):
+        # rank and hybrid codes spend a byte per rank; at d=5 a t=4 ball has 426
+        for model in ("rank", "hybrid:2"):
+            argv = ["hom", "certificate", "--target", "C5", "--model", model, "--d", "5",
+                    "--t", "4"]
+            assert cli.main(["--no-timestamp", *argv]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "MalformedBall" not in err
+            assert (
+                f"no impossibility certificate for {model} at d=5, t=4: its balls have 426 "
+                "vertices, more ranks than a code byte holds (255)"
+            ) in err
+        code, payload, _ = run(
+            capsys, "hom", "certificate", "--target", "C5", "--model", "rank", "--d", "5",
+            "--t", "3",
+        )
+        # 106-vertex balls, in a 170-vertex edge ball
+        assert code == 0 and (payload["d"], payload["t"], len(payload["config"])) == (5, 3, 170)
+
 
 class TestSimCommands:
     def test_run_and_labels(self, capsys, tmp_path):

@@ -267,26 +267,22 @@ class TestBuiltinRules:
     def test_incomplete_table(self):
         balls = rules.enumerate_canonical_balls(3, 1, rules.rank())
         table = {code: "x" for code in balls[:3]}
-        with pytest.raises(rules.IncompleteTable):
-            rules.builtin_rule("rank_table", d=3, t=1, table=table)
+
+        def make(table):
+            return rules.make_rule(3, 1, rules.rank(), ("x",), table)
+
+        with pytest.raises(rules.IncompleteTable, match="^table covers 3 of 4 canonical balls$"):
+            make(table)
         unknown = bytes((9, 9, 9, 9))
         with pytest.raises(ValueError, match="^table has 1 entries for unknown balls$"):
-            rules.builtin_rule(
-                "rank_table", d=3, t=1, table={**dict.fromkeys(balls, "x"), unknown: "x"}
-            )
+            make({**dict.fromkeys(balls, "x"), unknown: "x"})
         # missing and unknown keys together: the missing ones are reported
         with pytest.raises(rules.IncompleteTable, match="^table covers 3 of 4 canonical balls$"):
-            rules.builtin_rule("rank_table", d=3, t=1, table={**table, unknown: "x"})
+            make({**table, unknown: "x"})
 
     def test_unknown_name(self):
         with pytest.raises(rules.UnknownName):
             rules.builtin_rule("most_seed_independent")
-
-    def test_rank_table_roundtrip_values(self):
-        balls = rules.enumerate_canonical_balls(3, 1, rules.rank())
-        table = {code: i for i, code in enumerate(balls)}
-        rule = rules.builtin_rule("rank_table", d=3, t=1, table=table)
-        assert rule.output_alphabet == (0, 1, 2, 3)
 
 
 class TestRandomRule:

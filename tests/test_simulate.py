@@ -10,6 +10,10 @@ from fiidlab import entropy, graphs, rules, simulate
 MAX_SEED = rules.builtin_rule("max_seed_independent", d=3)
 PETERSEN = graphs.named_graph("Petersen")
 HEAWOOD = graphs.named_graph("Heawood")
+# max_seed_independent with IN -> 0, OUT -> 1: (OUT, OUT) is the non-edge (1, 1)
+RECODED_MAX_SEED = rules.recode_outputs(
+    MAX_SEED, {"IN": 0, "OUT": 1}, output_alphabet=tuple(range(10))
+)
 
 
 def heawood_uniform_edge_law():
@@ -69,11 +73,8 @@ class TestRunOnGraph:
         assert tv < 0.02
 
     def test_violation_stats_against_target(self):
-        recoded = rules.recode_outputs(
-            MAX_SEED, {"IN": 0, "OUT": 1}, output_alphabet=tuple(range(10))
-        )
         G = graphs.random_regular(2000, 3, 3)
-        _, report = simulate.run_on_graph(recoded, G, 9, target=PETERSEN)
+        _, report = simulate.run_on_graph(RECODED_MAX_SEED, G, 9, target=PETERSEN)
         assert report.covered_edges > 0
         # (OUT, OUT) edges recode to the non-edge (1, 1), about half of them
         assert 0.3 < report.violating_edge_fraction < 0.7
@@ -100,10 +101,7 @@ class TestPipeline:
         assert (0, 0) in report.step(1).data["violating_pairs"]
 
     def test_recoded_max_seed_refuted_at_support(self):
-        recoded = rules.recode_outputs(
-            MAX_SEED, {"IN": 0, "OUT": 1}, output_alphabet=tuple(range(10))
-        )
-        report = simulate.theorem_pipeline(recoded, PETERSEN, 0.089, 5)
+        report = simulate.theorem_pipeline(RECODED_MAX_SEED, PETERSEN, 0.089, 5)
         assert report.step(1).passed is False
         assert report.step(1).data["violating_mass"] == pytest.approx(0.5, abs=1e-12)
         assert report.classification.startswith("refuted at step 1")
@@ -146,14 +144,16 @@ class TestPipeline:
             assert report.classification.startswith("refuted at step 1")
 
     def test_mc_mode(self):
-        recoded = rules.recode_outputs(
-            MAX_SEED, {"IN": 0, "OUT": 1}, output_alphabet=tuple(range(10))
-        )
         report = simulate.theorem_pipeline(
-            recoded, PETERSEN, 0.089, 5, mode="mc", samples=20_000, rng_seed=3
+            RECODED_MAX_SEED, PETERSEN, 0.089, 5, mode="mc", samples=20_000, rng_seed=3
         )
         assert report.marginal_mode == "mc:20000"
         assert report.classification.startswith("refuted at step 1")
+
+    def test_mode_is_read_from_the_laws(self):
+        vertex, pair = entropy.mc_marginals(RECODED_MAX_SEED, 2_000, 3)
+        report = simulate.pipeline_from_laws(vertex, pair, PETERSEN, 0.089, 5)
+        assert report.marginal_mode == "mc:2000"
 
     def test_requires_regular_target(self):
         path = graphs.build_graph(3, [(0, 1), (1, 2)])
@@ -171,3 +171,30 @@ class TestPipeline:
         payload = json.loads(json.dumps(report.to_json_dict()))
         assert payload["classification"] == report.classification
         assert payload["steps"][2]["data"]["outside_mass"]["exact"] == "5/7"
+
+
+class TestAuditAgreesWithPipeline:
+    """The audit and pipeline steps 1-2 run the same checks on one law."""
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_support_margin_is_minus_violating_mass(self, mode):
+        if mode == "exact":
+            vertex, pair = entropy.exact_marginals(RECODED_MAX_SEED)
+        else:
+            vertex, pair = entropy.mc_marginals(RECODED_MAX_SEED, 2_000, 3)
+        res = entropy.audit(vertex, pair, H=PETERSEN)
+        step = simulate.pipeline_from_laws(vertex, pair, PETERSEN, 0.089, 5).step(1)
+        (support,) = [v for v in res.verdicts if v.check == "support_in_target"]
+        assert support.passed is step.passed is False
+        assert support.margin == pytest.approx(-step.data["violating_mass"], abs=1e-12)
+        if mode == "exact":
+            assert step.data["violating_mass"] == pytest.approx(0.5, abs=1e-12)
+
+    def test_vertex_entropy_cap_margin(self):
+        vertex, pair = heawood_uniform_edge_law()
+        res = entropy.audit(vertex, pair, H=HEAWOOD)
+        step = simulate.pipeline_from_laws(vertex, pair, HEAWOOD, 0.089, 5).step(2)
+        (cap,) = [v for v in res.verdicts if v.check == "vertex_entropy_cap"]
+        assert res.report.r == 3
+        assert cap.passed is step.passed is True
+        assert cap.margin == step.data["margin"]
