@@ -8,7 +8,7 @@ from itertools import repeat
 __version__ = "0.1.0"
 
 # version of the JSON envelope every CLI run prints; payloads carry none
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def jsonable(x):

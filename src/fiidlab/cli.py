@@ -157,6 +157,9 @@ def _cmd_rule_make(args):
             "constant", label=rules._parse_label(args.label), d=args.d, output_alphabet=out
         )
     elif args.name == "max_seed_independent":
+        for flag in ("label", "alphabet"):
+            if getattr(args, flag) is not None:
+                raise UsageError(f"rule make --name max_seed_independent takes no --{flag}")
         rule = rules.builtin_rule("max_seed_independent", d=args.d)
     else:
         raise UsageError(
@@ -193,7 +196,8 @@ def _cmd_rule_show(args):
 
 def _check_samples(args):
     """--samples, where a subcommand takes it, is at least 1; where the
-    subcommand also takes --exact, exactly one of the two is given."""
+    subcommand also takes --exact, exactly one of the two is given, and
+    --seed, which only Monte Carlo runs read, comes without --exact."""
     samples = getattr(args, "samples", None)
     if samples is not None and samples < 1:
         raise UsageError(f"--samples must be >= 1, got {samples}")
@@ -203,6 +207,8 @@ def _check_samples(args):
         raise UsageError("give --exact or --samples N, not both")
     if not args.exact and samples is None:
         raise UsageError("give --exact or --samples N")
+    if args.exact and args.seed is not None:
+        raise UsageError("--seed applies only to --samples runs, not to --exact")
 
 
 def _marginals_for(args, rule):
@@ -274,7 +280,6 @@ def _cmd_hom_check(args):
     res = homsearch.is_homomorphism_rule(rule, H)
     payload = {
         "passed": res.passed,
-        "exact": True,
         "verdict": res.verdict,
         "witness": None if res.witness is None else res.witness.to_json_dict(),
     }
@@ -321,12 +326,10 @@ def _cmd_sim_pipeline(args):
     H = _load_target(args.target)
     if args.c0 is None or args.C is None:
         raise UsageError("sim pipeline needs --c0 and --C")
-    if args.exact:
-        report = simulate.theorem_pipeline(rule, H, args.c0, args.C)
-    else:
-        report = simulate.theorem_pipeline(
-            rule, H, args.c0, args.C, mode="mc", samples=args.samples, rng_seed=args.seed or 0
-        )
+    mode = "exact" if args.exact else "mc"
+    report = simulate.theorem_pipeline(
+        rule, H, args.c0, args.C, mode=mode, samples=args.samples, rng_seed=args.seed
+    )
     refuted = report.classification.startswith("refuted")
     return report.to_json_dict(), 0 if refuted else 1
 

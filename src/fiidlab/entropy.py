@@ -683,12 +683,12 @@ def entropy_caps(r):
     return math.log(r), 3 * math.log(r)
 
 
-def tolerance(dists, n_samples):
-    """Slack of the entropy verdicts: 1e-9 for exact laws (n_samples None);
-    for Monte Carlo laws of n_samples, 3 sigma per distribution plus 1e-9."""
+def tolerance(dist, n_samples):
+    """Slack of the entropy verdicts: 1e-9 for an exact law (n_samples None);
+    for a Monte Carlo law of n_samples, 3 sigma of its entropy plus 1e-9."""
     if n_samples is None:
         return 1e-9
-    return 3 * sum(entropy_sigma(dist, n_samples) for dist in dists) + 1e-9
+    return 3 * entropy_sigma(dist, n_samples) + 1e-9
 
 
 def audit(vertex, pair, r=None, H=None):
@@ -698,8 +698,8 @@ def audit(vertex, pair, r=None, H=None):
     (b) when a target graph is given, the pair support lies inside its edge
     set; (c) when the support check passes and a regularity r is known (or
     read from H), the neighbor and vertex entropies are within
-    `entropy_caps(r)`.  The slack is `tolerance` of the vertex law and the
-    pair marginal.
+    `entropy_caps(r)`.  The slack is `tolerance` of the vertex law, as in
+    pipeline step 2.
     """
     if r is not None and r < 1:
         raise ValueError(f"regularity r must be >= 1, got {r}")
@@ -729,7 +729,7 @@ def audit(vertex, pair, r=None, H=None):
     if H is not None and r is None:
         r = graphs.regular_degree(H)
 
-    tol = tolerance((vertex, marginal), min(ns) if ns else None)
+    tol = tolerance(vertex, min(ns) if ns else None)
     slack = h_e - (4.0 / 3.0) * h_v
     verdicts = [Verdict("edge_vertex", slack >= -tol, slack)]
 

@@ -1,10 +1,11 @@
 """Search for homomorphism rules into a finite target graph.
 
 A rule is a homomorphism rule when, for every seed configuration of the
-edge ball, the two endpoint outputs form an edge of the target.  The checker
-scans the configurations in lexicographic order when they fit the edge
-budget; beyond it, into a loopless target, it replays the impossibility
-certificate below, so its answer is exact at every radius.  The search
+edge ball, the two endpoint outputs form an edge of the target.  Both entry
+points answer by one rule, for every seed model: they scan when the class
+fits the budgets, and past a budget they answer with the impossibility
+certificate below where one exists, and BudgetExceeded where none does.  The
+checker scans the configurations in lexicographic order; the search
 enumerates whole rule tables in mixed-radix order over the canonical balls.
 
 The search walks the mixed-radix digits depth first, ball 0 most
@@ -92,33 +93,18 @@ def _witness_from_config(rule, config, outputs):
     )
 
 
-def _require_target_alphabet(rule, H):
-    if set(rule.output_alphabet) != set(range(H.n)):
-        raise ValueError(
-            "rule output alphabet must equal the target vertex set 0..n-1"
-        )
-
-
-def _loopless(H):
-    return not any(H.has_edge(v, v) for v in range(H.n))
-
-
 def is_homomorphism_rule(rule, H):
-    """Exact answer: a scan of the edge ball in lexicographic order, or,
-    over the edge budget, the impossibility certificate.
-
-    Returns a CheckResult; a failed scan carries the lexicographically first
-    violating configuration as witness, a certificate its configuration.
-    BudgetExceeded over the edge budget into a target with a loop, where no
-    certificate applies.
-    """
-    _require_target_alphabet(rule, H)
+    """Exact answer by the module's rule: a scan of the edge ball in
+    lexicographic order, whose witness is the first violating configuration,
+    or past the edge budget the certificate, whose witness is its own."""
+    if set(rule.output_alphabet) != set(range(H.n)):
+        raise ValueError("rule output alphabet must equal the target vertex set 0..n-1")
     try:
         layout = rules.check_edge_budget(rule.d, rule.t, rule.model)
     except BudgetExceeded:
-        if not _loopless(H):
+        cert = _certificate_or_none(H, rule.d, rule.t, rule.model)
+        if cert is None:
             raise
-        cert = impossibility_certificate(H, rule.d, rule.t, rule.model)
         return CheckResult(passed=False, witness=replay_certificate(cert, rule, H))
     code_u, code_v = rules.edge_coders(rule.d, rule.t, rule.model)
     for config in rules.edge_configs(layout, rule.model):
@@ -181,18 +167,22 @@ def _axis_keys(layout):
     return keys
 
 
+class NoCertificate(ValueError):
+    """The impossibility certificate does not exist for the class and target."""
+
+
 def impossibility_certificate(H, d, t, model):
     """Certificate that no rule of the class is a homomorphism rule into the
     loopless target H: an edge-ball configuration on which both endpoint
-    balls have the same canonical code.  ValueError when H has a loop, when
-    a rank or hybrid ball has more vertices than a code byte holds ranks, or
-    when the two codes differ (at d = 1, t >= 1)."""
-    if not _loopless(H):
-        raise ValueError("target must be loopless")
+    balls have the same canonical code.  NoCertificate when H has a loop,
+    when a rank or hybrid ball has more vertices than a code byte holds
+    ranks, or when the two codes differ (at d = 1, t >= 1)."""
+    if any(H.has_edge(v, v) for v in range(H.n)):
+        raise NoCertificate("target must be loopless")
     rules.check_degree_radius(d, t)
     size = rules.ball_size(d, t)
     if model.kind != "alphabet" and size > 255:
-        raise ValueError(
+        raise NoCertificate(
             f"no impossibility certificate for {model} at d={d}, t={t}: "
             f"its balls have {size} vertices, more ranks than a code byte holds (255)"
         )
@@ -213,7 +203,7 @@ def impossibility_certificate(H, d, t, model):
         )
     code_u, code_v = rules.endpoint_codes(layout, model, config)
     if code_u != code_v:
-        raise ValueError(
+        raise NoCertificate(
             f"no impossibility certificate for {model} at d={d}, t={t}: "
             "the axis configuration gives the endpoint balls different codes"
         )
@@ -228,6 +218,15 @@ def impossibility_certificate(H, d, t, model):
             "the target has no loops, so the monochromatic pair is not an edge",
         ),
     )
+
+
+def _certificate_or_none(H, d, t, model):
+    """The answer past a budget: the class's impossibility certificate, or
+    None where none exists."""
+    try:
+        return impossibility_certificate(H, d, t, model)
+    except NoCertificate:
+        return None
 
 
 def replay_certificate(cert, rule, H):
@@ -260,7 +259,7 @@ class SearchBudget:
 
 @dataclass
 class SearchOutcome:
-    kind: str  # Found | ExhaustedNone | ImpossibleByConstantSeeds | BudgetExceeded
+    kind: str  # Found | ExhaustedNone | Impossible | BudgetExceeded
     rules_examined: int
     rule: object = None
     witnesses: list = field(default_factory=list)  # (rule_index, ViolationWitness)
@@ -312,38 +311,34 @@ def rule_at_cursor(d, t, model, output_alphabet, index):
 def search(H, d, t, model, budget=None, force_enumeration=False):
     """Scan the whole rule class for a homomorphism rule into H.
 
-    Alphabet-model classes against loopless targets short-circuit to
-    ImpossibleByConstantSeeds without enumeration (disable with
-    force_enumeration to exercise the generic scan).  Refuted rules each
-    get a witness; a reservoir sample of them is kept, and any rule's
-    witness is reconstructible from its index via `rule_at_cursor`.
+    A class within the edge budget and within budget.max_rules is scanned.
+    Past either budget the outcome is Impossible, with the class's
+    certificate, or BudgetExceeded where no certificate exists or
+    force_enumeration is set.  Refuted rules each get a witness; a
+    reservoir sample of them is kept, and any rule's witness is
+    reconstructible from its index via `rule_at_cursor`.
     """
     budget = budget or SearchBudget()
     caveat = class_caveat(d, t, model)
-    if model.kind == "alphabet" and _loopless(H) and not force_enumeration:
-        cert = impossibility_certificate(H, d, t, model)
-        return SearchOutcome(
-            kind="ImpossibleByConstantSeeds",
-            rules_examined=0,
-            caveat=caveat,
-            certificate=cert,
-        )
+
+    def past_budget():
+        cert = None if force_enumeration else _certificate_or_none(H, d, t, model)
+        kind = "BudgetExceeded" if cert is None else "Impossible"
+        return SearchOutcome(kind=kind, rules_examined=0, caveat=caveat, certificate=cert)
 
     try:
-        # the edge budget is cheap to check and refuses before the ball
-        # enumeration, which can be large
         rules.check_edge_budget(d, t, model)
-        codes = rules.enumerate_canonical_balls(d, t, model)
-        pair_table = rules.edge_pair_table(d, t, model)
     except BudgetExceeded:
-        return SearchOutcome(kind="BudgetExceeded", rules_examined=0, caveat=caveat)
-
+        return past_budget()
+    # the edge ball holds the ball, so its enumeration is within budget too
+    codes = rules.enumerate_canonical_balls(d, t, model)
     labels = tuple(range(H.n))
     L, n = len(labels), len(codes)
     total = L**n
     if total > budget.max_rules:
-        return SearchOutcome(kind="BudgetExceeded", rules_examined=0, caveat=caveat)
+        return past_budget()
 
+    pair_table = rules.edge_pair_table(d, t, model)
     ball_index = {code: i for i, code in enumerate(codes)}
     # pair entries by first lexicographic occurrence; scanning them in this
     # order makes the first violating entry the lexicographically first

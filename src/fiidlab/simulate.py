@@ -247,7 +247,7 @@ def pipeline_from_laws(vertex, pair, H, c0, C):
     # (2) vertex entropy against 3 ln r
     h_v = ent.entropy(vertex)
     _, cap = ent.entropy_caps(r)
-    cap_ok = h_v <= cap + ent.tolerance((vertex,), n_samples)
+    cap_ok = h_v <= cap + ent.tolerance(vertex, n_samples)
     steps.append(
         PipelineStep(
             2,

@@ -2,9 +2,11 @@
 
 `perfbench/spans.py` wraps each function it names in `TRACED` and binds the
 arguments of each call to the function's signature for its hooks, and
-`perfbench/workloads.py` calls the library with keyword arguments.  A
-renamed function or parameter would break the benchmark only when it runs;
-these checks make it fail the test suite at once.
+`perfbench/workloads.py` calls the library with keyword arguments and
+expects every search scan to end ExhaustedNone.  A renamed function or
+parameter, or a budget that would answer a scan with its certificate, would
+break the benchmark only when it runs; these checks make it fail the test
+suite at once.
 """
 
 import importlib
@@ -14,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+from fiidlab import graphs, homsearch, rules
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # the arguments each hook reads from the bound call, by traced function
 BOUND = {
@@ -34,14 +38,14 @@ CALLED = {
 }
 
 
-def _spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-SPANS = _spans()
+SPANS = _load("spans")
 TRACED = [
     f"{module}.{name}" for module, names in SPANS.TRACED.items() for name in names
 ]
@@ -75,3 +79,14 @@ def test_hook_arguments_are_parameters(qualname):
 def test_workload_keywords_are_parameters(qualname):
     missing = _missing(qualname, CALLED[qualname])
     assert not missing, f"{qualname} lacks {missing}"
+
+
+def test_search_scans_fit_the_budgets():
+    # every scan is at t = 1; one past either budget would end Impossible,
+    # not ExhaustedNone
+    workloads = _load("workloads")
+    max_rules = homsearch.SearchBudget().max_rules
+    for name, model, target, _ in workloads.SCANS:
+        rules.check_edge_budget(workloads.D, 1, model)
+        balls = rules.enumerate_canonical_balls(workloads.D, 1, model)
+        assert graphs.named_graph(target).n ** len(balls) <= max_rules, name

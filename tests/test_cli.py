@@ -19,7 +19,7 @@ class TestEnvelope:
     def test_fields_and_echo(self, capsys):
         cli.main(["entropy", "constant", "--r", "2", "--c0", "0.75"])
         env = json.loads(capsys.readouterr().out)
-        assert env["schema_version"] == 2
+        assert env["schema_version"] == 3
         assert env["tool_version"]
         assert env["command"] == ["entropy", "constant", "--r", "2", "--c0", "0.75"]
         assert "timestamp" in env
@@ -113,6 +113,14 @@ class TestRuleCommands:
         assert code == 0 and payload["d"] == 4 and payload["table_size"] == 5
         code, payload, _ = run(capsys, "rule", "show", "--rule", "builtin:max_seed_independent")
         assert code == 0 and payload["d"] == 3
+
+    def test_make_max_seed_refuses_label_and_alphabet(self, capsys):
+        # max_seed_independent has fixed labels; a flag it would ignore is refused
+        argv = ["rule", "make", "--name", "max_seed_independent", "--label", "7",
+                "--alphabet", "a,b"]
+        assert cli.main(["--no-timestamp", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "takes no --label" in err
 
     def test_random_without_seed_reports_one(self, capsys):
         code, payload, _ = run(
@@ -226,6 +234,13 @@ class TestEntropyCommands:
             out, err = capsys.readouterr()
             assert out == "" and message in err, argv
 
+    def test_audit_exact_with_seed_is_refused(self, capsys):
+        argv = ["entropy", "audit", "--rule", "builtin:max_seed_independent", "--exact",
+                "--seed", "5"]
+        assert cli.main(["--no-timestamp", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--seed applies only to --samples runs" in err
+
     def test_audit_regularity_below_one_is_refused(self, capsys):
         for r in ("0", "-3"):
             assert cli.main(["--no-timestamp", "entropy", "audit", "--rule",
@@ -250,15 +265,35 @@ class TestHomCommands:
             capsys, "hom", "search", "--target", "Petersen", "--d", "3", "--t", "2",
             "--model", "alphabet:3",
         )
-        assert code == 0 and payload["kind"] == "ImpossibleByConstantSeeds"
+        assert code == 0 and payload["kind"] == "Impossible"
         assert payload["certificate"]["config"] == [0] * 14
 
     def test_search_budget_exceeded_exits_one(self, capsys):
+        # past max_rules at d = 1, t = 1, where no certificate exists
         code, payload, _ = run(
-            capsys, "hom", "search", "--target", "C5", "--d", "3", "--t", "1",
-            "--model", "rank", "--max-rules", "10",
+            capsys, "hom", "search", "--target", "C5", "--d", "1", "--t", "1",
+            "--model", "rank", "--max-rules", "1",
         )
         assert code == 1 and payload["kind"] == "BudgetExceeded"
+
+    def test_search_past_a_budget_is_impossible(self, capsys):
+        for d, t, model, target in (
+            ("3", "2", "rank", "C5"),
+            ("3", "2", "alphabet:3", "K3"),
+            ("3", "1", "hybrid:2", "C5"),
+            ("3", "2", "hybrid:2", "K3"),
+            ("5", "1", "rank", "McGee"),
+        ):
+            code, payload, _ = run(
+                capsys, "hom", "search", "--target", target, "--d", d, "--t", t,
+                "--model", model,
+            )
+            assert code == 0 and payload["kind"] == "Impossible", (d, t, model)
+            _, cert, _ = run(
+                capsys, "hom", "certificate", "--target", target, "--d", d, "--t", t,
+                "--model", model,
+            )
+            assert payload["certificate"] == cert
 
     def test_search_max_rules_must_be_positive(self, capsys):
         for max_rules in ("-4", "0"):
@@ -287,7 +322,7 @@ class TestHomCommands:
             "--alphabet", "0,1,2", "--seed", "7", "--out", path,
         )
         code, payload, _ = run(capsys, "hom", "check", "--rule", path, "--target", "K3")
-        assert code == 1 and payload["passed"] is False and payload["exact"] is True
+        assert code == 1 and payload["passed"] is False and "exact" not in payload
         assert payload["witness"]["config"] == [0] * 30
         x, y = payload["witness"]["outputs"]
         assert x == y
@@ -321,7 +356,7 @@ class TestHomCommands:
             "--alphabet", "0,1,2,3,4", "--seed", "1", "--out", path,
         )
         code, payload, _ = run(capsys, "hom", "check", "--rule", path, "--target", "C5")
-        assert code == 1 and payload["passed"] is False and payload["exact"] is True
+        assert code == 1 and payload["passed"] is False and "exact" not in payload
         x, y = payload["witness"]["outputs"]
         assert x == y
         _, cert, _ = run(
@@ -391,6 +426,13 @@ class TestSimCommands:
                          "--target", "Petersen", "--c0", "0.089", "--C", "5"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "give --exact or --samples N" in err
+
+    def test_pipeline_exact_with_seed_is_refused(self, capsys):
+        assert cli.main(["--no-timestamp", "sim", "pipeline", "--rule", "builtin:constant:0",
+                         "--target", "Petersen", "--c0", "0.089", "--C", "5", "--exact",
+                         "--seed", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--seed applies only to --samples runs" in err
 
     def test_pipeline_into_zero_regular_target_is_refused(self, capsys, tmp_path):
         g = str(tmp_path / "empty.graph")

@@ -203,6 +203,21 @@ class TestMonteCarlo:
         for (a, b), x in mc_p.probs.items():
             assert mc_p.probs[(b, a)] == x
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_rank_t1_fast_path_draws_the_generic_stream(self, d):
+        # both paths call rng.random() once per edge-ball vertex, in id
+        # order, so the fast path is a speed path, not a separate stream
+        codes = rules.enumerate_canonical_balls(d, 1, rules.rank())
+        rule = rules.make_rule(
+            d, 1, rules.rank(), tuple(range(len(codes))), {c: i for i, c in enumerate(codes)}
+        )
+        for seed in range(3):
+            fast_rng, generic_rng = random.Random(seed), random.Random(seed)
+            fast = entropy._mc_pair_counts_rank_t1(rule, 5000, fast_rng)
+            generic = entropy._mc_pair_counts_generic(rule, 5000, generic_rng)
+            assert fast == generic, seed
+            assert fast_rng.getstate() == generic_rng.getstate()
+
     def test_generic_path_tied_draws(self):
         class TiedRng(random.Random):
             def random(self):

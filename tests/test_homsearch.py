@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 from itertools import product
 
 import pytest
@@ -101,17 +102,19 @@ class TestSearch:
             assert homsearch.replay_witness(rule, C5, witness)
 
     def test_alphabet_shortcut(self):
+        # 2^112 rules, past max_rules: the certificate answers
         out = homsearch.search(K2, 3, 2, rules.alphabet(2))
-        assert out.kind == "ImpossibleByConstantSeeds"
+        assert out.kind == "Impossible"
         assert out.rules_examined == 0
-        assert out.certificate is not None
+        assert out.certificate == homsearch.impossibility_certificate(K2, 3, 2, rules.alphabet(2))
 
     def test_shortcut_agrees_with_enumeration(self):
-        # tiny class where the generic scan is exhaustive: t=0, q=2 over K2
-        shortcut = homsearch.search(K2, 3, 0, rules.alphabet(2))
-        forced = homsearch.search(K2, 3, 0, rules.alphabet(2), force_enumeration=True)
-        assert shortcut.kind == "ImpossibleByConstantSeeds"
-        assert forced.kind == "ExhaustedNone" and forced.rules_examined == 4
+        # a class within both budgets is scanned, with or without
+        # force_enumeration: t=0, q=2 over K2
+        for force in (False, True):
+            out = homsearch.search(K2, 3, 0, rules.alphabet(2), force_enumeration=force)
+            assert out.kind == "ExhaustedNone" and out.rules_examined == 4
+            assert out.certificate is None
 
     def test_witness_cap_reservoir(self):
         budget = homsearch.SearchBudget(witness_cap=50, rng_seed=1)
@@ -122,11 +125,44 @@ class TestSearch:
             assert homsearch.replay_witness(rule, C5, witness)
 
     def test_budget_exceeded(self):
-        out = homsearch.search(C5, 3, 2, rules.rank())
+        # BudgetExceeded remains only where no certificate exists: d = 1 at
+        # t >= 1, a looped target, a ball past a code byte, force_enumeration
+        small = homsearch.SearchBudget(max_rules=1)
+        out = homsearch.search(C5, 1, 1, rules.rank(), budget=small)
         assert out.kind == "BudgetExceeded" and out.rules_examined == 0
-        small = homsearch.SearchBudget(max_rules=100)
-        out2 = homsearch.search(C5, 3, 1, rules.rank(), budget=small)
-        assert out2.kind == "BudgetExceeded"
+        assert out.certificate is None
+        looped = LoopedTarget(2, [(0, 1), (1, 1)])
+        assert homsearch.search(looped, 3, 1, rules.rank(), budget=small).kind == "BudgetExceeded"
+        assert homsearch.search(C5, 5, 4, rules.rank()).kind == "BudgetExceeded"
+
+    @pytest.mark.parametrize(
+        "d,t,model,target",
+        [(3, 2, rules.rank(), "C5"), (3, 2, rules.hybrid(2), "K3"),
+         (3, 1, rules.hybrid(2), "C5")],
+        ids=str,
+    )
+    def test_past_a_budget_is_impossible(self, d, t, model, target):
+        # the first two are past the edge budget, the third past max_rules
+        # (5^64 rules)
+        H = graphs.named_graph(target)
+        out = homsearch.search(H, d, t, model)
+        cert = homsearch.impossibility_certificate(H, d, t, model)
+        assert out.kind == "Impossible" and out.rules_examined == 0
+        assert out.certificate == cert and out.witnesses == []
+        assert out.to_json_dict()["certificate"] == cert.to_json_dict()
+        witness = homsearch.replay_certificate(cert, LazyRandomRule(d, t, model, H.n, 5), H)
+        assert witness.outputs[0] == witness.outputs[1]
+        forced = homsearch.search(H, d, t, model, force_enumeration=True)
+        assert forced.kind == "BudgetExceeded" and forced.certificate is None
+
+    def test_past_max_rules_builds_no_pair_table(self):
+        # rank d=4 t=1 into McGee has 24^5 rules
+        McGee = graphs.named_graph("McGee")
+        before = rules.edge_pair_table.cache_info()
+        out = homsearch.search(McGee, 4, 1, rules.rank())
+        after = rules.edge_pair_table.cache_info()
+        assert out.kind == "Impossible"
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
     def test_petersen_rank_t1(self):
         out = homsearch.search(PETERSEN, 3, 1, rules.rank())
@@ -147,20 +183,28 @@ def reference_search(H, d, t, model, budget=None, force_enumeration=False):
     the reservoir draw."""
     budget = budget or homsearch.SearchBudget()
     caveat = homsearch.class_caveat(d, t, model)
-    if model.kind == "alphabet" and homsearch._loopless(H) and not force_enumeration:
-        cert = homsearch.impossibility_certificate(H, d, t, model)
+
+    def past_budget():
+        cert = None
+        if not force_enumeration:
+            try:
+                cert = homsearch.impossibility_certificate(H, d, t, model)
+            except homsearch.NoCertificate:
+                pass
         return homsearch.SearchOutcome(
-            kind="ImpossibleByConstantSeeds", rules_examined=0, caveat=caveat, certificate=cert
+            kind="BudgetExceeded" if cert is None else "Impossible",
+            rules_examined=0, caveat=caveat, certificate=cert,
         )
+
     try:
         balls = rules.enumerate_canonical_balls(d, t, model)
         pair_table = rules.edge_pair_table(d, t, model)
     except BudgetExceeded:
-        return homsearch.SearchOutcome(kind="BudgetExceeded", rules_examined=0, caveat=caveat)
+        return past_budget()
     labels = tuple(range(H.n))
     total = len(labels) ** len(balls)
     if total > budget.max_rules:
-        return homsearch.SearchOutcome(kind="BudgetExceeded", rules_examined=0, caveat=caveat)
+        return past_budget()
     ball_index = {code: i for i, code in enumerate(balls)}
     entries = [(ball_index[cu], ball_index[cv], cfg) for _, cu, cv, cfg in pair_table.order]
     rng = random.Random(budget.rng_seed)
@@ -202,6 +246,7 @@ def _summary(out):
         out.rules_examined,
         [(index, w.config, w.outputs) for index, w in out.witnesses],
         None if out.rule is None else out.rule.table,
+        out.certificate,
     )
 
 
@@ -215,6 +260,16 @@ class LoopedTarget:
 
     def has_edge(self, a, b):
         return (a, b) in self.edge_set
+
+
+class LazyRandomRule:
+    """A uniform random rule of a class too large to enumerate: each
+    canonical code draws its output on first use."""
+
+    def __init__(self, d, t, model, n, seed):
+        self.d, self.t, self.model = d, t, model
+        rng = random.Random(seed)
+        self.table = defaultdict(lambda: rng.randrange(n))
 
 
 CLASSES = [
@@ -273,7 +328,7 @@ class TestSearchEqualsReference:
 
     def test_max_rules_cut(self):
         # rank t=1 into Petersen has 10,000 rules
-        for max_rules, kind in ((9_999, "BudgetExceeded"), (10_000, "ExhaustedNone")):
+        for max_rules, kind in ((9_999, "Impossible"), (10_000, "ExhaustedNone")):
             budget = homsearch.SearchBudget(max_rules=max_rules, witness_cap=3)
             got = homsearch.search(PETERSEN, 3, 1, rules.rank(), budget)
             want = reference_search(PETERSEN, 3, 1, rules.rank(), budget)

@@ -198,3 +198,23 @@ class TestAuditAgreesWithPipeline:
         assert res.report.r == 3
         assert cap.passed is step.passed is True
         assert cap.margin == step.data["margin"]
+
+    def test_monte_carlo_vertex_cap_has_one_tolerance(self):
+        # a Monte Carlo law whose vertex entropy is 4.5 sigma above 3 ln 2:
+        # both checks allow 3 sigma of the vertex law, so both fail
+        masses = (0.2,) + (0.1,) * 8
+        labels = tuple(range(len(masses)))
+        vertex_guess = entropy.LabelDistribution(labels, masses, entropy.monte_carlo(1))
+        excess = entropy.entropy(vertex_guess) - 3 * math.log(2)
+        n = round((4.5 * entropy.entropy_sigma(vertex_guess, 1) / excess) ** 2)
+        counts = {(a, b): masses[a] * masses[b] for a in labels for b in labels}
+        pair = entropy.PairDistribution(labels, counts, entropy.monte_carlo(n))
+        vertex = pair.marginal()
+        sigma = entropy.entropy_sigma(vertex, n)
+        assert 3 * sigma < entropy.entropy(vertex) - 3 * math.log(2) < 6 * sigma
+        res = entropy.audit(vertex, pair, r=2)
+        C5 = graphs.named_graph("C5")
+        step = simulate.pipeline_from_laws(vertex, pair, C5, 0.089, 5).step(2)
+        (cap,) = [v for v in res.verdicts if v.check == "vertex_entropy_cap"]
+        assert cap.passed is step.passed is False
+        assert cap.margin == step.data["margin"]
