@@ -59,7 +59,11 @@ balls of size B, so the pair law needs only the vertex law's budget.
 
 Monte Carlo marginals are plug-in empirical laws from i.i.d. edge-ball
 samples, deterministic per seed via fixed-size blocks with derived
-substreams.
+substreams.  At rank t=1 only each root's rank in its closed ball matters;
+that path draws a chunk of samples' uniforms in one run and compares them
+in bulk, making the same random() calls in the same order as the generic
+path, so both give the same counts, in the same key order, and leave the
+generator in the same state.
 
 All entropies are in nats.
 """
@@ -67,11 +71,12 @@ All entropies are in nats.
 import hashlib
 import math
 import random
+from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
-from operator import mul
+from operator import add, le, lt, mul
 
 from . import graphs, jsonable, randbelows, rules
 from .rules import BudgetExceeded
@@ -531,6 +536,7 @@ def exact_marginals(rule):
 
 
 _MC_BLOCK = 1 << 16
+_MC_CHUNK = 1 << 10
 
 
 def _block_seed(rng_seed, block_index):
@@ -539,23 +545,37 @@ def _block_seed(rng_seed, block_index):
 
 
 def _mc_pair_counts_rank_t1(rule, n, rng):
-    """Fast path: only the root's rank in its closed ball matters at t=1."""
+    """Fast path: only the root's rank in its closed ball matters at t=1.
+
+    Samples go in chunks of _MC_CHUNK.  A chunk's 2d uniforms per sample
+    are drawn in one run, in the generic path's order, so the stream is the
+    same: sample s's vertex i is draws[s * 2d + i], and a strided slice
+    holds one vertex over the chunk.  Counting the keys in sample order
+    keeps their first-occurrence order, which the float sums of the
+    marginal follow."""
     d = rule.d
-    label_by_rank = {
-        code[0]: rule.table[code] for code in rules.enumerate_canonical_balls(d, 1, rule.model)
+    width = 2 * d
+    # a root's rank is 1 + the number of its smaller neighbours
+    label_by_smaller = {
+        code[0] - 1: rule.table[code]
+        for code in rules.enumerate_canonical_balls(d, 1, rule.model)
     }
-    counts = {}
+    counts = Counter()
     uniform = rng.random
-    for _ in range(n):
-        seeds = [uniform() for _ in range(2 * d)]
-        su, sv = seeds[0], seeds[1]
-        ru = 1 + (sv < su) + sum(seeds[i] < su for i in range(2, d + 1))
-        rv = 1 + (su < sv) + sum(seeds[i] < sv for i in range(d + 1, 2 * d))
-        key = (ru, rv)
-        counts[key] = counts.get(key, 0) + 1
+    for start in range(0, n, _MC_CHUNK):
+        draws = [uniform() for _ in range(width * min(_MC_CHUNK, n - start))]
+        su, sv = draws[0::width], draws[1::width]
+        smaller_u = map(lt, sv, su)
+        for i in range(2, d + 1):
+            smaller_u = map(add, smaller_u, map(lt, draws[i::width], su))
+        # as in the generic path, a tie ranks u (id 0) below v (id 1)
+        smaller_v = map(le, su, sv)
+        for i in range(d + 1, width):
+            smaller_v = map(add, smaller_v, map(lt, draws[i::width], sv))
+        counts.update(zip(smaller_u, smaller_v))
     out = {}
-    for (ru, rv), c in counts.items():
-        key = (label_by_rank[ru], label_by_rank[rv])
+    for (ku, kv), c in counts.items():
+        key = (label_by_smaller[ku], label_by_smaller[kv])
         out[key] = out.get(key, 0) + c
     return out
 

@@ -259,6 +259,8 @@ def _girth(G, components):
     stamp = 0
     adj = G.adjacency
     for root in range(n):
+        if best == 3:
+            break  # no simple graph has a shorter cycle
         stamp += 1
         seen[root] = stamp
         dist[root] = 0

@@ -420,27 +420,44 @@ def _block_partitions(elems, size):
 
 
 def _rank_subtree_assignments(ranks, d, depth):
-    """Codes of all canonical subtrees over exactly the given rank set.
-    The root gets (len(ranks) - 1) / subtree_size(d, depth - 1) children:
-    d - 1 in a subtree, d when the ranks fill a whole ball of radius depth."""
+    """Codes of all canonical subtrees over exactly the given rank set, an
+    ascending tuple.  An increasing relabelling of ranks 1..s keeps both
+    the order of `_rank_codes` and the byte order of siblings, so the codes
+    over ranks 1..s are built once and any other rank set takes them
+    through one translate."""
+    size = len(ranks)
+    joined = _rank_pattern(size, d, depth).translate(bytes((0, *ranks)).ljust(256, b"\0"))
+    return [joined[i:i + size] for i in range(0, len(joined), size)]
+
+
+@lru_cache(maxsize=None)
+def _rank_pattern(size, d, depth):
+    """`_rank_codes(size, d, depth)` joined, the form that relabels at once."""
+    return b"".join(_rank_codes(size, d, depth))
+
+
+def _rank_codes(size, d, depth):
+    """Codes of all canonical subtrees over ranks 1..size: for each root
+    rank, each partition of the rest into blocks, the product of the
+    blocks' codes.  The root gets (size - 1) / subtree_size(d, depth - 1)
+    children: d - 1 in a subtree, d when the ranks fill a whole ball of
+    radius depth."""
     if depth == 0:
-        return [_BYTE[ranks[0]]]
-    out = []
+        return [_BYTE[1]]
+    ranks = tuple(range(1, size + 1))
     block = subtree_size(d, depth - 1)
+    out = []
     for root_rank in ranks:
-        rest = tuple(r for r in ranks if r != root_rank)
         head = _BYTE[root_rank]
-        for blocks in _block_partitions(rest, block):
-            for parts in product(
-                *(_rank_subtree_assignments(b, d, depth - 1) for b in blocks)
-            ):
+        for blocks in _block_partitions(ranks[:root_rank - 1] + ranks[root_rank:], block):
+            for parts in product(*(_rank_subtree_assignments(b, d, depth - 1) for b in blocks)):
                 out.append(head + b"".join(sorted(parts)))
     return out
 
 
 def _enumerate_rank(d, t):
     """Sorted codes of the canonical rank balls."""
-    return sorted(_rank_subtree_assignments(tuple(range(1, ball_size(d, t) + 1)), d, t))
+    return sorted(_rank_codes(ball_size(d, t), d, t))
 
 
 def _enumerate_hybrid(d, t, q):
@@ -597,19 +614,33 @@ def rule_to_text(rule):
 
 
 def rule_from_text(text):
-    rows = [ln for ln in text.splitlines() if ln.strip()]
-    if not rows:
+    """Parse a rule file; ValueError naming the line on a line that is not
+    "<code hex> <label>" or a code listed twice."""
+    lines = text.splitlines()
+    rows = (i for i, ln in enumerate(lines) if ln.strip())
+    first = next(rows, None)
+    if first is None:
         raise ValueError("empty rule file")
-    head = rows[0].split()
+    head = lines[first].split()
     if len(head) != 4:
-        raise ValueError(f"bad rule header {rows[0]!r}")
+        raise ValueError(f"bad rule header {lines[first]!r}")
     d, t = int(head[0]), int(head[1])
     model = SeedModel.parse(head[2])
     out = tuple(_parse_label(x) for x in head[3].split(","))
     table = {}
-    for ln in rows[1:]:
-        code_hex, label = ln.split()
-        table[bytes.fromhex(code_hex)] = _parse_label(label)
+    parsed = {}  # label text -> label, so each distinct text is parsed once
+    for i in rows:
+        fields = lines[i].split()
+        if len(fields) != 2:
+            raise ValueError(f"line {i + 1}: expected '<code hex> <label>', got {lines[i]!r}")
+        code_hex, label_text = fields
+        code = bytes.fromhex(code_hex)
+        if code in table:
+            raise ValueError(f"line {i + 1}: code {code_hex} listed twice")
+        label = parsed.get(label_text)
+        if label is None:
+            label = parsed[label_text] = _parse_label(label_text)
+        table[code] = label
     return make_rule(d, t, model, out, table)
 
 

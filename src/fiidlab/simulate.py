@@ -18,7 +18,6 @@ states that no refutation follows at the chosen parameters.
 """
 
 import random
-from collections import deque
 from dataclasses import asdict, dataclass
 
 from . import entropy as ent
@@ -54,32 +53,43 @@ class SimulationReport:
 
 
 def _tree_ball_order(G, v, t, d):
-    """Vertices of the radius-t ball at v in BFS order when that ball is the
-    full tree ball of T_d, else None.  The BFS lists each vertex's children
-    together, parent by parent: the level order of the rule's seed vectors."""
-    if t == 0:
-        return [v]
+    """Vertices of the radius-t ball at v in level order when that ball is
+    the full tree ball of T_d, else None.
+
+    A non-backtracking expansion lists each vertex's neighbours minus its
+    parent, in adjacency order, parent by parent: on a tree that is the BFS
+    order, the level order of the rule's seed vectors.  The ball is the full
+    tree ball iff every internal vertex has degree d, no vertex repeats, and
+    no leaf has a neighbour in the ball other than its parent.  Under the
+    first two, every edge at an internal vertex is a tree edge, so the last
+    test only looks for an edge between two leaves."""
     adj = G.adjacency
-    depth = {v: 0}
     order = [v]
-    q = deque([v])
-    while q:
-        x = q.popleft()
-        dx = depth[x]
-        if dx == t:
-            continue
-        if len(adj[x]) != d:
-            return None  # internal vertices need full degree
-        for w in adj[x]:
-            if w not in depth:
-                depth[w] = dx + 1
-                order.append(w)
-                q.append(w)
-    # tree check: the induced subgraph must have exactly |ball|-1 edges
-    ball = set(order)
-    twice_edges = sum(1 for x in ball for w in adj[x] if w in ball)
-    if twice_edges != 2 * (len(ball) - 1):
+    if t == 0:
+        return order
+    level = adj[v]
+    if len(level) != d:
         return None
+    order += level
+    parents = [v] * d
+    for _ in range(t - 1):
+        below, up = [], []
+        for x, p in zip(level, parents):
+            nbrs = adj[x]
+            if len(nbrs) != d:
+                return None
+            for w in nbrs:
+                if w != p:
+                    below.append(w)
+                    up.append(x)
+        order += below
+        level, parents = below, up
+    if len(set(order)) != len(order):
+        return None
+    leaves = set(level)
+    for x in level:
+        if not leaves.isdisjoint(adj[x]):
+            return None
     return order
 
 

@@ -203,20 +203,24 @@ class TestMonteCarlo:
         for (a, b), x in mc_p.probs.items():
             assert mc_p.probs[(b, a)] == x
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_rank_t1_fast_path_draws_the_generic_stream(self, d):
         # both paths call rng.random() once per edge-ball vertex, in id
-        # order, so the fast path is a speed path, not a separate stream
+        # order, so the fast path is a speed path, not a separate stream;
+        # the sizes straddle one chunk of the fast path's bulk draws
         codes = rules.enumerate_canonical_balls(d, 1, rules.rank())
         rule = rules.make_rule(
             d, 1, rules.rank(), tuple(range(len(codes))), {c: i for i, c in enumerate(codes)}
         )
-        for seed in range(3):
-            fast_rng, generic_rng = random.Random(seed), random.Random(seed)
-            fast = entropy._mc_pair_counts_rank_t1(rule, 5000, fast_rng)
-            generic = entropy._mc_pair_counts_generic(rule, 5000, generic_rng)
-            assert fast == generic, seed
-            assert fast_rng.getstate() == generic_rng.getstate()
+        chunk = entropy._MC_CHUNK
+        for n in (1, chunk - 1, chunk, chunk + 1):
+            for seed in range(3):
+                fast_rng, generic_rng = random.Random(seed), random.Random(seed)
+                fast = entropy._mc_pair_counts_rank_t1(rule, n, fast_rng)
+                generic = entropy._mc_pair_counts_generic(rule, n, generic_rng)
+                # equal key order too: the marginal's float sums follow it
+                assert list(fast.items()) == list(generic.items()), (n, seed)
+                assert fast_rng.getstate() == generic_rng.getstate()
 
     def test_generic_path_tied_draws(self):
         class TiedRng(random.Random):
@@ -232,6 +236,10 @@ class TestMonteCarlo:
         assert entropy._mc_pair_counts_generic(rank, 20, TiedRng(0)) == {
             (rank.table[cu], rank.table[cv]): 20
         }
+        # and so do they on the rank t=1 fast path
+        codes = rules.enumerate_canonical_balls(3, 1, rules.rank())
+        identity = rules.make_rule(3, 1, rules.rank(), (1, 2, 3, 4), {c: c[0] for c in codes})
+        assert entropy._mc_pair_counts_rank_t1(identity, 20, TiedRng(0)) == {(1, 2): 20}
 
 
 class TestAudit:

@@ -107,6 +107,19 @@ class TestProfile:
         # or no edge
         corpus = [random_graph(8, p, 2000 + seed) for seed in range(30) for p in (0.1, 0.3)]
         corpus += [graphs.build_graph(0, []), graphs.build_graph(3, [])]
+        # the first triangle at a late root, after longer cycles: a 6-cycle
+        # with a path to a triangle on the last vertices, and a k-cycle
+        # component before a triangle component
+        corpus.append(graphs.build_graph(
+            10, [(i, (i + 1) % 6) for i in range(6)] + [(5, 6), (6, 7), (7, 8), (8, 9), (7, 9)]
+        ))
+        corpus += [
+            graphs.build_graph(
+                k + 3,
+                [(i, (i + 1) % k) for i in range(k)] + [(k, k + 1), (k + 1, k + 2), (k, k + 2)],
+            )
+            for k in (4, 5, 9)
+        ]
         for G in corpus:
             assert graphs.profile(G).girth == graphs.girth_by_enumeration(G) == graphs.girth(G)
 

@@ -33,6 +33,35 @@ def shuffle_siblings(raw, rng):
     return (label, tuple(kids))
 
 
+def reference_rank_subtree_assignments(ranks, d, depth):
+    """The recursion `rules._rank_subtree_assignments` replaced: each block
+    builds its subtree codes from scratch, over its own ranks."""
+    if depth == 0:
+        return [bytes((ranks[0],))]
+    out = []
+    block = rules.subtree_size(d, depth - 1)
+    for root_rank in ranks:
+        rest = tuple(r for r in ranks if r != root_rank)
+        for blocks in rules._block_partitions(rest, block):
+            for parts in product(
+                *(reference_rank_subtree_assignments(b, d, depth - 1) for b in blocks)
+            ):
+                out.append(bytes((root_rank,)) + b"".join(sorted(parts)))
+    return out
+
+
+def reference_hybrid_codes(d, t, q):
+    """Sorted hybrid codes from the reference rank codes: each rank byte r
+    followed by the tag of the vertex of rank r."""
+    B = rules.ball_size(d, t)
+    rank_codes = reference_rank_subtree_assignments(tuple(range(1, B + 1)), d, t)
+    return sorted(
+        bytes(x for r in code for x in (r, tags[r - 1]))
+        for tags in product(range(q), repeat=B)
+        for code in rank_codes
+    )
+
+
 class TestEnumeration:
     def test_alphabet_t0(self):
         assert len(rules.enumerate_canonical_balls(3, 0, rules.alphabet(2))) == 2
@@ -77,6 +106,34 @@ class TestEnumeration:
         balls = rules.enumerate_canonical_balls(3, 2, rules.rank())
         assert len(balls) == factorial(10) // 48 == 75600
         assert len(set(balls)) == 75600
+
+    @pytest.mark.parametrize(
+        "d,t",
+        [(2, t) for t in range(5)] + [(3, t) for t in range(3)]
+        + [(d, t) for d in (4, 5, 9) for t in range(2)],
+    )
+    def test_rank_codes_equal_the_reference_recursion(self, d, t):
+        # every (d, t) within the ball budget; equal lists, order included
+        B = rules.ball_size(d, t)
+        assert B <= rules.RANK_BALL_LIMIT
+        ranks = tuple(range(1, B + 1))
+        expected = reference_rank_subtree_assignments(ranks, d, t)
+        assert rules._rank_codes(B, d, t) == expected
+        assert rules._rank_subtree_assignments(ranks, d, t) == expected
+        assert rules.enumerate_canonical_balls(d, t, rules.rank()) == tuple(sorted(expected))
+
+    def test_rank_codes_over_a_sparse_rank_set(self):
+        # a block's ranks are any increasing tuple, not 1..s
+        for ranks, d, depth in [((2, 5, 9), 3, 1), ((1, 4, 6, 7, 8, 10, 12), 3, 2),
+                                ((3, 4, 8, 11), 4, 1)]:
+            expected = reference_rank_subtree_assignments(ranks, d, depth)
+            assert rules._rank_subtree_assignments(ranks, d, depth) == expected
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_hybrid_codes_equal_the_reference(self, d, q):
+        codes = rules.enumerate_canonical_balls(d, 1, rules.hybrid(q))
+        assert list(codes) == rules._enumerate_hybrid(d, 1, q) == reference_hybrid_codes(d, 1, q)
 
     def test_hybrid_t1_count(self):
         balls = rules.enumerate_canonical_balls(3, 1, rules.hybrid(2))
@@ -324,6 +381,24 @@ class TestSerialization:
     def test_header_parse_error(self):
         with pytest.raises(ValueError):
             rules.rule_from_text("3 1 rank\n")
+
+    def test_line_without_two_fields_is_refused(self):
+        lines = rules.rule_to_text(rules.builtin_rule("max_seed_independent", d=3)).splitlines()
+        lines[2] += " extra"
+        with pytest.raises(ValueError, match="line 3"):
+            rules.rule_from_text("\n".join(lines))
+        lines[2] = lines[2].split()[0]
+        with pytest.raises(ValueError, match="line 3"):
+            rules.rule_from_text("\n".join(lines))
+
+    def test_code_listed_twice_is_refused(self):
+        # the first code again with the other label: the last would win
+        lines = rules.rule_to_text(rules.builtin_rule("max_seed_independent", d=3)).splitlines()
+        code, label = lines[1].split()
+        other = "IN" if label == "OUT" else "OUT"
+        text = "\n".join(lines[:2] + ["", f"{code} {other}"] + lines[2:])
+        with pytest.raises(ValueError, match=f"line 4: code {code} listed twice"):
+            rules.rule_from_text(text)
 
 
 class TestEdgeBall:

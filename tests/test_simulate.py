@@ -1,5 +1,7 @@
 import json
 import math
+import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,8 @@ from fiidlab import entropy, graphs, rules, simulate
 MAX_SEED = rules.builtin_rule("max_seed_independent", d=3)
 PETERSEN = graphs.named_graph("Petersen")
 HEAWOOD = graphs.named_graph("Heawood")
+# the 3-cube: 3-regular with girth 4
+CUBE = graphs.build_graph(8, [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit])
 # max_seed_independent with IN -> 0, OUT -> 1: (OUT, OUT) is the non-edge (1, 1)
 RECODED_MAX_SEED = rules.recode_outputs(
     MAX_SEED, {"IN": 0, "OUT": 1}, output_alphabet=tuple(range(10))
@@ -20,6 +24,73 @@ def heawood_uniform_edge_law():
     weights = {e: 1 for e in HEAWOOD.edges()}
     pair = entropy.pair_from_edge_weights(HEAWOOD, weights)
     return pair.marginal(), pair
+
+
+def reference_tree_ball_order(G, v, t, d):
+    """The BFS `simulate._tree_ball_order` replaced: a depth dict, then a
+    count of the ball's induced edges."""
+    if t == 0:
+        return [v]
+    adj = G.adjacency
+    depth = {v: 0}
+    order = [v]
+    q = deque([v])
+    while q:
+        x = q.popleft()
+        if depth[x] == t:
+            continue
+        if len(adj[x]) != d:
+            return None
+        for w in adj[x]:
+            if w not in depth:
+                depth[w] = depth[x] + 1
+                order.append(w)
+                q.append(w)
+    ball = set(order)
+    twice_edges = sum(1 for x in ball for w in adj[x] if w in ball)
+    return order if twice_edges == 2 * (len(ball) - 1) else None
+
+
+def ball_corpus():
+    """Graphs with 3-, 4- and 5-cycles, edges between two leaves of a ball,
+    and vertices of low degree."""
+    rng = random.Random(14)
+    corpus = [graphs.named_graph(name) for name in ("K4", "Petersen", "Heawood", "McGee")]
+    corpus.append(CUBE)
+    for n, d in ((12, 3), (40, 3), (200, 3), (30, 4), (1000, 4), (60, 2)):
+        G = graphs.random_regular(n, d, n)
+        corpus.append(G)
+        # drop a few edges: low-degree vertices inside otherwise full balls
+        edges = [e for e in G.edges() if rng.random() > 0.05]
+        corpus.append(graphs.build_graph(n, edges))
+    for seed in range(4):
+        n = 80
+        corpus.append(graphs.build_graph(
+            n, [(u, w) for u in range(n) for w in range(u + 1, n) if rng.random() < 3 / n]
+        ))
+    return corpus
+
+
+class TestTreeBallOrder:
+    def test_equals_the_reference_bfs(self):
+        outcomes = set()
+        for G in ball_corpus():
+            for d in (2, 3, 4):
+                for t in (0, 1, 2, 3):
+                    for v in range(G.n):
+                        expected = reference_tree_ball_order(G, v, t, d)
+                        assert simulate._tree_ball_order(G, v, t, d) == expected, (G.n, d, t, v)
+                        outcomes.add((d, t, expected is None))
+        # both answers occur at every degree and radius t >= 1
+        assert outcomes >= {(d, t, none) for d in (2, 3, 4) for t in (1, 2, 3)
+                            for none in (True, False)}
+
+    def test_short_cycles_and_leaf_edges_are_not_trees(self):
+        # K4: the leaves of a t=1 ball are adjacent; Petersen: a 5-cycle
+        # joins two leaves at t=2; the cube: a 4-cycle repeats a leaf at t=2
+        for G, t in ((graphs.named_graph("K4"), 1), (PETERSEN, 2), (CUBE, 2)):
+            assert simulate._tree_ball_order(G, 0, t - 1, 3) is not None
+            assert simulate._tree_ball_order(G, 0, t, 3) is None
 
 
 class TestRunOnGraph:
