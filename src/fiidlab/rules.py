@@ -601,6 +601,7 @@ def recode_outputs(rule, mapping, output_alphabet=None):
 # "<canonical_code_hex> <label>" lines, sorted by code
 
 
+@lru_cache(maxsize=1024)  # a rule file repeats a few label texts on every line
 def _parse_label(text):
     stripped = text[1:] if text.startswith("-") else text
     return int(text) if stripped.isdigit() else text
@@ -628,7 +629,6 @@ def rule_from_text(text):
     model = SeedModel.parse(head[2])
     out = tuple(_parse_label(x) for x in head[3].split(","))
     table = {}
-    parsed = {}  # label text -> label, so each distinct text is parsed once
     for i in rows:
         fields = lines[i].split()
         if len(fields) != 2:
@@ -637,10 +637,7 @@ def rule_from_text(text):
         code = bytes.fromhex(code_hex)
         if code in table:
             raise ValueError(f"line {i + 1}: code {code_hex} listed twice")
-        label = parsed.get(label_text)
-        if label is None:
-            label = parsed[label_text] = _parse_label(label_text)
-        table[code] = label
+        table[code] = _parse_label(label_text)
     return make_rule(d, t, model, out, table)
 
 

@@ -213,7 +213,7 @@ class TestMonteCarlo:
             d, 1, rules.rank(), tuple(range(len(codes))), {c: i for i, c in enumerate(codes)}
         )
         chunk = entropy._MC_CHUNK
-        for n in (1, chunk - 1, chunk, chunk + 1):
+        for n in (1, chunk - 1, chunk, chunk + 1, 5000):
             for seed in range(3):
                 fast_rng, generic_rng = random.Random(seed), random.Random(seed)
                 fast = entropy._mc_pair_counts_rank_t1(rule, n, fast_rng)
