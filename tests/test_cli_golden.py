@@ -133,6 +133,47 @@ CASES = {
             ["entropy", "mc", "--rule", "r10.rule", "--samples", "1000", "--seed", "2"],
         ],
     ),
+    # the certificate nested in the search outcome
+    "hom_search_rank_t2_impossible": (
+        0,
+        [["hom", "search", "--target", "C5", "--d", "3", "--t", "2", "--model", "rank"]],
+    ),
+    "hom_search_found": (
+        0,
+        [["hom", "search", "--target", "K2", "--d", "1", "--t", "1", "--model", "rank"]],
+    ),
+    "sim_run_target": (
+        0,
+        [
+            ["graph", "gen", "--n", "200", "--d", "3", "--seed", "8", "--out", "g200.graph"],
+            [
+                "rule", "random", "--d", "3", "--t", "1", "--model", "alphabet:2",
+                "--alphabet", "0,1,2", "--seed", "3", "--out", "a3.rule",
+            ],
+            [
+                "sim", "run", "--rule", "a3.rule", "--graph", "g200.graph", "--target", "K3",
+                "--seed", "5",
+            ],
+        ],
+    ),
+    "entropy_audit_mc_target": (
+        1,
+        [
+            [
+                "entropy", "audit", "--rule", "builtin:constant:0", "--target", "Petersen",
+                "--samples", "2000", "--seed", "1",
+            ]
+        ],
+    ),
+    "sim_pipeline_mc": (
+        0,
+        [
+            [
+                "sim", "pipeline", "--rule", "builtin:constant:0", "--target", "Petersen",
+                "--c0", "0.089", "--C", "5", "--samples", "2000", "--seed", "1",
+            ]
+        ],
+    ),
 }
 
 
