@@ -2,6 +2,7 @@
 audits, homomorphism rule search, and emulation on finite graphs."""
 
 import math
+from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from itertools import repeat
 
@@ -12,8 +13,11 @@ SCHEMA_VERSION = 3
 
 
 def jsonable(x):
-    """The JSON form of a report value: Fractions become {"exact", "float"},
-    infinite floats "Infinite", bytes hex, dict keys strings."""
+    """The JSON form of a result value: a dataclass instance becomes the dict
+    of its fields, Fractions {"exact", "float"}, infinite floats "Infinite",
+    bytes hex, dict keys strings."""
+    if is_dataclass(x):
+        return jsonable(asdict(x))
     if isinstance(x, Fraction):
         return {"exact": str(x), "float": float(x)}
     if isinstance(x, float) and math.isinf(x):

@@ -11,6 +11,7 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -96,6 +97,38 @@ def _dist_payload(dist):
 def _pair_payload(pair):
     return {
         f"{a},{b}": x for (a, b), x in sorted(pair.probs.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
+    }
+
+
+def _audit_payload(res):
+    verdicts = [{"check": v.check, "pass": v.passed, "margin": v.margin} for v in res.verdicts]
+    return {**asdict(res), "verdicts": verdicts}
+
+
+def _witness_payload(w):
+    return {"config": w.config, "outputs": w.outputs}
+
+
+def _certificate_payload(cert):
+    # an alphabet certificate's q names its model; hybrid:q shares q, so
+    # the other models print their name
+    if cert.model.kind == "alphabet":
+        model = {"q": cert.model.q}
+    else:
+        model = {"model": str(cert.model)}
+    return {"d": cert.d, "t": cert.t, **model, "config": cert.config, "reasoning": cert.reasoning}
+
+
+def _search_payload(out):
+    return {
+        "kind": out.kind,
+        "rules_examined": out.rules_examined,
+        "witnesses_stored": len(out.witnesses),
+        "witness_sample": [
+            {"rule_index": idx, **_witness_payload(w)} for idx, w in out.witnesses[:10]
+        ],
+        "class_caveat": out.caveat,
+        "certificate": None if out.certificate is None else _certificate_payload(out.certificate),
     }
 
 
@@ -246,7 +279,7 @@ def _cmd_entropy_audit(args):
     vertex, pair = _marginals_for(args, rule)
     H = _load_target(args.target) if args.target else None
     res = entropy.audit(vertex, pair, r=args.r, H=H)
-    return res.to_json_dict(), 0 if res.all_passed() else 1
+    return _audit_payload(res), 0 if res.all_passed() else 1
 
 
 def _cmd_entropy_constant(args):
@@ -261,7 +294,10 @@ def _cmd_entropy_tail(args):
     if args.d is not None and not args.rule:
         raise UsageError("entropy tail takes --d only with --rule")
     if args.probs:
-        masses = [Fraction(x) for x in args.probs.split(",")]
+        try:
+            masses = [Fraction(x) for x in args.probs.split(",")]
+        except ZeroDivisionError:
+            raise ValueError(f"--probs {args.probs!r} has a zero denominator") from None
         dist = entropy.LabelDistribution(
             tuple(range(len(masses))), tuple(masses), entropy.EXACT
         )
@@ -271,7 +307,7 @@ def _cmd_entropy_tail(args):
     else:
         raise UsageError("entropy tail needs --probs or --rule")
     sel = entropy.tail_select(dist, args.C, args.c0)
-    return sel.to_json_dict(), 0
+    return sel, 0
 
 
 def _cmd_hom_check(args):
@@ -280,8 +316,8 @@ def _cmd_hom_check(args):
     res = homsearch.is_homomorphism_rule(rule, H)
     payload = {
         "passed": res.passed,
-        "verdict": res.verdict,
-        "witness": None if res.witness is None else res.witness.to_json_dict(),
+        "verdict": "homomorphism rule (exact scan)" if res.passed else "violation found",
+        "witness": None if res.witness is None else _witness_payload(res.witness),
     }
     return payload, 0 if res.passed else 1
 
@@ -293,14 +329,14 @@ def _cmd_hom_search(args):
         max_rules=args.max_rules, rng_seed=args.seed or 0
     )
     out = homsearch.search(H, args.d, args.t, model, budget=budget)
-    return out.to_json_dict(), 0 if out.kind != "BudgetExceeded" else 1
+    return _search_payload(out), 0 if out.kind != "BudgetExceeded" else 1
 
 
 def _cmd_hom_certificate(args):
     H = _load_target(args.target)
     model = rules.SeedModel.parse(args.model)
     cert = homsearch.impossibility_certificate(H, args.d, args.t, model)
-    return cert.to_json_dict(), 0
+    return _certificate_payload(cert), 0
 
 
 def _cmd_sim_run(args):
@@ -317,7 +353,7 @@ def _cmd_sim_run(args):
             for v in sorted(labeling):
                 fh.write(f"{v} {labeling[v]}\n")
         payload["labels_path"] = args.labels_out
-    payload.update(report.to_json_dict())
+    payload.update(asdict(report))
     return payload, 0
 
 
@@ -331,7 +367,7 @@ def _cmd_sim_pipeline(args):
         rule, H, args.c0, args.C, mode=mode, samples=args.samples, rng_seed=args.seed
     )
     refuted = report.classification.startswith("refuted")
-    return report.to_json_dict(), 0 if refuted else 1
+    return report, 0 if refuted else 1
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +517,7 @@ def main(argv=None):
         entropy.EntropyError,
         simulate.DegreeMismatch,
         ValueError,
+        OSError,
     ) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -72,13 +72,13 @@ import hashlib
 import math
 import random
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 from operator import add, le, lt, mul
 
-from . import graphs, jsonable, randbelows, rules
+from . import graphs, randbelows, rules
 from .rules import BudgetExceeded
 
 
@@ -644,15 +644,6 @@ def mc_marginals(rule, n_samples, rng_seed):
 
 
 @dataclass(frozen=True)
-class EntropyReport:
-    h_vertex: float
-    h_edge: float
-    h_nbr_given_vertex: float
-    slack_edge_vertex: float
-    r: int | None
-
-
-@dataclass(frozen=True)
 class Verdict:
     check: str
     passed: bool
@@ -661,29 +652,16 @@ class Verdict:
 
 @dataclass(frozen=True)
 class AuditResult:
-    report: EntropyReport
+    h_vertex: float
+    h_edge: float
+    h_nbr_given_vertex: float
+    slack_edge_vertex: float
+    r: int | None
     verdicts: tuple
     provenance: Provenance
 
     def all_passed(self):
         return all(v.passed for v in self.verdicts)
-
-    def to_json_dict(self):
-        return {
-            "h_vertex": self.report.h_vertex,
-            "h_edge": self.report.h_edge,
-            "h_nbr_given_vertex": self.report.h_nbr_given_vertex,
-            "slack_edge_vertex": self.report.slack_edge_vertex,
-            "r": self.report.r,
-            "verdicts": [
-                {"check": v.check, "pass": v.passed, "margin": v.margin}
-                for v in self.verdicts
-            ],
-            "provenance": {
-                "kind": self.provenance.kind,
-                "n_samples": self.provenance.n_samples,
-            },
-        }
 
 
 def support_violations(pair, H):
@@ -711,18 +689,10 @@ def tolerance(dist, n_samples):
     return 3 * entropy_sigma(dist, n_samples) + 1e-9
 
 
-def audit(vertex, pair, r=None, H=None):
-    """Entropy report plus verdicts.
-
-    Checks, in order: (a) the edge law dominates 4/3 of the vertex entropy;
-    (b) when a target graph is given, the pair support lies inside its edge
-    set; (c) when the support check passes and a regularity r is known (or
-    read from H), the neighbor and vertex entropies are within
-    `entropy_caps(r)`.  The slack is `tolerance` of the vertex law, as in
-    pipeline step 2.
-    """
-    if r is not None and r < 1:
-        raise ValueError(f"regularity r must be >= 1, got {r}")
+def check_marginals(vertex, pair):
+    """InconsistentMarginals unless the pair law's marginal is the vertex law:
+    exactly for exact laws, within 3 sigma for Monte Carlo ones.  Returns the
+    sample counts of the Monte Carlo laws among the two."""
     ns = [p.n_samples for p in (vertex.provenance, pair.provenance) if p.kind == "monte_carlo"]
     marginal = pair.marginal()
     M, V = marginal.denominator, vertex.denominator
@@ -741,13 +711,33 @@ def audit(vertex, pair, r=None, H=None):
                 f"pair marginal and vertex law differ at {a!r}: "
                 f"{float(x / M)} vs {float(y / V)}"
             )
+    return ns
+
+
+def audit(vertex, pair, r=None, H=None):
+    """Entropies plus verdicts.
+
+    Checks, in order: (a) the edge law dominates 4/3 of the vertex entropy;
+    (b) when a target graph is given, the pair support lies inside its edge
+    set; (c) when the support check passes and a regularity r is known (or
+    read from H, whose regular degree a given r must equal), the neighbor
+    and vertex entropies are within `entropy_caps(r)`.  The slack is
+    `tolerance` of the vertex law, as in pipeline step 2.
+    """
+    if r is not None and r < 1:
+        raise ValueError(f"regularity r must be >= 1, got {r}")
+    if H is not None:
+        degree = graphs.regular_degree(H)
+        if r not in (None, degree):
+            raise ValueError(
+                f"regularity r = {r} disagrees with the target's regular degree {degree}"
+            )
+        r = degree
+    ns = check_marginals(vertex, pair)
 
     h_v = entropy(vertex)
     h_e = joint_entropy(pair)
     h_n = conditional_entropy(pair)
-
-    if H is not None and r is None:
-        r = graphs.regular_degree(H)
 
     tol = tolerance(vertex, min(ns) if ns else None)
     slack = h_e - (4.0 / 3.0) * h_v
@@ -766,19 +756,20 @@ def audit(vertex, pair, r=None, H=None):
             Verdict("vertex_entropy_cap", h_v <= vertex_cap + tol, vertex_cap - h_v)
         )
 
-    report = EntropyReport(
-        h_vertex=h_v,
-        h_edge=h_e,
-        h_nbr_given_vertex=h_n,
-        slack_edge_vertex=slack,
-        r=r,
-    )
     prov = (
         vertex.provenance
         if vertex.provenance.kind == "monte_carlo"
         else pair.provenance
     )
-    return AuditResult(report=report, verdicts=tuple(verdicts), provenance=prov)
+    return AuditResult(
+        h_vertex=h_v,
+        h_edge=h_e,
+        h_nbr_given_vertex=h_n,
+        slack_edge_vertex=slack,
+        r=r,
+        verdicts=tuple(verdicts),
+        provenance=prov,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +787,10 @@ def c0_fraction(c0):
     elif isinstance(c0, float):
         frac = Fraction(repr(c0))
     elif isinstance(c0, str):
-        frac = Fraction(c0)
+        try:
+            frac = Fraction(c0)
+        except ZeroDivisionError:
+            raise ValueError(f"c0 {c0!r} has a zero denominator") from None
     else:
         raise ValueError(f"cannot interpret c0 of type {type(c0).__name__}")
     if not 0 < frac < 1:
@@ -856,9 +850,6 @@ class TailSelection:
     c0_floor: float
     floor_holds: bool
     verdict: str
-
-    def to_json_dict(self):
-        return jsonable(asdict(self))
 
 
 def tail_select(dist, C, c0):

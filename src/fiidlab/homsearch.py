@@ -52,7 +52,7 @@ outcome reports carry that caveat verbatim.
 import random
 from dataclasses import dataclass, field
 
-from . import jsonable, rules
+from . import rules
 from .rules import BudgetExceeded
 
 
@@ -73,18 +73,11 @@ class ViolationWitness:
     config: tuple
     outputs: tuple
 
-    def to_json_dict(self):
-        return jsonable({"config": self.config, "outputs": self.outputs})
-
 
 @dataclass(frozen=True)
 class CheckResult:
     passed: bool
     witness: ViolationWitness | None
-
-    @property
-    def verdict(self):
-        return "homomorphism rule (exact scan)" if self.passed else "violation found"
 
 
 def _witness_from_config(rule, config, outputs):
@@ -134,17 +127,6 @@ class ImpossibilityCertificate:
     model: rules.SeedModel
     config: tuple
     reasoning: tuple
-
-    def to_json_dict(self):
-        # an alphabet certificate's q names its model; hybrid:q shares q, so
-        # the other models print their name
-        if self.model.kind == "alphabet":
-            model = {"q": self.model.q}
-        else:
-            model = {"model": str(self.model)}
-        return jsonable(
-            {"d": self.d, "t": self.t, **model, "config": self.config, "reasoning": self.reasoning}
-        )
 
 
 def _axis_keys(layout):
@@ -265,21 +247,6 @@ class SearchOutcome:
     witnesses: list = field(default_factory=list)  # (rule_index, ViolationWitness)
     caveat: str = ""
     certificate: ImpossibilityCertificate | None = None
-
-    def to_json_dict(self):
-        sample = [{"rule_index": idx, **w.to_json_dict()} for idx, w in self.witnesses[:10]]
-        return jsonable(
-            {
-                "kind": self.kind,
-                "rules_examined": self.rules_examined,
-                "witnesses_stored": len(self.witnesses),
-                "witness_sample": sample,
-                "class_caveat": self.caveat,
-                "certificate": (
-                    None if self.certificate is None else self.certificate.to_json_dict()
-                ),
-            }
-        )
 
 
 def _digits(index, base, n):

@@ -11,17 +11,18 @@ The pipeline walks the refutation chain for a candidate rule against a
 regular target H: (1) is the pair law supported on edges of H, (2) is the
 vertex entropy within 3 ln r, (3) how much mass escapes the C-1 heaviest
 labels, (4) is the selected set acyclic in H, (5) does the composed partial
-2-coloring reach domain mass 1 - c0.  Steps 1 and 2 use the checks of
-`entropy.audit`: `support_violations`, `entropy_caps` and `tolerance`.  Each
+2-coloring reach domain mass 1 - c0.  The pipeline refuses the laws the
+audit refuses (`entropy.check_marginals`), and steps 1 and 2 use the checks
+of `entropy.audit`: `support_violations`, `entropy_caps` and `tolerance`.  Each
 step reports its numbers; the classification names the refuting step or
 states that no refutation follows at the chosen parameters.
 """
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import entropy as ent
-from . import graphs, jsonable, randbelows, rules
+from . import graphs, randbelows, rules
 
 
 class DegreeMismatch(Exception):
@@ -47,9 +48,6 @@ class SimulationReport:
     violating_edges: int | None
     violating_edge_fraction: float | None
     independent_set: dict | None
-
-    def to_json_dict(self):
-        return jsonable(asdict(self))
 
 
 def _tree_ball_order(G, v, t, d):
@@ -207,9 +205,6 @@ class PipelineReport:
     def step(self, index):
         return self.steps[index - 1]
 
-    def to_json_dict(self):
-        return jsonable(asdict(self))
-
 
 def _weakened(C, r, c0):
     """Is C below the threshold the girth argument actually needs?"""
@@ -224,7 +219,8 @@ def pipeline_from_laws(vertex, pair, H, c0, C):
     """Run the refutation chain on explicitly given marginals.
 
     This is the testing hook behind `theorem_pipeline`; it accepts any
-    consistent (vertex, pair) laws, so synthetic laws can be audited too.
+    (vertex, pair) laws that `entropy.check_marginals` finds consistent, so
+    synthetic laws can be audited too.
     The report's `marginal_mode` is "exact" or "mc:<n>", from the vertex
     law's provenance.
     """
@@ -234,6 +230,7 @@ def pipeline_from_laws(vertex, pair, H, c0, C):
     r = prof.regular_degree
     if r < 1:
         raise ValueError(f"the pipeline needs a target of degree >= 1, got degree {r}")
+    ent.check_marginals(vertex, pair)
     c0f = ent.c0_fraction(c0)
     n_samples = vertex.provenance.n_samples
     steps = []
@@ -355,6 +352,8 @@ def theorem_pipeline(rule, H, c0, C, mode="exact", samples=None, rng_seed=None):
     if set(rule.output_alphabet) != set(range(H.n)):
         raise ValueError("rule output alphabet must equal the target vertex set")
     if mode == "exact":
+        if samples is not None or rng_seed is not None:
+            raise ValueError("exact mode takes neither a sample count nor an rng seed")
         vertex, pair = ent.exact_marginals(rule)
     elif mode == "mc":
         if not samples:

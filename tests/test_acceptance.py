@@ -20,7 +20,7 @@ import random
 
 import pytest
 
-from fiidlab import entropy, graphs, homsearch, rules, simulate
+from fiidlab import entropy, graphs, homsearch, jsonable, rules, simulate
 
 TOL = 1e-9
 
@@ -228,9 +228,7 @@ def test_criterion_08_emulation(acceptance_log):
     ok = 0.24 <= frac <= 0.26
     ok = ok and rep1.independent_set["adjacent_in_in"] == 0
     ok = ok and rep1.covered_fraction >= 0.99
-    identical = lab1 == lab2 and json.dumps(rep1.to_json_dict()) == json.dumps(
-        rep2.to_json_dict()
-    )
+    identical = lab1 == lab2 and json.dumps(jsonable(rep1)) == json.dumps(jsonable(rep2))
     ok = ok and identical
     acceptance_log(
         8,

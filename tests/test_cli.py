@@ -4,6 +4,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 import fiidlab
 from fiidlab import cli, graphs
 
@@ -241,6 +243,12 @@ class TestEntropyCommands:
         out, err = capsys.readouterr()
         assert out == "" and "--seed applies only to --samples runs" in err
 
+    def test_audit_r_disagreeing_with_the_target_is_refused(self, capsys):
+        assert cli.main(["--no-timestamp", "entropy", "audit", "--rule", "builtin:constant:0",
+                         "--exact", "--target", "Petersen", "--r", "7"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "r = 7 disagrees with the target's regular degree 3" in err
+
     def test_audit_regularity_below_one_is_refused(self, capsys):
         for r in ("0", "-3"):
             assert cli.main(["--no-timestamp", "entropy", "audit", "--rule",
@@ -444,6 +452,45 @@ class TestSimCommands:
 
     def test_bad_flag_exit_two(self):
         assert cli.main(["graph", "profile", "--garbage"]) == 2
+
+
+class TestInputErrors:
+    """Bad input exits 2 with an error line and prints no JSON; exit 1 is
+    kept for an audited property that fails."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["entropy", "constant", "--r", "3", "--c0", "1/0"],
+            ["entropy", "tail", "--probs", "1/0,1", "--C", "2", "--c0", "0.5"],
+            ["entropy", "tail", "--probs", "1/4,1/4,1/2", "--C", "2", "--c0", "1/0"],
+            ["sim", "pipeline", "--rule", "builtin:constant:0", "--target", "Petersen",
+             "--c0", "1/0", "--C", "5", "--exact"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]) + (" --probs" if "1/0,1" in argv else ""),
+    )
+    def test_zero_denominator(self, capsys, argv):
+        assert cli.main(["--no-timestamp", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "zero denominator" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graph", "gen", "--n", "10", "--d", "3", "--seed", "1", "--out"],
+            ["rule", "random", "--d", "3", "--t", "1", "--model", "rank", "--alphabet", "0,1",
+             "--seed", "1", "--out"],
+            ["rule", "make", "--name", "constant", "--label", "0", "--out"],
+            ["sim", "run", "--rule", "builtin:max_seed_independent", "--graph", "Petersen",
+             "--seed", "1", "--labels-out"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_output_path_in_a_missing_directory(self, capsys, tmp_path, argv):
+        path = str(tmp_path / "missing" / "out.txt")
+        assert cli.main(["--no-timestamp", *argv, path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: FileNotFoundError:")
 
 
 def test_python_dash_m_runs_quietly():

@@ -247,9 +247,9 @@ class TestAudit:
         rule = rules.builtin_rule("max_seed_independent", d=3)
         vertex, pair = entropy.exact_marginals(rule)
         res = entropy.audit(vertex, pair, r=3)
-        assert res.report.h_vertex == pytest.approx(0.562335, abs=1e-6)
-        assert res.report.h_edge == pytest.approx(1.039721, abs=1e-6)
-        assert res.report.slack_edge_vertex == pytest.approx(0.289941, abs=1e-6)
+        assert res.h_vertex == pytest.approx(0.562335, abs=1e-6)
+        assert res.h_edge == pytest.approx(1.039721, abs=1e-6)
+        assert res.slack_edge_vertex == pytest.approx(0.289941, abs=1e-6)
         assert res.all_passed()
 
     def test_constant_boundary(self):
@@ -285,16 +285,26 @@ class TestAudit:
         with pytest.raises(entropy.InconsistentMarginals):
             entropy.audit(vertex, pair)
 
+    def test_r_must_be_the_targets_regular_degree(self):
+        petersen = graphs.named_graph("Petersen")
+        rule = rules.builtin_rule("constant", label=0, output_alphabet=tuple(range(10)))
+        vertex, pair = entropy.exact_marginals(rule)
+        with pytest.raises(ValueError, match="r = 7 disagrees with the target's regular degree 3"):
+            entropy.audit(vertex, pair, r=7, H=petersen)
+        assert entropy.audit(vertex, pair, r=3, H=petersen).r == 3
+        assert entropy.audit(vertex, pair, H=petersen).r == 3
+        # a path has no regular degree, so no r agrees with it
+        path = graphs.build_graph(10, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="r = 2 disagrees with the target's regular degree None"):
+            entropy.audit(vertex, pair, r=2, H=path)
+        assert entropy.audit(vertex, pair, H=path).r is None
+
     def test_chain_rule_on_exact_laws(self):
         for seed in range(6):
             rule = rules.random_rule(3, 1, rules.rank(), (0, 1, 2), 300 + seed)
             vertex, pair = entropy.exact_marginals(rule)
             res = entropy.audit(vertex, pair)
-            resid = (
-                res.report.h_edge
-                - res.report.h_vertex
-                - res.report.h_nbr_given_vertex
-            )
+            resid = res.h_edge - res.h_vertex - res.h_nbr_given_vertex
             assert abs(resid) < 1e-9
 
     def test_edge_supported_laws_nbr_cap(self):

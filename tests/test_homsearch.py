@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from fiidlab import graphs, homsearch, rules
+from fiidlab import cli, graphs, homsearch, jsonable, rules
 from fiidlab.rules import BudgetExceeded
 
 
@@ -149,7 +149,7 @@ class TestSearch:
         cert = homsearch.impossibility_certificate(H, d, t, model)
         assert out.kind == "Impossible" and out.rules_examined == 0
         assert out.certificate == cert and out.witnesses == []
-        assert out.to_json_dict()["certificate"] == cert.to_json_dict()
+        assert cli._search_payload(out)["certificate"] == cli._certificate_payload(cert)
         witness = homsearch.replay_certificate(cert, LazyRandomRule(d, t, model, H.n, 5), H)
         assert witness.outputs[0] == witness.outputs[1]
         forced = homsearch.search(H, d, t, model, force_enumeration=True)
@@ -170,7 +170,7 @@ class TestSearch:
 
     def test_json_shape(self):
         out = homsearch.search(C5, 3, 1, rules.rank())
-        payload = out.to_json_dict()
+        payload = jsonable(cli._search_payload(out))
         assert payload["kind"] == "ExhaustedNone"
         assert payload["rules_examined"] == 625
         assert payload["class_caveat"]

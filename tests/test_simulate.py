@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fiidlab import entropy, graphs, rules, simulate
+from fiidlab import entropy, graphs, jsonable, rules, simulate
 
 
 MAX_SEED = rules.builtin_rule("max_seed_independent", d=3)
@@ -129,7 +129,7 @@ class TestRunOnGraph:
         a_lab, a_rep = simulate.run_on_graph(MAX_SEED, G, 7)
         b_lab, b_rep = simulate.run_on_graph(MAX_SEED, G, 7)
         assert a_lab == b_lab
-        assert json.dumps(a_rep.to_json_dict()) == json.dumps(b_rep.to_json_dict())
+        assert json.dumps(jsonable(a_rep)) == json.dumps(jsonable(b_rep))
 
     def test_tree_marginal_agreement(self):
         G = graphs.random_regular(10_000, 3, 13)
@@ -236,10 +236,29 @@ class TestPipeline:
         with pytest.raises(ValueError):
             simulate.theorem_pipeline(MAX_SEED, PETERSEN, 0.089, 5)
 
+    def test_laws_the_audit_refuses_are_refused(self):
+        # a uniform vertex law with the pair law of one edge: the pair
+        # marginal puts mass 1/2 on each end of that edge
+        vertex = entropy.uniform_distribution(range(HEAWOOD.n))
+        u, v = next(iter(HEAWOOD.edges()))
+        pair = entropy.pair_from_edge_weights(HEAWOOD, {(u, v): 1})
+        with pytest.raises(entropy.InconsistentMarginals):
+            entropy.audit(vertex, pair, H=HEAWOOD)
+        with pytest.raises(entropy.InconsistentMarginals):
+            simulate.pipeline_from_laws(vertex, pair, HEAWOOD, 0.089, 5)
+
+    @pytest.mark.parametrize(
+        "extra", [{"samples": 50}, {"rng_seed": 9}, {"samples": 50, "rng_seed": 9}], ids=str
+    )
+    def test_exact_mode_refuses_samples_and_seed(self, extra):
+        rule = rules.builtin_rule("constant", label=0, output_alphabet=tuple(range(10)))
+        with pytest.raises(ValueError, match="exact mode takes neither"):
+            simulate.theorem_pipeline(rule, PETERSEN, 0.089, 5, mode="exact", **extra)
+
     def test_json_round_trip(self):
         vertex, pair = heawood_uniform_edge_law()
         report = simulate.pipeline_from_laws(vertex, pair, HEAWOOD, 0.089, 5)
-        payload = json.loads(json.dumps(report.to_json_dict()))
+        payload = json.loads(json.dumps(jsonable(report)))
         assert payload["classification"] == report.classification
         assert payload["steps"][2]["data"]["outside_mass"]["exact"] == "5/7"
 
@@ -266,7 +285,7 @@ class TestAuditAgreesWithPipeline:
         res = entropy.audit(vertex, pair, H=HEAWOOD)
         step = simulate.pipeline_from_laws(vertex, pair, HEAWOOD, 0.089, 5).step(2)
         (cap,) = [v for v in res.verdicts if v.check == "vertex_entropy_cap"]
-        assert res.report.r == 3
+        assert res.r == 3
         assert cap.passed is step.passed is True
         assert cap.margin == step.data["margin"]
 
