@@ -458,17 +458,15 @@ class TestInputErrors:
     """Bad input exits 2 with an error line and prints no JSON; exit 1 is
     kept for an audited property that fails."""
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["entropy", "constant", "--r", "3", "--c0", "1/0"],
-            ["entropy", "tail", "--probs", "1/0,1", "--C", "2", "--c0", "0.5"],
-            ["entropy", "tail", "--probs", "1/4,1/4,1/2", "--C", "2", "--c0", "1/0"],
-            ["sim", "pipeline", "--rule", "builtin:constant:0", "--target", "Petersen",
-             "--c0", "1/0", "--C", "5", "--exact"],
-        ],
-        ids=lambda argv: " ".join(argv[:2]) + (" --probs" if "1/0,1" in argv else ""),
-    )
+    ZERO_DENOMINATOR = {
+        "constant --c0": ["entropy", "constant", "--r", "3", "--c0", "1/0"],
+        "tail --probs": ["entropy", "tail", "--probs", "1/0,1", "--C", "2", "--c0", "0.5"],
+        "tail --c0": ["entropy", "tail", "--probs", "1/4,1/4,1/2", "--C", "2", "--c0", "1/0"],
+        "pipeline --c0": ["sim", "pipeline", "--rule", "builtin:constant:0", "--target",
+                          "Petersen", "--c0", "1/0", "--C", "5", "--exact"],
+    }
+
+    @pytest.mark.parametrize("argv", ZERO_DENOMINATOR.values(), ids=ZERO_DENOMINATOR.keys())
     def test_zero_denominator(self, capsys, argv):
         assert cli.main(["--no-timestamp", *argv]) == 2
         out, err = capsys.readouterr()
