@@ -374,6 +374,18 @@ def _cmd_sim_pipeline(args):
 # parser
 
 
+def _u64(text):
+    """A --seed value: an int in 0..2^64-1.  random.Random seeds from the
+    absolute value, so a negative seed would repeat another seed's output."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"{value} is not in 0..2^64-1")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="fiidlab",
@@ -385,7 +397,7 @@ def _build_parser():
 
     def common(p, *names):
         if "seed" in names:
-            p.add_argument("--seed", type=int, default=None, help="master rng seed (u64)")
+            p.add_argument("--seed", type=_u64, default=None, help="master rng seed (u64)")
         if "target" in names:
             p.add_argument("--target", default=None, help="named graph or graph file path")
         if "rule" in names:

@@ -23,6 +23,26 @@ half-tree types of `rules._alphabet_subtree_types`; a rule costs one pass
 over their N_t * N_(t-1) entries, not q^(edge ball size) configurations.
 At t=0, A is the vertex alone and B' is empty.
 
+The same sum runs by label class.  Each canonical ball gets a packed
+column: its multiplicity in each cell (A', B'), the sum of c_A over the
+types A cut to A' that give that ball with B', in a byte-aligned
+little-endian field per cell, as wide as the largest cell total needs.  The
+columns of the balls a rule labels a add, field by field without a carry,
+to M_a[A', B'] = g(A', B', a); the last label's M is the class total less
+the others.  Then
+
+    P(a, b) = sum over (A', B') of M_a[A', B'] * M_b[B', A'],
+
+one sum of products over the cells per pair of labels.  The dict form
+above costs one step per (ball, count) entry and about min(k, e)^2 per
+cell for k labels and e = N_t / N_(t-1) half-tree types per cell; the
+label-class form costs one add of a packed column per ball and k^2 / 2
+products per cell.  So it runs for rules of at most min(16, e) labels on
+classes whose packed column takes at most 1 KiB, and the dict form for
+every other rule: many labels (alphabet:3 t=2 crosses over near 50), few
+types per cell (d=2, where e = q), and wide grids (alphabet:2 t=3, 1,764
+cells of two bytes), where the columns also cost memory on every ball.
+
 Rank and hybrid seeds: core interleavings.  Let K = ball(u) & ball(v) be
 the core (k vertices), U the vertices only u sees and V those only v sees,
 and S the edge-ball size.  The seeds' order is uniform over S! orders and
@@ -71,12 +91,13 @@ All entropies are in nats.
 import hashlib
 import math
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations, product
-from operator import add, le, lt, mul
+from itertools import chain, combinations, compress, permutations, product, repeat
+from operator import add, eq, le, lt, mul
 
 from . import graphs, randbelows, rules
 from .rules import BudgetExceeded
@@ -300,12 +321,12 @@ def _truncated_code(code, d, depth):
     return code[:1] + b"".join(sorted(_truncated_code(kid, d, depth - 1) for kid in kids))
 
 
-@lru_cache(maxsize=None)
-def _half_tree_structure(d, t, q):
-    """(codes, cells, denominator) of the alphabet pair law; see the module
-    docstring.  `codes` lists the canonical balls; cells[i][j] lists the
-    (ball index, c_A) of every half-tree type A cut to type i, coded with
-    cut type j as the root's d-th child.  Rule-independent, cached."""
+def _half_tree_types(d, t, q):
+    """(codes, cuts, types) of an alphabet class; see the module docstring.
+    `codes` lists the canonical balls and `cuts` the half-tree types cut to
+    depth t-1.  `types` yields, for each half-tree type A, the index i of
+    its cut, the ball index of A coded with cut j as the root's d-th child
+    for every j, and c_A."""
     codes = rules.enumerate_canonical_balls(d, t, rules.alphabet(q))
     entries = _half_tree_count(d, t, q) * _half_tree_count(d, t - 1, q)
     if entries > rules.ALPHABET_ENUM_BUDGET:
@@ -320,17 +341,113 @@ def _half_tree_structure(d, t, q):
         cuts = [code for code, _ in rules._alphabet_subtree_types(d, t - 1, q, d - 1)]
     cut_index = {code: i for i, code in enumerate(cuts)}
     width = rules.subtree_size(d, t - 1)
+
+    def types():
+        for code, count in rules._alphabet_subtree_types(d, t, q, d - 1):
+            root = code[:1]
+            kids = [code[k:k + width] for k in range(1, len(code), width)]
+            balls = [index[root + b"".join(sorted(kids + [cut]))] for cut in cuts]
+            yield cut_index[_truncated_code(code, d, t - 1)], balls, count
+
+    return codes, cuts, types()
+
+
+@lru_cache(maxsize=None)
+def _half_tree_structure(d, t, q):
+    """(codes, cells, denominator) of the alphabet pair law by cells; see
+    the module docstring.  cells[i][j] lists the (ball index, c_A) of every
+    half-tree type A cut to type i, coded with cut type j as the root's d-th
+    child.  Rule-independent, cached."""
+    codes, cuts, types = _half_tree_types(d, t, q)
     cells = [[[] for _ in cuts] for _ in cuts]
-    for code, count in rules._alphabet_subtree_types(d, t, q, d - 1):
-        row = cells[cut_index[_truncated_code(code, d, t - 1)]]
-        root = code[:1]
-        kids = [code[k:k + width] for k in range(1, len(code), width)]
-        for j, cut in enumerate(cuts):
-            row[j].append((index[root + b"".join(sorted(kids + [cut]))], count))
+    for i, balls, count in types:
+        row = cells[i]
+        for j, ball in enumerate(balls):
+            row[j].append((ball, count))
     return codes, cells, q ** (2 * rules.subtree_size(d, t))
 
 
+# Bounds of the label-class path, below where the per-cell sums overtake it
+# (see the module docstring and `_label_class_limit`).
+_PACKED_MAX_LABELS = 16
+_PACKED_MAX_BYTES = 1024
+_FIELD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _label_class_limit(d, t, q):
+    """The most labels a rule may have for its pair law to be summed by
+    label class: at most _PACKED_MAX_LABELS, and at most the mean number
+    N_t / N_(t-1) of half-tree types per cell.  The label-class form pays
+    k^2 products per cell, the per-cell form about min(k, types)^2."""
+    return min(_PACKED_MAX_LABELS, _half_tree_count(d, t, q) // _half_tree_count(d, t - 1, q))
+
+
+@lru_cache(maxsize=None)
+def _half_tree_columns(d, t, q):
+    """(codes, columns, total, n, width, denominator) of the alphabet pair
+    law by label class, or None when a packed column would exceed
+    _PACKED_MAX_BYTES or a cell total 8 bytes.  columns[ball] packs the
+    ball's multiplicity in each of the n * n cells (i, j), summed c_A as in
+    `_half_tree_structure`, into the little-endian field i * n + j of
+    `width` bytes; `total` is the sum of the columns.  Rule-independent,
+    cached."""
+    cuts = [(b"", 1)] if t == 0 else rules._alphabet_subtree_types(d, t - 1, q, d - 1)
+    n = len(cuts)
+    # the cells of row i hold the configurations of A cut to type i: those of
+    # the cut times q to the (d-1)^t leaves of A, in total
+    top = max(count for _, count in cuts) * q ** ((d - 1) ** t)
+    width = next((w for w in _FIELD_FORMATS if top < 1 << (8 * w)), None)
+    if width is None or n * n * width > _PACKED_MAX_BYTES:
+        return None
+    codes, _, types = _half_tree_types(d, t, q)
+    bits = 8 * width
+    columns = [0] * len(codes)
+    for i, balls, count in types:
+        shift = bits * n * i
+        for ball in balls:
+            columns[ball] += count << shift
+            shift += bits
+    return codes, columns, sum(columns), n, width, q ** (2 * rules.subtree_size(d, t))
+
+
 def _exact_pair_law_alphabet(rule):
+    if len(rule.output_alphabet) <= _label_class_limit(rule.d, rule.t, rule.model.q):
+        packed = _half_tree_columns(rule.d, rule.t, rule.model.q)
+        if packed is not None:
+            return _pair_law_by_label_class(rule, packed)
+    return _pair_law_by_cells(rule)
+
+
+def _pair_law_by_label_class(rule, packed):
+    codes, columns, total, n, width, denom = packed
+    labels = rule.output_alphabet
+    k = len(labels)
+    position = {a: i for i, a in enumerate(labels)}
+    out = list(map(position.__getitem__, map(rule.table.__getitem__, codes)))
+    # M_a, packed: the columns of the balls labelled a; the last label's is
+    # what the others leave of the total
+    packs = [sum(compress(columns, map(eq, out, repeat(a)))) for a in range(k - 1)]
+    packs.append(total - sum(packs))
+    size = n * n * width
+    fmt = _FIELD_FORMATS[width]
+    # On a big-endian machine the cells unpack in reverse order, which maps
+    # (i, j) to (n-1-i, n-1-j) and so commutes with the transposition below.
+    used = [a for a in range(k) if packs[a]]
+    grids = {
+        a: memoryview(packs[a].to_bytes(size, sys.byteorder)).cast(fmt).tolist() for a in used
+    }
+    # M_b[j, i] in the order of M_a[i, j]: the i-th column of M_b, for each i
+    flipped = {a: list(chain.from_iterable(m[i::n] for i in range(n))) for a, m in grids.items()}
+    law = {}
+    for p, a in enumerate(used):
+        m_a = grids[a]
+        for b in used[p:]:
+            law[a, b] = law[b, a] = sum(map(mul, m_a, flipped[b]))
+    counts = {(labels[a], labels[b]): law[a, b] for a in used for b in used if law[a, b]}
+    return PairDistribution(labels, counts, EXACT, denom)
+
+
+def _pair_law_by_cells(rule):
     codes, cells, denom = _half_tree_structure(rule.d, rule.t, rule.model.q)
     labels = rule.output_alphabet
     k = len(labels)

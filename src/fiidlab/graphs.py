@@ -258,9 +258,8 @@ def _girth(G, components):
     seen = [0] * n
     stamp = 0
     adj = G.adjacency
-    for root in range(n):
-        if best == 3:
-            break  # no simple graph has a shorter cycle
+    root = 0
+    while root < n and best > 4:
         stamp += 1
         seen[root] = stamp
         dist[root] = 0
@@ -282,6 +281,17 @@ def _girth(G, components):
                     c = dx + dist[w] + 1
                     if c < best:
                         best = c
+        root += 1
+    if best == 4:
+        # only a triangle could lower it, and the search from each earlier
+        # root found every triangle through that root; look for x < w < y
+        for x in range(root, n):
+            near = adj[x]
+            for w in near:
+                if w > x:
+                    for y in adj[w]:
+                        if y > w and y in near:
+                            return 3
     return best
 
 

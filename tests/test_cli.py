@@ -472,6 +472,44 @@ class TestInputErrors:
         out, err = capsys.readouterr()
         assert out == "" and "zero denominator" in err
 
+    # every subcommand that takes --seed, with the rest of a valid command line
+    SEEDED = {
+        "graph gen": ["graph", "gen", "--n", "10", "--d", "3", "--out", "{tmp}/g.txt"],
+        "rule random": ["rule", "random", "--t", "1", "--model", "alphabet:2",
+                        "--alphabet", "0,1"],
+        "entropy mc": ["entropy", "mc", "--rule", "builtin:max_seed_independent",
+                       "--samples", "50"],
+        "entropy audit": ["entropy", "audit", "--rule", "builtin:max_seed_independent",
+                          "--samples", "50"],
+        "hom search": ["hom", "search", "--target", "C5", "--t", "1", "--model", "rank"],
+        "sim run": ["sim", "run", "--rule", "builtin:max_seed_independent",
+                    "--graph", "Petersen"],
+        "sim pipeline": ["sim", "pipeline", "--rule", "builtin:constant:0", "--target",
+                         "Petersen", "--c0", "0.089", "--C", "5", "--samples", "50"],
+    }
+
+    def test_seeded_covers_every_seed_flag(self):
+        seeded = set()
+        top = next(a for a in cli._build_parser()._actions if a.dest == "group")
+        for group, sub in top.choices.items():
+            action = next(a for a in sub._actions if a.dest == "sub")
+            seeded |= {
+                f"{group} {name}" for name, p in action.choices.items()
+                if "--seed" in p._option_string_actions
+            }
+        assert seeded == set(self.SEEDED)
+
+    @pytest.mark.parametrize("argv", SEEDED.values(), ids=SEEDED.keys())
+    def test_seed_outside_u64_is_refused(self, capsys, tmp_path, argv):
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        for seed in ("-1", str(2**64)):
+            assert cli.main(["--no-timestamp", *argv, "--seed", seed]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "--seed" in err
+        for seed in (0, 2**64 - 1):
+            code, payload, _ = run(capsys, *argv, "--seed", str(seed))
+            assert code in (0, 1) and payload
+
     @pytest.mark.parametrize(
         "argv",
         [

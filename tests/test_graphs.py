@@ -50,6 +50,18 @@ def random_graph(n, p, seed):
     return graphs.build_graph(n, edges)
 
 
+def random_triangle_free_graph(n, p, seed):
+    """Random edges, each kept unless it closes a triangle."""
+    rng = random.Random(seed)
+    adj = [set() for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p and not adj[u] & adj[v]:
+                adj[u].add(v)
+                adj[v].add(u)
+    return graphs.build_graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
+
+
 class TestBuildGraph:
     def test_k2(self):
         G = graphs.build_graph(2, [(0, 1)])
@@ -120,8 +132,27 @@ class TestProfile:
             )
             for k in (4, 5, 9)
         ]
+        # triangle-free graphs, where the search stops looking beyond triangles
+        # once it has a 4-cycle
+        corpus += [random_triangle_free_graph(10, p, 3000 + seed)
+                   for seed in range(20) for p in (0.3, 0.6)]
+        corpus += [graphs.random_regular(12, 3, seed) for seed in range(20)]
+        corpus += [graphs.named_graph(name) for name in ("Petersen", "Heawood")]
         for G in corpus:
             assert graphs.profile(G).girth == graphs.girth_by_enumeration(G) == graphs.girth(G)
+        assert {graphs.girth(G) for G in corpus} >= {3, 4, 5, 6, INFINITE}
+
+    def test_triangle_after_a_four_cycle(self):
+        # the 4-cycle 0-1-2-3 is found from root 0; the only triangle, 4-5-6
+        # (or 5-6-7 in another component), lies at later roots
+        joined = graphs.build_graph(
+            7, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6), (4, 6)]
+        )
+        apart = graphs.build_graph(
+            8, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (5, 6), (6, 7), (5, 7)]
+        )
+        for G in (joined, apart):
+            assert graphs.girth(G) == graphs.girth_by_enumeration(G) == 3
 
     def test_bipartite_implies_even_or_infinite_girth(self):
         for seed in range(40):

@@ -236,10 +236,19 @@ def test_alphabet_edge_structure_t2_equals_reference():
 
 def _oracle_rules(d, t, model):
     """Seeded random rules, constant rules (one with an unused label) and
-    the identity-factor rule, which gives each canonical ball its own label."""
+    the identity-factor rule, which gives each canonical ball its own label.
+    An alphabet pair law of at most `entropy._label_class_limit` labels sums
+    by label class, a larger one by cells: one random rule sits at that
+    bound and one just past it."""
     balls = rules.enumerate_canonical_balls(d, t, model)
     for seed in range(3):
         yield rules.random_rule(d, t, model, ("x", "y", "z"), seed)
+    if model.kind == "alphabet":
+        top = entropy._label_class_limit(d, t, model.q)
+    else:
+        top = entropy._PACKED_MAX_LABELS
+    for k in (top, top + 1):
+        yield rules.random_rule(d, t, model, tuple(range(k)), k)
     yield rules.make_rule(d, t, model, ("c",), dict.fromkeys(balls, "c"))
     yield rules.make_rule(d, t, model, ("u", "c"), dict.fromkeys(balls, "c"))
     yield rules.make_rule(
@@ -268,6 +277,59 @@ def test_pair_law_equals_edge_enumeration(d, t, q):
         pair = entropy.exact_marginals(rule)[1]
         assert pair.probs == reference_pair_law(rule)
         _assert_alphabet_order(pair, rule)
+
+
+@pytest.mark.parametrize("d,t,q", ENUMERABLE + [(2, 5, 2), (3, 3, 2)])
+def test_packed_columns_sum_the_cells(d, t, q):
+    """Each packed column holds the ball's summed c_A per cell, in fields of
+    the fewest bytes that hold the largest cell total; a class whose column
+    would pass the byte bound has none."""
+    codes, cells, _ = entropy._half_tree_structure(d, t, q)
+    n = len(cells)
+    totals = [sum(c for _, c in cell) for row in cells for cell in row]
+    width = next(w for w in (1, 2, 4, 8) if max(totals) < 256**w)
+    packed = entropy._half_tree_columns(d, t, q)
+    if n * n * width > entropy._PACKED_MAX_BYTES:
+        assert packed is None
+        return
+    assert packed[0] == codes and packed[3:5] == (n, width)
+    expected = [[0] * (n * n) for _ in codes]
+    for i, row in enumerate(cells):
+        for j, cell in enumerate(row):
+            for ball, count in cell:
+                expected[ball][i * n + j] += count
+    fields = [
+        [column >> (8 * width * f) & (256**width - 1) for f in range(n * n)]
+        for column in packed[1]
+    ]
+    assert fields == expected
+    assert packed[2] == sum(packed[1])
+
+
+@pytest.mark.parametrize(
+    "d,t,q,k,by_class",
+    [
+        (3, 2, 3, 16, True),  # 28.5 half-tree types per cell, 324-byte columns
+        (3, 2, 3, 17, False),  # past _PACKED_MAX_LABELS
+        (3, 2, 2, 7, True),  # 7 types per cell
+        (3, 2, 2, 8, False),
+        (2, 4, 2, 2, True),  # at d=2 a cell holds q types
+        (2, 4, 2, 3, False),
+        (3, 3, 2, 2, False),  # 1,764 two-byte cells pass _PACKED_MAX_BYTES
+    ],
+)
+def test_alphabet_pair_law_selection(monkeypatch, d, t, q, k, by_class):
+    calls = []
+    for name in ("_pair_law_by_label_class", "_pair_law_by_cells"):
+        real = getattr(entropy, name)
+
+        def spy(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(entropy, name, spy)
+    entropy.exact_marginals(rules.random_rule(d, t, rules.alphabet(q), tuple(range(k)), 0))
+    assert calls == ["_pair_law_by_label_class" if by_class else "_pair_law_by_cells"]
 
 
 def reference_pair_law_ordered(rule):
@@ -432,11 +494,13 @@ def test_hot_builds_skip_public_canonicalize(monkeypatch):
         rules.edge_pair_table,
         rules.enumerate_canonical_balls_weighted,
         entropy._half_tree_structure,
+        entropy._half_tree_columns,
         entropy._interleaving_structure,
     ):
         cached.cache_clear()
     table = rules.edge_pair_table(3, 1, rules.hybrid(2))
     entropy._half_tree_structure(3, 2, 2)
+    entropy._half_tree_columns(3, 2, 2)
     for d, t, model in ((3, 1, rules.hybrid(2)), (2, 3, rules.rank())):
         assert entropy._interleaving_structure(d, t, model)[1]
     assert table.total == 46080
