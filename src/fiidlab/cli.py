@@ -55,20 +55,18 @@ def _load_rule(spec, args):
     rule file carries its own d, which --d, when given, must match."""
     d = getattr(args, "d", None)
     if spec.startswith("builtin:"):
-        parts = spec.split(":")
-        name = parts[1]
         d = 3 if d is None else d
-        if name == "max_seed_independent":
+        if spec == "builtin:max_seed_independent":
             return rules.builtin_rule("max_seed_independent", d=d)
-        if name == "constant":
-            if len(parts) < 3:
-                raise UsageError("builtin:constant needs a label, e.g. builtin:constant:0")
-            label = rules._parse_label(parts[2])
+        if spec.startswith("builtin:constant:"):
+            label = rules._parse_label(spec[len("builtin:constant:"):])
             out = None
             if getattr(args, "target", None):
                 out = tuple(range(_load_target(args.target).n))
             return rules.builtin_rule("constant", label=label, d=d, output_alphabet=out)
-        raise UsageError(f"unknown builtin rule {name!r}")
+        if spec == "builtin:constant":
+            raise UsageError("builtin:constant needs a label, e.g. builtin:constant:0")
+        raise UsageError(f"unknown builtin rule spec {spec!r}")
     try:
         rule = rules.load_rule(spec)
     except OSError as exc:
@@ -177,7 +175,7 @@ def _rule_summary(rule):
         "t": rule.t,
         "model": str(rule.model),
         "output_alphabet": list(rule.output_alphabet),
-        "table_size": len(rule.table),
+        "table_size": len(rule.outputs),
     }
 
 
@@ -291,6 +289,8 @@ def _cmd_entropy_constant(args):
 def _cmd_entropy_tail(args):
     if args.C is None or args.c0 is None:
         raise UsageError("entropy tail needs --C and --c0")
+    if bool(args.probs) == bool(args.rule):
+        raise UsageError("entropy tail needs --probs or --rule, not both")
     if args.d is not None and not args.rule:
         raise UsageError("entropy tail takes --d only with --rule")
     if args.probs:
@@ -301,11 +301,9 @@ def _cmd_entropy_tail(args):
         dist = entropy.LabelDistribution(
             tuple(range(len(masses))), tuple(masses), entropy.EXACT
         )
-    elif args.rule:
+    else:
         rule = _load_rule(args.rule, args)
         dist, _ = entropy.exact_marginals(rule)
-    else:
-        raise UsageError("entropy tail needs --probs or --rule")
     sel = entropy.tail_select(dist, args.C, args.c0)
     return sel, 0
 

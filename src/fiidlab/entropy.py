@@ -322,10 +322,10 @@ def _truncated_code(code, d, depth):
 
 
 def _half_tree_types(d, t, q):
-    """(codes, cuts, types) of an alphabet class; see the module docstring.
-    `codes` lists the canonical balls and `cuts` the half-tree types cut to
-    depth t-1.  `types` yields, for each half-tree type A, the index i of
-    its cut, the ball index of A coded with cut j as the root's d-th child
+    """(cuts, types) of an alphabet class; see the module docstring.
+    `cuts` lists the half-tree types cut to depth t-1.  `types` yields, for
+    each half-tree type A, the index i of its cut, the ball index (in the
+    class's sorted codes) of A coded with cut j as the root's d-th child
     for every j, and c_A."""
     codes = rules.enumerate_canonical_balls(d, t, rules.alphabet(q))
     entries = _half_tree_count(d, t, q) * _half_tree_count(d, t - 1, q)
@@ -349,22 +349,22 @@ def _half_tree_types(d, t, q):
             balls = [index[root + b"".join(sorted(kids + [cut]))] for cut in cuts]
             yield cut_index[_truncated_code(code, d, t - 1)], balls, count
 
-    return codes, cuts, types()
+    return cuts, types()
 
 
 @lru_cache(maxsize=None)
 def _half_tree_structure(d, t, q):
-    """(codes, cells, denominator) of the alphabet pair law by cells; see
-    the module docstring.  cells[i][j] lists the (ball index, c_A) of every
+    """(cells, denominator) of the alphabet pair law by cells; see the
+    module docstring.  cells[i][j] lists the (ball index, c_A) of every
     half-tree type A cut to type i, coded with cut type j as the root's d-th
     child.  Rule-independent, cached."""
-    codes, cuts, types = _half_tree_types(d, t, q)
+    cuts, types = _half_tree_types(d, t, q)
     cells = [[[] for _ in cuts] for _ in cuts]
     for i, balls, count in types:
         row = cells[i]
         for j, ball in enumerate(balls):
             row[j].append((ball, count))
-    return codes, cells, q ** (2 * rules.subtree_size(d, t))
+    return cells, q ** (2 * rules.subtree_size(d, t))
 
 
 # Bounds of the label-class path, below where the per-cell sums overtake it
@@ -384,8 +384,8 @@ def _label_class_limit(d, t, q):
 
 @lru_cache(maxsize=None)
 def _half_tree_columns(d, t, q):
-    """(codes, columns, total, n, width, denominator) of the alphabet pair
-    law by label class, or None when a packed column would exceed
+    """(columns, total, n, width, denominator) of the alphabet pair law by
+    label class, or None when a packed column would exceed
     _PACKED_MAX_BYTES or a cell total 8 bytes.  columns[ball] packs the
     ball's multiplicity in each of the n * n cells (i, j), summed c_A as in
     `_half_tree_structure`, into the little-endian field i * n + j of
@@ -399,15 +399,15 @@ def _half_tree_columns(d, t, q):
     width = next((w for w in _FIELD_FORMATS if top < 1 << (8 * w)), None)
     if width is None or n * n * width > _PACKED_MAX_BYTES:
         return None
-    codes, _, types = _half_tree_types(d, t, q)
+    _, types = _half_tree_types(d, t, q)
     bits = 8 * width
-    columns = [0] * len(codes)
+    columns = [0] * len(rules.enumerate_canonical_balls(d, t, rules.alphabet(q)))
     for i, balls, count in types:
         shift = bits * n * i
         for ball in balls:
             columns[ball] += count << shift
             shift += bits
-    return codes, columns, sum(columns), n, width, q ** (2 * rules.subtree_size(d, t))
+    return columns, sum(columns), n, width, q ** (2 * rules.subtree_size(d, t))
 
 
 def _exact_pair_law_alphabet(rule):
@@ -419,14 +419,12 @@ def _exact_pair_law_alphabet(rule):
 
 
 def _pair_law_by_label_class(rule, packed):
-    codes, columns, total, n, width, denom = packed
+    columns, total, n, width, denom = packed
     labels = rule.output_alphabet
     k = len(labels)
-    position = {a: i for i, a in enumerate(labels)}
-    out = list(map(position.__getitem__, map(rule.table.__getitem__, codes)))
     # M_a, packed: the columns of the balls labelled a; the last label's is
     # what the others leave of the total
-    packs = [sum(compress(columns, map(eq, out, repeat(a)))) for a in range(k - 1)]
+    packs = [sum(compress(columns, map(eq, rule.outputs, repeat(a)))) for a in range(k - 1)]
     packs.append(total - sum(packs))
     size = n * n * width
     fmt = _FIELD_FORMATS[width]
@@ -448,12 +446,10 @@ def _pair_law_by_label_class(rule, packed):
 
 
 def _pair_law_by_cells(rule):
-    codes, cells, denom = _half_tree_structure(rule.d, rule.t, rule.model.q)
+    cells, denom = _half_tree_structure(rule.d, rule.t, rule.model.q)
     labels = rule.output_alphabet
     k = len(labels)
-    position = {a: i for i, a in enumerate(labels)}
-    table = rule.table
-    out = [position[table[code]] for code in codes]
+    out = rule.outputs
     g = []
     for row in cells:
         g_row = []
@@ -497,18 +493,17 @@ def _group_assignments(values, sizes):
 
 @lru_cache(maxsize=None)
 def _interleaving_structure(d, t, model):
-    """(codes, cells, terms, lifts, denominator) of the rank and hybrid pair
-    law; see the module docstring.  `codes` lists the canonical balls.
-    cells[i][n] lists the ball index of each order of the u-ball (with its
-    U tags) that extends core orbit i with gap vector n, one per orbit of
-    the sibling permutations inside U.  `terms` lists (i, j, weight): a core
+    """(cells, terms, lifts, denominator) of the rank and hybrid pair law;
+    see the module docstring.  cells[i][n] lists the ball index (in the
+    class's sorted codes) of each order of the u-ball (with its U tags) that
+    extends core orbit i with gap vector n, one per orbit of the sibling
+    permutations inside U.  `terms` lists (i, j, weight): a core
     orbit, the orbit of its flipped labellings, and how many core labellings
     have that pair, times the squared order of the group inside U.  `lifts`
     is (lift, width): lift[n] lists the (j index, prod_i C(n_i, j_i)) of
     every j <= gap vector n, and width counts the j.  Rule-independent,
     cached."""
-    codes = rules.enumerate_canonical_balls(d, t, model)
-    index = {code: i for i, code in enumerate(codes)}
+    index = {code: i for i, code in enumerate(rules.enumerate_canonical_balls(d, t, model))}
     coder = rules.ball_coder(d, t, model)
     layout = rules.edge_ball_layout(d, t)
     u_ids = layout.u_ids
@@ -603,18 +598,16 @@ def _interleaving_structure(d, t, model):
     terms = [(i, j, c * aut * aut) for (i, j), c in pair_counts.items()]
     q = model.q if hybrid else 1
     denominator = math.factorial(layout.size) * q**layout.size
-    return codes, cells, terms, (lifts, len(lift_index)), denominator
+    return cells, terms, (lifts, len(lift_index)), denominator
 
 
 def _exact_pair_law_ordered(rule):
-    codes, cells, terms, (lifts, width), denom = _interleaving_structure(
+    cells, terms, (lifts, width), denom = _interleaving_structure(
         rule.d, rule.t, rule.model
     )
     labels = rule.output_alphabet
     k = len(labels)
-    position = {a: i for i, a in enumerate(labels)}
-    table = rule.table
-    out = [position[table[code]] for code in codes]
+    out = rule.outputs
     # lifted[i][a][j]: core orbit i's u-ball orders with output a, lifted to j
     lifted = []
     for row in cells:
@@ -674,8 +667,8 @@ def _mc_pair_counts_rank_t1(rule, n, rng):
     width = 2 * d
     # a root's rank is 1 + the number of its smaller neighbours
     label_by_smaller = {
-        code[0] - 1: rule.table[code]
-        for code in rules.enumerate_canonical_balls(d, 1, rule.model)
+        code[0] - 1: rule.output_alphabet[i]
+        for code, i in zip(rules.enumerate_canonical_balls(d, 1, rule.model), rule.outputs)
     }
     counts = Counter()
     uniform = rng.random

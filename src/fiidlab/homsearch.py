@@ -262,17 +262,11 @@ def _digits(index, base, n):
     return digits
 
 
-def rule_table_at(codes, output_alphabet, index):
-    """Rule table number `index` in mixed-radix order over the sorted
-    canonical codes: codes[0] is the most significant digit."""
-    digits = _digits(index, len(output_alphabet), len(codes))
-    return {code: output_alphabet[digit] for code, digit in zip(codes, digits)}
-
-
 def rule_at_cursor(d, t, model, output_alphabet, index):
-    codes = rules.enumerate_canonical_balls(d, t, model)
-    table = rule_table_at(codes, tuple(output_alphabet), index)
-    return rules.make_rule(d, t, model, tuple(output_alphabet), table)
+    """Rule `index` of the class in mixed-radix order, ball 0 the most significant digit."""
+    alpha = rules.check_output_alphabet(output_alphabet)
+    n = len(rules.enumerate_canonical_balls(d, t, model))
+    return rules.LocalRule(d, t, model, alpha, tuple(_digits(index, len(alpha), n)))
 
 
 def search(H, d, t, model, budget=None, force_enumeration=False):
@@ -352,7 +346,7 @@ def search(H, d, t, model, budget=None, force_enumeration=False):
         return [(i, witness_at(i)) for i in stored]
 
     # depth-first walk over the digits, ball 0 most significant, so `index`
-    # runs in rule_table_at order; `digits` are the outputs of rule `index`,
+    # runs in rule_at_cursor order; `digits` are the outputs of rule `index`,
     # and balls before p decide no violation.  A violation decided at ball p
     # refutes the block of span[p] rules that share the prefix digits[:p+1].
     # Past the last ball every pair entry is an edge, so rule `index` maps
@@ -367,7 +361,7 @@ def search(H, d, t, model, budget=None, force_enumeration=False):
             return SearchOutcome(
                 kind="Found",
                 rules_examined=index + 1,
-                rule=rule_at_cursor(d, t, model, labels, index),
+                rule=rules.LocalRule(d, t, model, labels, tuple(digits)),
                 witnesses=witnesses(),
                 caveat=caveat,
             )

@@ -1,10 +1,11 @@
 """Equivariant finite-radius rules on the d-regular tree.
 
 A rule reads the seed data in the radius-t ball around a vertex and emits a
-label.  Equivariance is enforced structurally: the rule table is keyed by a
+label.  Equivariance is enforced structurally: the rule sees only a
 canonical encoding of the seed-labeled rooted ball, so any two balls related
 by a root-fixing automorphism (a permutation of sibling subtrees) look
-identical to the rule.
+identical to the rule.  A rule stores `outputs`, the label index of each
+canonical ball in the class's sorted order; `table` is a {code: label} view.
 
 Raw balls are nested tuples ``(label, (child, child, ...))``: the root has d
 children, every deeper internal vertex has d-1, and leaves sit at depth t.
@@ -25,7 +26,7 @@ label and its children's codes off a working list.
 Labels are tags, ranks from one sort of the ball's seeds, or (rank, tag)
 bytes; a vertex's code is its label bytes followed by its children's codes
 sorted as bytes, so the root's code is the preorder byte string of the
-sibling-sorted ball that rule tables and rule files are keyed by.  A memo
+sibling-sorted ball; sorted codes order rules and rule files.  A memo
 interns the code of each non-root (label, child codes) key; root codes are
 joined afresh, as at rank t=2 almost every root is new.  Seeds are validated
 only at the public boundary (`canonicalize`, `evaluate`, `endpoint_codes`).
@@ -40,7 +41,7 @@ ball.
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement, count, permutations, product
 from math import factorial
 from operator import itemgetter
@@ -519,17 +520,29 @@ def enumerate_canonical_balls(d, t, model):
 
 @dataclass(frozen=True)
 class LocalRule:
-    """Total mapping from canonical balls of (d, t, model) to output labels."""
+    """Total mapping from canonical balls of (d, t, model) to output labels:
+    outputs[i] indexes in output_alphabet the label of the i-th code of
+    enumerate_canonical_balls(d, t, model); `table` is a {code: label} view."""
 
     d: int
     t: int
     model: SeedModel
     output_alphabet: tuple
-    table: dict
+    outputs: tuple
+
+    def __post_init__(self):
+        n = len(enumerate_canonical_balls(self.d, self.t, self.model))
+        if len(self.outputs) != n or not set(self.outputs) <= set(range(len(self.output_alphabet))):
+            raise ValueError(f"a rule of this class has {n} outputs, each an output alphabet index")
+
+    @cached_property
+    def table(self):
+        codes = enumerate_canonical_balls(self.d, self.t, self.model)
+        return dict(zip(codes, map(self.output_alphabet.__getitem__, self.outputs)))
 
 
-def make_rule(d, t, model, output_alphabet, table):
-    """Validated LocalRule; the table must cover every canonical ball."""
+def check_output_alphabet(output_alphabet):
+    """The alphabet as a tuple; ValueError on repeats, none, or a bad label."""
     alpha = tuple(output_alphabet)
     if len(alpha) != len(set(alpha)) or not alpha:
         raise ValueError("output alphabet must be nonempty without repeats")
@@ -537,28 +550,32 @@ def make_rule(d, t, model, output_alphabet, table):
         text = str(label)
         if not text or any(ch.isspace() or ch == "," for ch in text):
             raise ValueError(f"label {label!r} not serializable (space or comma)")
+    return alpha
+
+
+def make_rule(d, t, model, output_alphabet, table):
+    """Validated LocalRule; the table must cover every canonical ball."""
+    alpha = check_output_alphabet(output_alphabet)
     codes = enumerate_canonical_balls(d, t, model)
     covered = sum(map(table.__contains__, codes))
     if covered < len(codes):
-        raise IncompleteTable(
-            f"table covers {covered} of {len(codes)} canonical balls"
-        )
+        raise IncompleteTable(f"table covers {covered} of {len(codes)} canonical balls")
     # every code is covered, so the keys beyond them are unknown
     if len(table) > covered:
         raise ValueError(f"table has {len(table) - covered} entries for unknown balls")
     bad = set(table.values()) - set(alpha)
     if bad:
         raise ValueError(f"table outputs {bad} outside the output alphabet")
-    return LocalRule(d=d, t=t, model=model, output_alphabet=alpha, table=dict(table))
+    table = dict(table)
+    position = {label: i for i, label in enumerate(alpha)}
+    rule = LocalRule(d, t, model, alpha, tuple(position[table[code]] for code in codes))
+    rule.__dict__["table"] = table  # the copy is the view: a rule file builds one dict
+    return rule
 
 
 def evaluate(rule, raw):
     """Output of the rule at the root of a raw seed-labeled ball."""
-    code = canonicalize(raw, rule.d, rule.t, rule.model)
-    try:
-        return rule.table[code]
-    except KeyError as exc:  # unreachable for validated rules
-        raise MalformedBall(f"ball {code.hex()} not in rule table") from exc
+    return rule.table[canonicalize(raw, rule.d, rule.t, rule.model)]
 
 
 def builtin_rule(name, **params):
@@ -572,19 +589,15 @@ def builtin_rule(name, **params):
     if name == "max_seed_independent":
         d = params.get("d", 3)
         codes = enumerate_canonical_balls(d, 1, rank())
-        top = d + 1
-        table = {code: ("IN" if code[0] == top else "OUT") for code in codes}
-        return make_rule(d, 1, rank(), ("IN", "OUT"), table)
+        return LocalRule(d, 1, rank(), ("IN", "OUT"), tuple(int(c[0] != d + 1) for c in codes))
     raise UnknownName(f"unknown builtin rule {name!r}")
 
 
 def random_rule(d, t, model, output_alphabet, rng_seed):
     """Independent uniform output per canonical ball; deterministic per seed."""
-    codes = enumerate_canonical_balls(d, t, model)
-    alpha = tuple(output_alphabet)
-    draws = randbelows(random.Random(rng_seed), len(alpha), len(codes))
-    table = {code: alpha[j] for code, j in zip(codes, draws)}
-    return make_rule(d, t, model, alpha, table)
+    n = len(enumerate_canonical_balls(d, t, model))
+    alpha = check_output_alphabet(output_alphabet)
+    return LocalRule(d, t, model, alpha, tuple(randbelows(random.Random(rng_seed), len(alpha), n)))
 
 
 def recode_outputs(rule, mapping, output_alphabet=None):
@@ -597,8 +610,8 @@ def recode_outputs(rule, mapping, output_alphabet=None):
 
 
 # ---------------------------------------------------------------------------
-# rule serialization: header "d t model output_alphabet", then
-# "<canonical_code_hex> <label>" lines, sorted by code
+# rule serialization: header "d t model output_alphabet", then one
+# "<canonical_code_hex> <label>" line per canonical ball, in class order
 
 
 @lru_cache(maxsize=1024)  # a rule file repeats a few label texts on every line
@@ -610,7 +623,8 @@ def _parse_label(text):
 def rule_to_text(rule):
     header = f"{rule.d} {rule.t} {rule.model} {','.join(str(x) for x in rule.output_alphabet)}"
     lines = [header]
-    lines.extend(f"{code.hex()} {rule.table[code]}" for code in sorted(rule.table))
+    codes = enumerate_canonical_balls(rule.d, rule.t, rule.model)
+    lines.extend(f"{code.hex()} {rule.output_alphabet[i]}" for code, i in zip(codes, rule.outputs))
     return "\n".join(lines) + "\n"
 
 

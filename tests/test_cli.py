@@ -116,6 +116,19 @@ class TestRuleCommands:
         code, payload, _ = run(capsys, "rule", "show", "--rule", "builtin:max_seed_independent")
         assert code == 0 and payload["d"] == 3
 
+    def test_builtin_spec_reads_all_of_its_text(self, capsys):
+        # the constant's label is everything after builtin:constant:, as
+        # rule make --label gives it
+        for label in ("a:b", "0:junk"):
+            code, shown, _ = run(capsys, "rule", "show", "--rule", f"builtin:constant:{label}")
+            _, made, _ = run(capsys, "rule", "make", "--name", "constant", "--label", label)
+            assert code == 0 and shown["output_alphabet"] == [label]
+            assert {k: shown[k] for k in made} == made
+        spec = "builtin:max_seed_independent:junk"
+        assert cli.main(["--no-timestamp", "entropy", "exact", "--rule", spec]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and repr(spec) in err
+
     def test_make_max_seed_refuses_label_and_alphabet(self, capsys):
         # max_seed_independent has fixed labels; a flag it would ignore is refused
         argv = ["rule", "make", "--name", "max_seed_independent", "--label", "7",
@@ -188,6 +201,12 @@ class TestEntropyCommands:
             "--d", "4", "--C", "2", "--c0", "0.3",
         )
         assert code == 0 and payload["selected"] == ["OUT"]
+
+    def test_tail_takes_probs_or_rule_not_both(self, capsys):
+        assert cli.main(["--no-timestamp", "entropy", "tail", "--probs", "1/2,1/2", "--rule",
+                         "builtin:constant:0", "--C", "2", "--c0", "0.1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--probs" in err and "--rule" in err
 
     def test_alphabet2_t3_exact_commands(self, capsys, tmp_path):
         path = str(tmp_path / "a.rule")

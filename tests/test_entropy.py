@@ -165,6 +165,26 @@ class TestExactMarginals:
             rules.random_rule(d, t, model, (0, 1), 3)
 
 
+    @pytest.mark.parametrize(
+        "d,t,model,labels",
+        [
+            (3, 2, rules.alphabet(3), (0, 1, 2)),  # by label class
+            (2, 2, rules.alphabet(2), (0, 1, 2)),  # by cells: 3 labels, 2 types a cell
+            (3, 1, rules.rank(), (0, 1)),
+            (3, 1, rules.hybrid(2), (0, 1)),
+        ],
+        ids=str,
+    )
+    def test_laws_read_the_output_vector(self, d, t, model, labels):
+        """No law builds a rule's {code: label} view: each reads the outputs
+        by ball index, and the rank t=1 sampler zips them with the codes."""
+        rule = rules.random_rule(d, t, model, labels, 5)
+        entropy.exact_marginals(rule)
+        if model == rules.rank():
+            entropy.mc_marginals(rule, 100, 1)
+        assert "table" not in rule.__dict__
+
+
 class TestMonteCarlo:
     def test_matches_exact_within_tv(self):
         rule = rules.builtin_rule("max_seed_independent", d=3)

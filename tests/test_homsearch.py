@@ -101,6 +101,29 @@ class TestSearch:
             rule = homsearch.rule_at_cursor(3, 1, rules.rank(), tuple(range(5)), index)
             assert homsearch.replay_witness(rule, C5, witness)
 
+    @pytest.mark.parametrize(
+        "d,t,model,labels",
+        [(3, 0, rules.alphabet(2), 3), (3, 1, rules.rank(), 3), (2, 0, rules.hybrid(3), 4)],
+        ids=str,
+    )
+    def test_rule_at_cursor_equals_table_reference(self, d, t, model, labels):
+        codes = rules.enumerate_canonical_balls(d, t, model)
+        alpha = tuple(range(labels))
+
+        def reference_table_at(index):
+            # rule `index` in mixed-radix order, codes[0] the most significant digit
+            table = {}
+            for code in reversed(codes):
+                index, digit = divmod(index, labels)
+                table[code] = alpha[digit]
+            return table
+
+        for index in range(labels ** len(codes)):
+            rule = homsearch.rule_at_cursor(d, t, model, alpha, index)
+            assert rule == rules.make_rule(d, t, model, alpha, reference_table_at(index))
+        with pytest.raises(ValueError, match="out of range"):
+            homsearch.rule_at_cursor(d, t, model, alpha, labels ** len(codes))
+
     def test_alphabet_shortcut(self):
         # 2^112 rules, past max_rules: the certificate answers
         out = homsearch.search(K2, 3, 2, rules.alphabet(2))
@@ -323,6 +346,9 @@ class TestSearchEqualsReference:
         # (rank 1 -> 0, rank 2 -> 1) maps every edge onto the edge 0-1
         out = homsearch.search(C5, 1, 1, rules.rank())
         assert out.kind == "Found" and out.rules_examined == 2
+        # the rule is its output vector; no {code: label} dict was built
+        assert "table" not in out.rule.__dict__
+        assert out.rule == homsearch.rule_at_cursor(1, 1, rules.rank(), range(5), 1)
         assert _summary(out) == _summary(reference_search(C5, 1, 1, rules.rank()))
         assert homsearch.is_homomorphism_rule(out.rule, C5).passed
 

@@ -284,7 +284,8 @@ def test_packed_columns_sum_the_cells(d, t, q):
     """Each packed column holds the ball's summed c_A per cell, in fields of
     the fewest bytes that hold the largest cell total; a class whose column
     would pass the byte bound has none."""
-    codes, cells, _ = entropy._half_tree_structure(d, t, q)
+    cells, _ = entropy._half_tree_structure(d, t, q)
+    codes = rules.enumerate_canonical_balls(d, t, rules.alphabet(q))
     n = len(cells)
     totals = [sum(c for _, c in cell) for row in cells for cell in row]
     width = next(w for w in (1, 2, 4, 8) if max(totals) < 256**w)
@@ -292,7 +293,7 @@ def test_packed_columns_sum_the_cells(d, t, q):
     if n * n * width > entropy._PACKED_MAX_BYTES:
         assert packed is None
         return
-    assert packed[0] == codes and packed[3:5] == (n, width)
+    assert len(packed[0]) == len(codes) and packed[2:4] == (n, width)
     expected = [[0] * (n * n) for _ in codes]
     for i, row in enumerate(cells):
         for j, cell in enumerate(row):
@@ -300,10 +301,10 @@ def test_packed_columns_sum_the_cells(d, t, q):
                 expected[ball][i * n + j] += count
     fields = [
         [column >> (8 * width * f) & (256**width - 1) for f in range(n * n)]
-        for column in packed[1]
+        for column in packed[0]
     ]
     assert fields == expected
-    assert packed[2] == sum(packed[1])
+    assert packed[1] == sum(packed[0])
 
 
 @pytest.mark.parametrize(
@@ -502,7 +503,7 @@ def test_hot_builds_skip_public_canonicalize(monkeypatch):
     entropy._half_tree_structure(3, 2, 2)
     entropy._half_tree_columns(3, 2, 2)
     for d, t, model in ((3, 1, rules.hybrid(2)), (2, 3, rules.rank())):
-        assert entropy._interleaving_structure(d, t, model)[1]
+        assert entropy._interleaving_structure(d, t, model)[0]
     assert table.total == 46080
     assert calls == []
 

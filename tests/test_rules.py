@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import permutations, product
 from math import factorial
@@ -336,6 +337,8 @@ class TestBuiltinRules:
         # missing and unknown keys together: the missing ones are reported
         with pytest.raises(rules.IncompleteTable, match="^table covers 3 of 4 canonical balls$"):
             make({**table, unknown: "x"})
+        with pytest.raises(ValueError, match="^table outputs {'y'} outside the output alphabet$"):
+            make({**table, balls[3]: "y"})
 
     def test_unknown_name(self):
         with pytest.raises(rules.UnknownName):
@@ -358,6 +361,40 @@ class TestRandomRule:
         rule = rules.random_rule(3, 2, rules.rank(), ("p", "q"), 0)
         assert len(rule.table) == rules.rank_ball_count(3, 2) == 75600
 
+    @pytest.mark.parametrize(
+        "d,t,model",
+        [(3, 1, rules.rank()), (3, 1, rules.hybrid(2)), (3, 1, rules.alphabet(2)),
+         (3, 1, rules.alphabet(3)), (3, 2, rules.alphabet(3))],
+        ids=str,
+    )
+    def test_outputs_and_table_agree(self, d, t, model):
+        rule = rules.random_rule(d, t, model, ("a", 0, "z"), 4)
+        assert "table" not in rule.__dict__
+        codes = rules.enumerate_canonical_balls(d, t, model)
+        assert list(rule.table) == list(codes)
+        assert rules.make_rule(d, t, model, rule.output_alphabet, rule.table) == rule
+
+    def test_alphabet_is_checked(self):
+        with pytest.raises(ValueError, match="nonempty without repeats"):
+            rules.random_rule(3, 1, rules.rank(), ("a", "a"), 0)
+        with pytest.raises(ValueError, match="not serializable"):
+            rules.random_rule(3, 1, rules.rank(), ("a b",), 0)
+
+
+class TestLocalRule:
+    def test_outputs_must_fit_the_class(self):
+        model = rules.rank()
+        message = "^a rule of this class has 4 outputs, each an output alphabet index$"
+        for outputs in ((0, 1, 0), (0, 1, 0, 1, 0), (0, 1, 0, 2), (0, 1, 0, -1)):
+            with pytest.raises(ValueError, match=message):
+                rules.LocalRule(3, 1, model, ("a", "b"), outputs)
+
+    def test_table_is_a_view_of_the_outputs(self):
+        rule = rules.LocalRule(3, 1, rules.rank(), ("a", "b"), (0, 1, 1, 0))
+        codes = rules.enumerate_canonical_balls(3, 1, rules.rank())
+        assert rule.table == dict(zip(codes, "abba"))
+        assert rules.make_rule(3, 1, rules.rank(), ("a", "b"), rule.table) == rule
+
 
 class TestSerialization:
     def test_round_trip_bit_exact(self):
@@ -377,6 +414,26 @@ class TestSerialization:
         path = tmp_path / "rule.txt"
         rules.save_rule(rule, path)
         assert rules.load_rule(path) == rule
+
+    @pytest.mark.parametrize(
+        "args,digest",
+        [
+            ((3, 2, rules.rank(), (0, 1, 2), 1),
+             "3da099d809333528626c5b3934fa949214b74f2db39f75cf74169e4492c46613"),
+            ((3, 2, rules.alphabet(3), ("a", "b"), 2),
+             "dfe3d233b85248345567fef85e6d78bc9d5d1e8381b215bca6d1610ebca45f91"),
+            ((3, 1, rules.hybrid(2), (0, 1, 2, 3), 3),
+             "6f10613377105ef6c289563b2d543659991fc73f2f0c74c74c4d145d55975dd8"),
+            ((3, 3, rules.alphabet(2), (0, 1, 2), 7),
+             "92002b31f03efd8607975784236ec761fdd8ad9f67dd5905e98f4a3338d33c6d"),
+        ],
+        ids=["rank_t2", "alphabet3_t2", "hybrid2_t1", "alphabet2_t3"],
+    )
+    def test_rule_file_bytes_are_pinned(self, args, digest):
+        """The bytes of seeded random rule files: a header, then one line per
+        canonical ball in class order."""
+        text = rules.rule_to_text(rules.random_rule(*args))
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
     def test_header_parse_error(self):
         with pytest.raises(ValueError):
