@@ -602,9 +602,7 @@ def _interleaving_structure(d, t, model):
 
 
 def _exact_pair_law_ordered(rule):
-    cells, terms, (lifts, width), denom = _interleaving_structure(
-        rule.d, rule.t, rule.model
-    )
+    cells, terms, (lifts, width), denom = _interleaving_structure(rule.d, rule.t, rule.model)
     labels = rule.output_alphabet
     k = len(labels)
     out = rule.outputs

@@ -557,18 +557,20 @@ def make_rule(d, t, model, output_alphabet, table):
     """Validated LocalRule; the table must cover every canonical ball."""
     alpha = check_output_alphabet(output_alphabet)
     codes = enumerate_canonical_balls(d, t, model)
-    covered = sum(map(table.__contains__, codes))
-    if covered < len(codes):
-        raise IncompleteTable(f"table covers {covered} of {len(codes)} canonical balls")
+    table = dict(table)  # a plain dict: a subclass could answer a missing code
+    try:  # one lookup per code, where a check and a conversion would take two
+        labels = list(map(table.__getitem__, codes))
+    except KeyError:
+        covered = sum(map(table.__contains__, codes))
+        raise IncompleteTable(f"table covers {covered} of {len(codes)} canonical balls") from None
     # every code is covered, so the keys beyond them are unknown
-    if len(table) > covered:
-        raise ValueError(f"table has {len(table) - covered} entries for unknown balls")
-    bad = set(table.values()) - set(alpha)
+    if len(table) > len(codes):
+        raise ValueError(f"table has {len(table) - len(codes)} entries for unknown balls")
+    bad = set(labels) - set(alpha)
     if bad:
         raise ValueError(f"table outputs {bad} outside the output alphabet")
-    table = dict(table)
     position = {label: i for i, label in enumerate(alpha)}
-    rule = LocalRule(d, t, model, alpha, tuple(position[table[code]] for code in codes))
+    rule = LocalRule(d, t, model, alpha, tuple(map(position.__getitem__, labels)))
     rule.__dict__["table"] = table  # the copy is the view: a rule file builds one dict
     return rule
 

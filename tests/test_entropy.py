@@ -164,7 +164,6 @@ class TestExactMarginals:
         with pytest.raises(entropy.BudgetExceeded):
             rules.random_rule(d, t, model, (0, 1), 3)
 
-
     @pytest.mark.parametrize(
         "d,t,model,labels",
         [
