@@ -25,7 +25,6 @@ class UsageError(Exception):
 RULE_D_HELP = "degree of a builtin rule (default 3); a rule file's d must match it"
 
 
-
 def _emit(args, payload):
     envelope = {
         "schema_version": SCHEMA_VERSION,
@@ -86,10 +85,7 @@ def _seed_of(args, payload):
 
 
 def _dist_payload(dist):
-    out = {"labels": list(dist.labels), "p": {}}
-    for a, x in zip(dist.labels, dist.p):
-        out["p"][str(a)] = x
-    return out
+    return {"labels": list(dist.labels), "p": {str(a): x for a, x in zip(dist.labels, dist.p)}}
 
 
 def _pair_payload(pair):
@@ -221,7 +217,8 @@ def _cmd_rule_random(args):
 def _cmd_rule_show(args):
     rule = _load_rule(args.rule, args)
     payload = _rule_summary(rule)
-    payload["table"] = {code.hex(): str(rule.table[code]) for code in sorted(rule.table)}
+    codes = rules.enumerate_canonical_balls(rule.d, rule.t, rule.model)
+    payload["table"] = {code.hex(): str(rule.output_alphabet[i]) for code, i in zip(codes, rule.outputs)}
     return payload, 0
 
 

@@ -542,7 +542,9 @@ class LocalRule:
 
 
 def check_output_alphabet(output_alphabet):
-    """The alphabet as a tuple; ValueError on repeats, none, or a bad label."""
+    """The alphabet as a tuple; ValueError on repeats, none, or a label that
+    a rule file cannot carry: its text must be nonempty ASCII without space
+    or comma, and read back as the label itself."""
     alpha = tuple(output_alphabet)
     if len(alpha) != len(set(alpha)) or not alpha:
         raise ValueError("output alphabet must be nonempty without repeats")
@@ -550,6 +552,8 @@ def check_output_alphabet(output_alphabet):
         text = str(label)
         if not text or any(ch.isspace() or ch == "," for ch in text):
             raise ValueError(f"label {label!r} not serializable (space or comma)")
+        if not text.isascii() or _parse_label(text) != label:
+            raise ValueError(f"label {label!r} not serializable (non-ASCII or not read back)")
     return alpha
 
 
@@ -570,9 +574,7 @@ def make_rule(d, t, model, output_alphabet, table):
     if bad:
         raise ValueError(f"table outputs {bad} outside the output alphabet")
     position = {label: i for i, label in enumerate(alpha)}
-    rule = LocalRule(d, t, model, alpha, tuple(map(position.__getitem__, labels)))
-    rule.__dict__["table"] = table  # the copy is the view: a rule file builds one dict
-    return rule
+    return LocalRule(d, t, model, alpha, tuple(map(position.__getitem__, labels)))
 
 
 def evaluate(rule, raw):
@@ -613,13 +615,15 @@ def recode_outputs(rule, mapping, output_alphabet=None):
 
 # ---------------------------------------------------------------------------
 # rule serialization: header "d t model output_alphabet", then one
-# "<canonical_code_hex> <label>" line per canonical ball, in class order
+# "<canonical_code_hex> <label>" line per canonical ball, in class order.
+# The reader accepts exactly what the writer writes: the codes in class order,
+# each label one of the header's texts, each header text its label's own.
 
 
-@lru_cache(maxsize=1024)  # a rule file repeats a few label texts on every line
 def _parse_label(text):
-    stripped = text[1:] if text.startswith("-") else text
-    return int(text) if stripped.isdigit() else text
+    """An int for an ASCII digit string, optionally negative; else the text."""
+    digits = text[1:] if text.startswith("-") else text
+    return int(text) if digits.isascii() and digits.isdigit() else text
 
 
 def rule_to_text(rule):
@@ -631,30 +635,33 @@ def rule_to_text(rule):
 
 
 def rule_from_text(text):
-    """Parse a rule file; ValueError naming the line on a line that is not
-    "<code hex> <label>" or a code listed twice."""
-    lines = text.splitlines()
-    rows = (i for i, ln in enumerate(lines) if ln.strip())
-    first = next(rows, None)
-    if first is None:
-        raise ValueError("empty rule file")
-    head = lines[first].split()
+    """Parse a rule file in one pass over the class's codes, skipping blank
+    lines; ValueError naming the line on a bad header, a line that is not
+    the next code and a header label, or a line missing or extra."""
+    rows = ((n, fields) for n, fields in enumerate(map(str.split, text.splitlines()), 1) if fields)
+    n, head = next(rows, (1, []))
     if len(head) != 4:
-        raise ValueError(f"bad rule header {lines[first]!r}")
+        raise ValueError(f"line {n}: bad rule header {' '.join(head)!r}")
     d, t = int(head[0]), int(head[1])
     model = SeedModel.parse(head[2])
-    out = tuple(_parse_label(x) for x in head[3].split(","))
-    table = {}
-    for i in rows:
-        fields = lines[i].split()
-        if len(fields) != 2:
-            raise ValueError(f"line {i + 1}: expected '<code hex> <label>', got {lines[i]!r}")
-        code_hex, label_text = fields
-        code = bytes.fromhex(code_hex)
-        if code in table:
-            raise ValueError(f"line {i + 1}: code {code_hex} listed twice")
-        table[code] = _parse_label(label_text)
-    return make_rule(d, t, model, out, table)
+    texts = head[3].split(",")
+    out = check_output_alphabet(map(_parse_label, texts))
+    if list(map(str, out)) != texts:
+        raise ValueError(f"line {n}: header labels {head[3]!r} are not the texts of {out!r}")
+    index = {label_text: i for i, label_text in enumerate(texts)}
+    codes = enumerate_canonical_balls(d, t, model)
+    outputs = []
+    for code, (n, fields) in zip(codes, rows):
+        i = index.get(fields[-1])
+        if len(fields) != 2 or fields[0] != code.hex() or i is None:
+            raise ValueError(f"line {n}: expected '{code.hex()} <header label>', got {' '.join(fields)!r}")
+        outputs.append(i)
+    extra = next(rows, None)
+    if extra is not None:
+        raise ValueError(f"line {extra[0]}: extra line past the {len(codes)} canonical balls")
+    if len(outputs) < len(codes):
+        raise ValueError(f"line {n + 1}: missing, only {len(outputs)} of {len(codes)} balls")
+    return LocalRule(d, t, model, out, tuple(outputs))
 
 
 def save_rule(rule, path):

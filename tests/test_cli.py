@@ -137,6 +137,24 @@ class TestRuleCommands:
         out, err = capsys.readouterr()
         assert out == "" and "takes no --label" in err
 
+    def test_rule_file_out_of_class_order_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "r.rule"
+        run(capsys, "rule", "random", "--d", "3", "--t", "1", "--model", "rank",
+            "--alphabet", "a,b", "--seed", "1", "--out", str(path))
+        lines = path.read_text().splitlines()
+        lines[1], lines[2] = lines[2], lines[1]
+        path.write_text("\n".join(lines) + "\n")
+        assert cli.main(["--no-timestamp", "entropy", "exact", "--rule", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ValueError: line 2: expected '")
+
+    def test_alphabet_without_an_ascii_text_is_refused(self, capsys):
+        argv = ["rule", "random", "--d", "3", "--t", "1", "--model", "rank",
+                "--alphabet", "\u00b2,x", "--seed", "1"]
+        assert cli.main(["--no-timestamp", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "not serializable" in err and "invalid literal" not in err
+
     def test_random_without_seed_reports_one(self, capsys):
         code, payload, _ = run(
             capsys, "rule", "random", "--d", "3", "--t", "0", "--model", "rank",

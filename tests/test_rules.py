@@ -379,6 +379,10 @@ class TestRandomRule:
             rules.random_rule(3, 1, rules.rank(), ("a", "a"), 0)
         with pytest.raises(ValueError, match="not serializable"):
             rules.random_rule(3, 1, rules.rank(), ("a b",), 0)
+        # a label whose text would read back as another value
+        for label in ("007", 0.5, "7", "-0", True, None, "\u00b2"):
+            with pytest.raises(ValueError, match="not serializable .non-ASCII or not read back.$"):
+                rules.random_rule(3, 1, rules.rank(), (label, "x"), 1)
 
 
 class TestLocalRule:
@@ -432,12 +436,15 @@ class TestSerialization:
     def test_rule_file_bytes_are_pinned(self, args, digest):
         """The bytes of seeded random rule files: a header, then one line per
         canonical ball in class order."""
-        text = rules.rule_to_text(rules.random_rule(*args))
+        rule = rules.random_rule(*args)
+        text = rules.rule_to_text(rule)
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+        assert rules.rule_from_text(text) == rule
 
     def test_header_parse_error(self):
-        with pytest.raises(ValueError):
-            rules.rule_from_text("3 1 rank\n")
+        for text, header in (("3 1 rank\n", "3 1 rank"), ("", ""), ("\n  \n", "")):
+            with pytest.raises(ValueError, match=f"^line 1: bad rule header '{header}'$"):
+                rules.rule_from_text(text)
 
     def test_line_without_two_fields_is_refused(self):
         lines = rules.rule_to_text(rules.builtin_rule("max_seed_independent", d=3)).splitlines()
@@ -448,14 +455,85 @@ class TestSerialization:
         with pytest.raises(ValueError, match="line 3"):
             rules.rule_from_text("\n".join(lines))
 
+    @staticmethod
+    def _max_seed_lines():
+        return rules.rule_to_text(rules.builtin_rule("max_seed_independent", d=3)).splitlines()
+
     def test_code_listed_twice_is_refused(self):
-        # the first code again with the other label: the last would win
-        lines = rules.rule_to_text(rules.builtin_rule("max_seed_independent", d=3)).splitlines()
+        # the first code again with the other label, after a blank line: the
+        # line where the second code belongs is refused
+        lines = self._max_seed_lines()
         code, label = lines[1].split()
         other = "IN" if label == "OUT" else "OUT"
         text = "\n".join(lines[:2] + ["", f"{code} {other}"] + lines[2:])
-        with pytest.raises(ValueError, match=f"line 4: code {code} listed twice"):
+        expected = lines[2].split()[0]
+        with pytest.raises(
+            ValueError, match=f"^line 4: expected '{expected} <header label>', got '{code} {other}'$"
+        ):
             rules.rule_from_text(text)
+
+    def test_lines_out_of_class_order_are_refused(self):
+        lines = self._max_seed_lines()
+        lines[2], lines[3] = lines[3], lines[2]
+        with pytest.raises(ValueError, match="^line 3: expected '"):
+            rules.rule_from_text("\n".join(lines))
+
+    def test_label_missing_from_the_header_is_refused(self):
+        lines = self._max_seed_lines()
+        lines[3] = lines[3].split()[0] + " MAYBE"
+        with pytest.raises(ValueError, match="^line 4: expected '.*', got '.* MAYBE'$"):
+            rules.rule_from_text("\n".join(lines))
+
+    def test_missing_last_line_is_refused(self):
+        lines = self._max_seed_lines()
+        assert len(lines) == 5
+        with pytest.raises(ValueError, match="^line 5: missing, only 3 of 4 balls$"):
+            rules.rule_from_text("\n".join(lines[:-1]) + "\n")
+
+    def test_extra_line_is_refused(self):
+        lines = self._max_seed_lines()
+        text = "\n".join(lines + ["", lines[-1]]) + "\n"
+        with pytest.raises(ValueError, match="^line 7: extra line past the 4 canonical balls$"):
+            rules.rule_from_text(text)
+
+    def test_header_text_must_be_its_labels_own(self):
+        # 007 would read as 7, which writes back as 7
+        text = rules.rule_to_text(rules.random_rule(3, 1, rules.rank(), (7, "x"), 1))
+        with pytest.raises(ValueError, match="^line 1: header labels '007,x' are not the texts"):
+            rules.rule_from_text(text.replace(" 7,x\n", " 007,x\n"))
+
+    def test_parse_label_reads_only_ascii_digits_as_ints(self):
+        assert [rules._parse_label(x) for x in ("12", "-3", "-", "+4", "\u00b2", "\u0663")] == [
+            12, -3, "-", "+4", "\u00b2", "\u0663"
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-10**12, 10**12),
+                st.text(st.sampled_from("07a-+.x"), min_size=1, max_size=4),
+                st.text(st.sampled_from("0a-x"), min_size=1, max_size=3),
+                st.one_of(
+                    st.text(st.sampled_from("07a \u00b2,"), max_size=3),
+                    st.sampled_from([0.5, float("inf"), True, None, "007", "-0", "7"]),
+                ),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(0, 2**32),
+    )
+    def test_every_accepted_alphabet_round_trips(self, labels, seed):
+        try:
+            alpha = rules.check_output_alphabet(labels)
+        except ValueError:
+            return
+        rule = rules.random_rule(3, 1, rules.rank(), alpha, seed)
+        text = rules.rule_to_text(rule)
+        back = rules.rule_from_text(text)
+        assert back == rule and rules.rule_to_text(back) == text
+        assert [type(x) for x in back.output_alphabet] == [type(x) for x in alpha]
 
 
 class TestEdgeBall:
