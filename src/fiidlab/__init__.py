@@ -4,7 +4,7 @@ audits, homomorphism rule search, and emulation on finite graphs."""
 import math
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, islice, repeat
 
 __version__ = "0.1.0"
 
@@ -29,6 +29,26 @@ def jsonable(x):
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
     return x
+
+
+# Graph and rule files are read and written line by line, in blocks of
+# whole lines: a file's text is never held at once, and the text wrapper is
+# called once per block, not once per line.
+_BLOCK_CHARS = 1 << 16
+_BLOCK_LINES = 4096
+
+
+def read_lines(fh):
+    """The lines of an open text file, split as str.splitlines splits its
+    whole text: a form feed inside a file line still ends a line."""
+    blocks = iter(lambda: fh.read(_BLOCK_CHARS) + fh.readline(), "")
+    return chain.from_iterable(map(str.splitlines, blocks))
+
+
+def write_lines(fh, lines):
+    """Write lines, each ending in a newline, to an open text file."""
+    lines = iter(lines)
+    fh.writelines(iter(lambda: "".join(islice(lines, _BLOCK_LINES)), ""))
 
 
 # Seeded draws.  Random.randrange(n) is getrandbits(n.bit_length()) drawn

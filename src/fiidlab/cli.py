@@ -38,6 +38,19 @@ def _emit(args, payload):
     print(line)
 
 
+def _label(token):
+    """The label a command-line token names.  A token whose label prints as
+    other text is refused, as a rule file could not carry it: 007 reads as 7."""
+    label = rules._parse_label(token)
+    if str(label) != token:
+        raise UsageError(f"label {token!r} reads as {label!r}, which prints as {str(label)!r}")
+    return label
+
+
+def _alphabet(spec):
+    return tuple(map(_label, spec.split(",")))
+
+
 def _load_target(spec):
     try:
         return graphs.named_graph(spec)
@@ -58,7 +71,7 @@ def _load_rule(spec, args):
         if spec == "builtin:max_seed_independent":
             return rules.builtin_rule("max_seed_independent", d=d)
         if spec.startswith("builtin:constant:"):
-            label = rules._parse_label(spec[len("builtin:constant:"):])
+            label = _label(spec[len("builtin:constant:"):])
             out = None
             if getattr(args, "target", None):
                 out = tuple(range(_load_target(args.target).n))
@@ -179,9 +192,9 @@ def _cmd_rule_make(args):
     if args.name == "constant":
         if args.label is None:
             raise UsageError("rule make --name constant needs --label")
-        out = tuple(rules._parse_label(x) for x in args.alphabet.split(",")) if args.alphabet else None
+        out = _alphabet(args.alphabet) if args.alphabet else None
         rule = rules.builtin_rule(
-            "constant", label=rules._parse_label(args.label), d=args.d, output_alphabet=out
+            "constant", label=_label(args.label), d=args.d, output_alphabet=out
         )
     elif args.name == "max_seed_independent":
         for flag in ("label", "alphabet"):
@@ -203,7 +216,7 @@ def _cmd_rule_random(args):
     model = rules.SeedModel.parse(args.model)
     if not args.alphabet:
         raise UsageError("rule random needs --alphabet, e.g. --alphabet a,b,c")
-    out = tuple(rules._parse_label(x) for x in args.alphabet.split(","))
+    out = _alphabet(args.alphabet)
     payload = {}
     seed = _seed_of(args, payload)
     rule = rules.random_rule(args.d, args.t, model, out, seed)

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import shuffle
+from . import read_lines, shuffle, write_lines
 
 INFINITE = math.inf
 
@@ -93,7 +93,9 @@ class FiniteGraph:
 
 
 def build_graph(n, edges):
-    """Build a FiniteGraph from an edge list; duplicates and loops are errors."""
+    """Build a FiniteGraph from an edge list; duplicates and loops are errors.
+
+    Each edge {u, v} is checked by the one int key u * n + v with u < v."""
     if n < 0:
         raise VertexOutOfRange(f"negative vertex count {n}")
     adj = [[] for _ in range(n)]
@@ -103,9 +105,9 @@ def build_graph(n, edges):
             raise VertexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
         if u == v:
             raise LoopEdge(f"loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
+        key = u * n + v if u < v else v * n + u
         if key in seen:
-            raise DuplicateEdge(f"edge {key} given twice")
+            raise DuplicateEdge(f"edge {(u, v) if u < v else (v, u)} given twice")
         seen.add(key)
         adj[u].append(v)
         adj[v].append(u)
@@ -117,42 +119,66 @@ def build_graph(n, edges):
 
 
 # ---------------------------------------------------------------------------
-# text format: line 1 "n m", then m lines "u v", sorted lexicographically
+# text format: line 1 "n m", then m lines "u v", sorted lexicographically.
+# A file is written from the line generator that graph_to_text joins, and
+# read line by line by the parser that graph_from_text runs on its text.
+
+
+def _graph_lines(G):
+    yield f"{G.n} {G.m}\n"
+    for u, w in G.edges():
+        yield f"{u} {w}\n"
 
 
 def graph_to_text(G):
-    lines = [f"{G.n} {G.m}"]
-    lines.extend(f"{u} {v}" for u, v in G.edges())
-    return "\n".join(lines) + "\n"
+    return "".join(_graph_lines(G))
+
+
+def _graph_from_lines(lines):
+    """The graph of a file's lines, blank lines skipped; ValueError naming
+    the line on a bad header or edge line, and, once every line is read, on
+    an edge count other than the header's."""
+    numbered = enumerate(lines, 1)
+    for i, ln in numbered:
+        head = ln.split()
+        if head:
+            break
+    else:
+        raise ValueError("empty graph file")
+    try:
+        n, m = map(int, head)
+    except ValueError:
+        raise ValueError(f"line {i}: bad header {ln!r}, expected 'n m'") from None
+
+    def edges():
+        for i, ln in numbered:
+            fields = ln.split()
+            if fields:
+                try:
+                    u, v = fields
+                    u, v = int(u), int(v)
+                except ValueError:
+                    raise ValueError(f"line {i}: bad edge line {ln!r}, expected 'u v'") from None
+                yield u, v
+
+    G = build_graph(n, edges())
+    if G.m != m:
+        raise ValueError(f"header says m={m} but {G.m} edge lines found")
+    return G
 
 
 def graph_from_text(text):
-    rows = [ln for ln in text.splitlines() if ln.strip()]
-    if not rows:
-        raise ValueError("empty graph file")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise ValueError(f"bad header {rows[0]!r}, expected 'n m'")
-    n, m = int(head[0]), int(head[1])
-    if len(rows) - 1 != m:
-        raise ValueError(f"header says m={m} but {len(rows) - 1} edge lines found")
-    edges = []
-    for ln in rows[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    return build_graph(n, edges)
+    return _graph_from_lines(text.splitlines())
 
 
 def write_graph(G, path):
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(graph_to_text(G))
+        write_lines(fh, _graph_lines(G))
 
 
 def read_graph(path):
     with open(path, "r", encoding="ascii") as fh:
-        return graph_from_text(fh.read())
+        return _graph_from_lines(read_lines(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +372,24 @@ def profile(G):
 _PAIRING_ATTEMPTS = 2000
 
 
+def _is_simple_pairing(n, stubs):
+    """Whether pairing stubs[0] with stubs[1], stubs[2] with stubs[3], ...
+    makes no loop and no repeated edge, by build_graph's int edge keys."""
+    seen = set()
+    it = iter(stubs)
+    for u, v in zip(it, it):
+        if u < v:
+            key = u * n + v
+        elif v < u:
+            key = v * n + u
+        else:
+            return False
+        if key in seen:
+            return False
+        seen.add(key)
+    return True
+
+
 def random_regular(n, d, rng_seed):
     """Uniform-ish simple d-regular graph via stub pairing with rejection.
 
@@ -361,20 +405,15 @@ def random_regular(n, d, rng_seed):
     for _ in range(_PAIRING_ATTEMPTS):
         stubs = stubs_master[:]
         shuffle(rng, stubs)
-        edges = set()
-        ok = True
-        it = iter(stubs)
-        for u, v in zip(it, it):
-            if u == v:
-                ok = False
-                break
-            key = (u, v) if u < v else (v, u)
-            if key in edges:
-                ok = False
-                break
-            edges.add(key)
-        if ok:
-            return build_graph(n, sorted(edges))
+        if _is_simple_pairing(n, stubs):
+            # the neighbor lists hold the pairing's own ints, one per vertex
+            adj = [[] for _ in range(n)]
+            it = iter(stubs)
+            for u, v in zip(it, it):
+                adj[u].append(v)
+                adj[v].append(u)
+            adjacency = tuple(tuple(sorted(a)) for a in adj)
+            return FiniteGraph(n=n, adjacency=adjacency, m=len(stubs) // 2)
     raise RetryBudgetExceeded(
         f"no simple pairing found in {_PAIRING_ATTEMPTS} attempts (n={n}, d={d})"
     )

@@ -46,7 +46,7 @@ from itertools import combinations, combinations_with_replacement, count, permut
 from math import factorial
 from operator import itemgetter
 
-from . import randbelows
+from . import randbelows, read_lines, write_lines
 
 ALPHABET_ENUM_BUDGET = 10_000_000
 RANK_BALL_LIMIT = 10
@@ -616,6 +616,8 @@ def recode_outputs(rule, mapping, output_alphabet=None):
 # ---------------------------------------------------------------------------
 # rule serialization: header "d t model output_alphabet", then one
 # "<canonical_code_hex> <label>" line per canonical ball, in class order.
+# A file is written from the line generator that rule_to_text joins, and
+# read line by line by the parser that rule_from_text runs on its text.
 # The reader accepts exactly what the writer writes: the codes in class order,
 # each label one of the header's texts, each header text its label's own.
 
@@ -626,24 +628,32 @@ def _parse_label(text):
     return int(text) if digits.isascii() and digits.isdigit() else text
 
 
-def rule_to_text(rule):
-    header = f"{rule.d} {rule.t} {rule.model} {','.join(str(x) for x in rule.output_alphabet)}"
-    lines = [header]
+def _rule_lines(rule):
+    texts = tuple(map(str, rule.output_alphabet))
+    yield f"{rule.d} {rule.t} {rule.model} {','.join(texts)}\n"
     codes = enumerate_canonical_balls(rule.d, rule.t, rule.model)
-    lines.extend(f"{code.hex()} {rule.output_alphabet[i]}" for code, i in zip(codes, rule.outputs))
-    return "\n".join(lines) + "\n"
+    ends = tuple(f" {text}\n" for text in texts)
+    for code, i in zip(codes, rule.outputs):
+        yield code.hex() + ends[i]
 
 
-def rule_from_text(text):
-    """Parse a rule file in one pass over the class's codes, skipping blank
-    lines; ValueError naming the line on a bad header, a line that is not
-    the next code and a header label, or a line missing or extra."""
-    rows = ((n, fields) for n, fields in enumerate(map(str.split, text.splitlines()), 1) if fields)
+def rule_to_text(rule):
+    return "".join(_rule_lines(rule))
+
+
+def _rule_from_lines(lines):
+    """Parse a rule file's lines in one pass over the class's codes, skipping
+    blank lines; ValueError naming the line on a bad header, a line that is
+    not the next code and a header label, or a line missing or extra."""
+    rows = ((n, fields) for n, fields in enumerate(map(str.split, lines), 1) if fields)
     n, head = next(rows, (1, []))
-    if len(head) != 4:
+    try:  # d, t and the model must each read back as its own text
+        d, t, model = int(head[0]), int(head[1]), SeedModel.parse(head[2])
+        canonical = len(head) == 4 and [str(d), str(t), str(model)] == head[:3]
+    except (IndexError, ValueError):
+        canonical = False
+    if not canonical:
         raise ValueError(f"line {n}: bad rule header {' '.join(head)!r}")
-    d, t = int(head[0]), int(head[1])
-    model = SeedModel.parse(head[2])
     texts = head[3].split(",")
     out = check_output_alphabet(map(_parse_label, texts))
     if list(map(str, out)) != texts:
@@ -664,14 +674,18 @@ def rule_from_text(text):
     return LocalRule(d, t, model, out, tuple(outputs))
 
 
+def rule_from_text(text):
+    return _rule_from_lines(text.splitlines())
+
+
 def save_rule(rule, path):
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(rule_to_text(rule))
+        write_lines(fh, _rule_lines(rule))
 
 
 def load_rule(path):
     with open(path, "r", encoding="ascii") as fh:
-        return rule_from_text(fh.read())
+        return _rule_from_lines(read_lines(fh))
 
 
 # ---------------------------------------------------------------------------

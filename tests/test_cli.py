@@ -74,6 +74,20 @@ class TestGraphCommands:
         run(capsys, "graph", "gen", "--n", "30", "--d", "3", "--seed", "5", "--out", b)
         assert open(a).read() == open(b).read()
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("x 1\n0 1\n", "line 1: bad header 'x 1', expected 'n m'"),
+            ("2 1\n0 y\n", "line 2: bad edge line '0 y', expected 'u v'"),
+        ],
+    )
+    def test_graph_file_errors_name_the_line(self, capsys, tmp_path, text, message):
+        path = tmp_path / "g.graph"
+        path.write_text(text)
+        assert cli.main(["--no-timestamp", "graph", "profile", "--target", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: ValueError: {message}\n"
+
     def test_unknown_target_is_usage_error(self, capsys):
         assert cli.main(["graph", "profile", "--target", "Nope"]) == 2
 
@@ -154,6 +168,35 @@ class TestRuleCommands:
         assert cli.main(["--no-timestamp", *argv]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "not serializable" in err and "invalid literal" not in err
+
+    @pytest.mark.parametrize(
+        "argv,token",
+        [
+            (["rule", "random", "--t", "1", "--model", "rank", "--alphabet", "007,x"], "007"),
+            (["rule", "random", "--t", "1", "--model", "rank", "--alphabet", "a,-0"], "-0"),
+            (["rule", "make", "--name", "constant", "--label", "01"], "01"),
+            (["rule", "make", "--name", "constant", "--label", "1", "--alphabet", "1,02"], "02"),
+            (["rule", "show", "--rule", "builtin:constant:007"], "007"),
+        ],
+    )
+    def test_label_token_that_prints_as_other_text_is_refused(self, capsys, argv, token):
+        assert cli.main(["--no-timestamp", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: label '{token}' reads as ")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("x 1 rank a,b\n", "line 1: bad rule header 'x 1 rank a,b'"),
+            ("3 1 alphabet:y a,b\n", "line 1: bad rule header '3 1 alphabet:y a,b'"),
+        ],
+    )
+    def test_rule_file_header_errors_name_the_line(self, capsys, tmp_path, text, message):
+        path = tmp_path / "r.rule"
+        path.write_text(text)
+        assert cli.main(["--no-timestamp", "rule", "show", "--rule", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: ValueError: {message}\n"
 
     def test_random_without_seed_reports_one(self, capsys):
         code, payload, _ = run(

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -79,6 +80,13 @@ class TestBuildGraph:
     def test_duplicate_rejected(self):
         with pytest.raises(graphs.DuplicateEdge):
             graphs.build_graph(3, [(0, 1), (1, 0)])
+
+    def test_first_repeated_edge_in_input_order_is_named(self):
+        edges = [(0, 1), (4, 2), (3, 1), (2, 4), (1, 0), (1, 3)]
+        with pytest.raises(graphs.DuplicateEdge, match=r"^edge \(2, 4\) given twice$"):
+            graphs.build_graph(5, edges)
+        with pytest.raises(graphs.DuplicateEdge, match=r"^edge \(0, 1\) given twice$"):
+            graphs.build_graph(5, [(1, 0), (0, 2), (0, 1)])
 
     def test_out_of_range(self):
         with pytest.raises(graphs.VertexOutOfRange):
@@ -225,6 +233,31 @@ class TestRandomRegular:
         c = graphs.random_regular(60, 3, 43)
         assert a != c
 
+    # sha256 of graph_to_text(random_regular(n, d, seed)), recorded before
+    # the pairing check moved to int edge keys.  The two n = 20,000 seeds are
+    # the graph seeds of perfbench input sets 2 and 6, whose pairings are
+    # rejected 8 and 16 times; (16, 5, 9) is rejected 905 times.
+    @pytest.mark.parametrize(
+        "n,d,seed,digest",
+        [
+            (2, 1, 1, "4a6ae7226283a4b6277ce3e77a91585c0cad93929046f3c7bd9105d7ed101834"),
+            (40, 1, 7, "61bc2f06f93e9524b7b601bc846f9310d829579b14ca6675e46f4a307d1c6006"),
+            (30, 2, 3, "f8a45d064deb947b76f3b2c24cfa3f00f27a98ee352bba9fbc3485533a19833b"),
+            (100, 3, 11, "5d6200d7a5da9ff5f706e28c2fb0736d4cdd61151b85b5e7278b905920748aa4"),
+            (12, 3, 4, "8bdc8c3f87e057017afc43ff0daf2d55fce11a8e76c5fab4214876d235990214"),
+            (200, 4, 5, "7aadae30ea732cec1b8d6487118d6ee96b75c163652d9b4c359eeda99d602497"),
+            (16, 5, 9, "1bf2af476e7921bd913594acf6ed78003e53d67ee77907ddcc6d0861e399f3ea"),
+            (60, 5, 2, "2c1f1a45f4b6a662c4a2676ba9703f8f6e3acda36ca7f48d6dd3214003673fdc"),
+            (20000, 3, 3269620855369178004,
+             "5236233612c9a1ded0246f3f9dba7f9820f427a30b0dd4fdc1ea72fa27c825f3"),
+            (20000, 3, 7880142738076929814,
+             "585fec0d7c5daeab27ae6bb858910cf80a8bde1fb5bb9b98637d138bff14ef3d"),
+        ],
+    )
+    def test_seeded_graphs_are_pinned(self, n, d, seed, digest):
+        text = graphs.graph_to_text(graphs.random_regular(n, d, seed))
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
     def test_short_cycle_fraction_small(self):
         # vertices on a cycle of length <= 6 are rare at n = 10^4
         for seed in (1, 2, 3):
@@ -305,3 +338,65 @@ class TestFileFormat:
     def test_bad_header(self):
         with pytest.raises(ValueError):
             graphs.graph_from_text("3\n0 1\n")
+
+    def test_files_are_the_text(self, tmp_path):
+        path = tmp_path / "g.graph"
+        for G in (graphs.random_regular(50, 3, 1), graphs.named_graph("McGee"), graphs.build_graph(3, ())):
+            graphs.write_graph(G, path)
+            assert path.read_bytes() == graphs.graph_to_text(G).encode("ascii")
+
+    def test_file_of_many_blocks_reads_as_its_text(self, tmp_path):
+        G = graphs.random_regular(20000, 3, 1)
+        breaks = ("\n", "\r\n", "\x0c", "\n \n", "\x0b\r\n", "\r")
+        lines = graphs.graph_to_text(G).splitlines()
+        text = "".join(line + breaks[k % len(breaks)] for k, line in enumerate(lines))
+        path = tmp_path / "g.graph"
+        path.write_bytes(text.encode("ascii"))
+        assert graphs.read_graph(path) == graphs.graph_from_text(text) == G
+        # an error past the first block names the same line either way
+        bad = text[:200_000] + text[200_000:].replace("\x0c", "\x0cx ", 1)
+        path.write_bytes(bad.encode("ascii"))
+        with pytest.raises(ValueError) as from_file:
+            graphs.read_graph(path)
+        with pytest.raises(ValueError) as from_text:
+            graphs.graph_from_text(bad)
+        assert str(from_file.value) == str(from_text.value)
+        assert "bad edge line 'x " in str(from_file.value)
+
+    @pytest.mark.parametrize(
+        "raw,message",
+        [
+            (b"3 2\n0 1\n1 2\n", None),
+            (b"\n3 2\n\n  \n0 1\n\n1 2", None),
+            (b"3 2\r\n0 1\r\n\r\n1 2\r\n", None),
+            (b"3 2\n0 1\x0c1 2\n", None),
+            (b"3 2\r0 1\x0b\x0c1 2\x1c", None),
+            (b"", "empty graph file"),
+            (b"\n \n", "empty graph file"),
+            (b"x 1\n0 1\n", "line 1: bad header 'x 1', expected 'n m'"),
+            (b"\n3\n0 1\n", "line 2: bad header '3', expected 'n m'"),
+            (b"2 1\n0 y\n", "line 2: bad edge line '0 y', expected 'u v'"),
+            (b"3 2\n0 1\x0c\n1 2 0\n", "line 4: bad edge line '1 2 0', expected 'u v'"),
+            (b"3 1\n0 1\n1 2\n", "header says m=1 but 2 edge lines found"),
+            (b"3 3\n0 1\n1 2\n", "header says m=3 but 2 edge lines found"),
+            (b"3 2\n0 1\n1 0\n", "edge (0, 1) given twice"),
+            (b"3 1\n1 1\n", "loop at vertex 1"),
+            (b"2 1\n0 2\n", "edge (0, 2) outside 0..1"),
+        ],
+        ids=["plain", "blank_lines", "crlf", "form_feed", "other_breaks", "empty", "blank",
+             "bad_n", "short_header", "bad_v", "three_fields", "more_edges", "fewer_edges",
+             "duplicate", "loop", "out_of_range"],
+    )
+    def test_read_graph_agrees_with_graph_from_text(self, tmp_path, raw, message):
+        """A file reads as its text does: the same graph, or the same error."""
+        path = tmp_path / "g.graph"
+        path.write_bytes(raw)
+        text = raw.decode("ascii")
+        if message is None:
+            G = graphs.read_graph(path)
+            assert G == graphs.graph_from_text(text) == graphs.build_graph(3, [(0, 1), (1, 2)])
+            return
+        for read in (lambda: graphs.read_graph(path), lambda: graphs.graph_from_text(text)):
+            with pytest.raises((ValueError, graphs.GraphError)) as exc:
+                read()
+            assert str(exc.value) == message

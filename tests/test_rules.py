@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from itertools import permutations, product
 from math import factorial
 
@@ -442,9 +443,78 @@ class TestSerialization:
         assert rules.rule_from_text(text) == rule
 
     def test_header_parse_error(self):
-        for text, header in (("3 1 rank\n", "3 1 rank"), ("", ""), ("\n  \n", "")):
-            with pytest.raises(ValueError, match=f"^line 1: bad rule header '{header}'$"):
+        # d, t and the model must each read back as its own text
+        own_texts = ("x 1 rank a,b", "3 y rank a,b", "3 1 alphabet:y a,b", "3 1 alphabet:1 a,b",
+                     "3 1 ranked a,b", "03 1 rank a,b", "3 +1 rank a,b", "3 1 alphabet:02 a,b",
+                     "3 1 rank a,b extra")
+        cases = [("3 1 rank\n", "3 1 rank"), ("", ""), ("\n  \n", "")]
+        for text, header in cases + [(h + "\n", h) for h in own_texts]:
+            with pytest.raises(ValueError, match=f"^line 1: bad rule header '{re.escape(header)}'$"):
                 rules.rule_from_text(text)
+
+    def test_files_are_the_text(self, tmp_path):
+        path = tmp_path / "r.rule"
+        for rule in (
+            rules.builtin_rule("max_seed_independent", d=3),
+            rules.random_rule(3, 2, rules.rank(), (0, "x", -2), 1),
+            rules.random_rule(2, 3, rules.hybrid(2), ("a",), 3),
+        ):
+            rules.save_rule(rule, path)
+            assert path.read_bytes() == rules.rule_to_text(rule).encode("ascii")
+
+    @staticmethod
+    def _variants():
+        lines = rules.rule_to_text(rules.builtin_rule("max_seed_independent", d=3)).splitlines()
+        code, label = lines[2].split()
+        other = "IN" if label == "OUT" else "OUT"
+        return {
+            "plain": "\n".join(lines) + "\n",
+            "blank_lines": "\n\n" + "\n \n".join(lines),
+            "crlf": "\r\n".join(lines[:3] + ["", *lines[3:]]) + "\r\n",
+            "form_feed": "\n".join(lines[:2]) + "\x0c" + "\n".join(lines[2:]) + "\n",
+            "other_breaks": "\r".join(lines[:2]) + "\x0b\x1c" + "\x1d".join(lines[2:]),
+            "bad_header": "\n".join(["3 1 alphabet:y IN,OUT", *lines[1:]]),
+            "relabelled": "\n".join(lines[:2] + [f"{code} {other}X", *lines[3:]]),
+            "missing": "\n".join(lines[:2]) + "\x0c\n" + "\n".join(lines[3:]),
+            "extra": "\n".join(lines) + "\x0c" + lines[-1],
+        }
+
+    @pytest.mark.parametrize("variant", ["plain", "blank_lines", "crlf", "form_feed", "other_breaks"])
+    def test_load_rule_reads_what_rule_from_text_reads(self, tmp_path, variant):
+        text = self._variants()[variant]
+        path = tmp_path / "r.rule"
+        path.write_bytes(text.encode("ascii"))
+        rule = rules.builtin_rule("max_seed_independent", d=3)
+        assert rules.load_rule(path) == rules.rule_from_text(text) == rule
+
+    def test_file_of_many_blocks_reads_as_its_text(self, tmp_path):
+        # 1.3 MB, read in blocks of whole lines, with the line breaks mixed
+        rule = rules.random_rule(3, 2, rules.rank(), (0, 1, 2), 1)
+        breaks = ("\n", "\r\n", "\x0c", "\n \n", "\x0b\r\n", "\r")
+        lines = rules.rule_to_text(rule).splitlines()
+        text = "".join(line + breaks[k % len(breaks)] for k, line in enumerate(lines))
+        path = tmp_path / "r.rule"
+        path.write_bytes(text.encode("ascii"))
+        assert rules.load_rule(path) == rules.rule_from_text(text) == rule
+
+    @pytest.mark.parametrize(
+        "variant,message",
+        [
+            ("bad_header", "^line 1: bad rule header '3 1 alphabet:y IN,OUT'$"),
+            ("relabelled", "^line 3: expected '.*', got '.* (IN|OUT)X'$"),
+            ("missing", "^line 4: expected '"),
+            ("extra", "^line 6: extra line past the 4 canonical balls$"),
+        ],
+    )
+    def test_load_rule_refuses_what_rule_from_text_refuses(self, tmp_path, variant, message):
+        text = self._variants()[variant]
+        path = tmp_path / "r.rule"
+        path.write_bytes(text.encode("ascii"))
+        with pytest.raises(ValueError, match=message) as from_text:
+            rules.rule_from_text(text)
+        with pytest.raises(ValueError) as from_file:
+            rules.load_rule(path)
+        assert str(from_file.value) == str(from_text.value)
 
     def test_line_without_two_fields_is_refused(self):
         lines = rules.rule_to_text(rules.builtin_rule("max_seed_independent", d=3)).splitlines()
