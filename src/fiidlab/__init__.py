@@ -4,6 +4,7 @@ audits, homomorphism rule search, and emulation on finite graphs."""
 import math
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, islice, repeat
 
 __version__ = "0.1.0"
@@ -53,23 +54,60 @@ def write_lines(fh, lines):
 
 # Seeded draws.  Random.randrange(n) is getrandbits(n.bit_length()) drawn
 # again while the result is >= n, and Random.shuffle(x) makes that draw with
-# n = i + 1 for i from len(x) - 1 down to 1.  The helpers below make the same
-# getrandbits calls in the same order, without randrange's per-call Python
-# frames, so every seed gives the same values and the same generator state
-# afterwards.  tests/test_draws.py holds them to the library functions.
+# n = i + 1 for i from len(x) - 1 down to 1.  The helpers below give the same
+# values in the same order, without randrange's per-call Python frames, so
+# every seed gives the same values and the same generator state afterwards.
+#
+# They rest on two properties of CPython's Mersenne Twister: getrandbits(k)
+# for k <= 32 is the top k bits of the generator's next 32-bit output, and
+# getrandbits(32 * m) is its next m outputs, the first in the low bits.  So
+# m draws of at most 32 bits each can be taken as one getrandbits(32 * m)
+# call: the top bits of word i are draw i, and the generator ends in the
+# state the m single draws leave.  randbelows stops at the word of its last
+# value, so the generator ends where randrange would leave it.
+# tests/test_draws.py holds the helpers to the library functions and to the
+# per-call loops they replace.
+
+_BULK_WORDS = 1 << 14
+
+
+def draw_words(rng, m):
+    """The next m 32-bit outputs of rng as 4m little-endian bytes: word i's
+    top byte, the value of getrandbits(8) for the i-th draw, is byte 4i + 3."""
+    return rng.getrandbits(32 * m).to_bytes(4 * m, "little")
+
+
+@lru_cache(maxsize=None)
+def _top_byte_tables(n):
+    """(table, delete) for bytes.translate at 1 <= n <= 255: a word's top
+    byte b gives getrandbits(k) = b >> (8 - k), k = n.bit_length(), and the
+    bytes whose value is >= n, the draws randrange rejects, are deleted."""
+    shift = 8 - n.bit_length()
+    table = bytes(b >> shift for b in range(256))
+    delete = bytes(b for b in range(256) if b >> shift >= n)
+    return table, delete
 
 
 def randbelows(rng, n, count):
     """[rng.randrange(n) for _ in range(count)]."""
-    if n < 1 and count:
-        raise ValueError("empty range for randrange()")
-    k = n.bit_length()
-    out = []
+    if n < 1:
+        if count:
+            raise ValueError("empty range for randrange()")
+        return []
     # each accepted draw fills one place, so a batch of as many draws as
     # places left never draws past the last value
+    if n > 255:
+        k = n.bit_length()
+        out = []
+        while len(out) < count:
+            out += filter(n.__gt__, map(rng.getrandbits, repeat(k, count - len(out))))
+        return out
+    table, delete = _top_byte_tables(n)
+    out = bytearray()
     while len(out) < count:
-        out += filter(n.__gt__, map(rng.getrandbits, repeat(k, count - len(out))))
-    return out
+        m = min(count - len(out), _BULK_WORDS)
+        out += draw_words(rng, m)[3::4].translate(table, delete)
+    return list(out)
 
 
 def shuffle(rng, x):

@@ -688,22 +688,33 @@ def _mc_pair_counts_rank_t1(rule, n, rng):
     return out
 
 
+def _mc_configs(model, size, n, rng):
+    """n edge-ball seed configurations of `size` vertices, in draw order."""
+    if model.kind == "alphabet":
+        # a chunk's tags are one run of randbelows, its samples' draws one
+        # after another, so sample s is the s-th slice: the same stream as
+        # one randbelows call per sample
+        for start in range(0, n, _MC_CHUNK):
+            draws = randbelows(rng, model.q, size * min(_MC_CHUNK, n - start))
+            for s in range(0, len(draws), size):
+                yield draws[s : s + size]
+    elif model.kind == "rank":
+        # (draw, index) keys, as in emulation: equal draws still rank apart
+        for _ in range(n):
+            yield [(rng.random(), i) for i in range(size)]
+    else:
+        # random() and randrange alternate per vertex, so the tags cannot
+        # be drawn as one run of randbelows without changing the stream
+        for _ in range(n):
+            yield [((rng.random(), i), rng.randrange(model.q)) for i in range(size)]
+
+
 def _mc_pair_counts_generic(rule, n, rng):
-    model = rule.model
-    code_u, code_v = rules.edge_coders(rule.d, rule.t, model)
+    code_u, code_v = rules.edge_coders(rule.d, rule.t, rule.model)
     table = rule.table
     counts = {}
     size = rules.edge_ball_layout(rule.d, rule.t).size
-    for _ in range(n):
-        # (draw, index) keys, as in emulation: equal draws still rank apart
-        if model.kind == "alphabet":
-            config = randbelows(rng, model.q, size)
-        elif model.kind == "rank":
-            config = [(rng.random(), i) for i in range(size)]
-        else:
-            # random() and randrange alternate per vertex, so the tags cannot
-            # be drawn as one run of randbelows without changing the stream
-            config = [((rng.random(), i), rng.randrange(model.q)) for i in range(size)]
+    for config in _mc_configs(rule.model, size, n, rng):
         key = (table[code_u(config)], table[code_v(config)])
         counts[key] = counts.get(key, 0) + 1
     return counts
@@ -975,16 +986,25 @@ def tail_select(dist, C, c0):
             f"C - 1 = {C - 1} >= {len(dist.labels)} labels: the whole alphabet "
             "would be selected and the tail is empty"
         )
-    order = sorted(range(len(dist.labels)), key=lambda i: (-dist.p[i], i))
+    # the masses are counts over one positive denominator, so the counts
+    # order and sum as the masses do; Fractions are built only for the
+    # masses reported, and c / D is the float of Fraction(c, D)
+    counts, D = dist.counts, dist.denominator
+    exact = dist.provenance.kind == "exact"
+
+    def mass(c):
+        return Fraction(c, D) if exact else c
+
+    order = sorted(range(len(dist.labels)), key=lambda i: (-counts[i], i))
     chosen = sorted(order[: C - 1])
     rest = sorted(order[C - 1:])
-    selected_mass = sum(dist.p[i] for i in chosen)
+    selected_mass = mass(sum(counts[i] for i in chosen))
     outside_mass = 1 - selected_mass
     tail_entropy = -sum(
-        float(dist.p[i]) * math.log(float(dist.p[i])) for i in rest if dist.p[i] > 0
+        counts[i] / D * math.log(counts[i] / D) for i in rest if counts[i] > 0
     )
-    min_sel = min((dist.p[i] for i in chosen), default=0)
-    max_out = max((dist.p[i] for i in rest), default=0)
+    min_sel = mass(min((counts[i] for i in chosen), default=0))
+    max_out = mass(max((counts[i] for i in rest), default=0))
     inv_C = Fraction(1, C)
     bounded = max_out <= inv_C
     triggered = outside_mass >= c0_fraction(c0)

@@ -91,14 +91,22 @@ class FiniteGraph:
     def has_edge(self, u, v):
         return (u, v) in self.edge_set
 
+    @cached_property
+    def _profile(self):
+        # profile(self), computed once per graph
+        return _compute_profile(self)
+
 
 def build_graph(n, edges):
     """Build a FiniteGraph from an edge list; duplicates and loops are errors.
 
-    Each edge {u, v} is checked by the one int key u * n + v with u < v."""
+    Each edge {u, v} is checked by the one int key u * n + v with u < v.
+    The neighbor tuples hold one shared int object per vertex, not the
+    edge list's own ints, which a parsed file makes afresh per endpoint."""
     if n < 0:
         raise VertexOutOfRange(f"negative vertex count {n}")
-    adj = [[] for _ in range(n)]
+    vertex = list(range(n))
+    adj = [[] for _ in vertex]
     seen = set()
     for u, v in edges:
         if not (0 <= u < n) or not (0 <= v < n):
@@ -109,8 +117,8 @@ def build_graph(n, edges):
         if key in seen:
             raise DuplicateEdge(f"edge {(u, v) if u < v else (v, u)} given twice")
         seen.add(key)
-        adj[u].append(v)
-        adj[v].append(u)
+        adj[u].append(vertex[v])
+        adj[v].append(vertex[u])
     return FiniteGraph(
         n=n,
         adjacency=tuple(tuple(sorted(a)) for a in adj),
@@ -355,7 +363,12 @@ def regular_degree(G):
 
 
 def profile(G):
-    """Girth, regularity, bipartiteness, and connectivity of G."""
+    """Girth, regularity, bipartiteness, and connectivity of G, computed on
+    the first call for G and kept with it."""
+    return G._profile
+
+
+def _compute_profile(G):
     bipartite, components = _two_color_components(G)
     return GraphProfile(
         girth=_girth(G, components),

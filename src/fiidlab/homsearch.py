@@ -23,7 +23,13 @@ The reservoir's draws: rules 0..cap-1 fill it without a draw, and each
 later refuted rule i takes one value j = rng.randrange(i + 1), replacing
 slot j when j < cap.  The value is drawn as randrange draws it,
 getrandbits((i + 1).bit_length()) again until it is <= i, so the stored
-rules are those of one randrange call per rule.
+rules are those of one randrange call per rule.  From bit width 16 on the
+draws come from whole 32-bit words taken in bulk: getrandbits(k) for
+k <= 32 is the top k bits of the generator's next 32-bit output, and
+getrandbits(32 * m) is its next m outputs, the first in the low bits.  So
+the words, read in order, give each rule the values of its own getrandbits
+calls, and the stored rules do not change; the generator only runs ahead
+of the last rule by words that no draw of the search reads.
 
 The impossibility certificate.  At d >= 2 no finite-radius rule maps into
 a loopless target; the same argument rules out finite-radius colorings of
@@ -52,7 +58,7 @@ outcome reports carry that caveat verbatim.
 import random
 from dataclasses import dataclass, field
 
-from . import rules
+from . import draw_words, rules
 from .rules import BudgetExceeded
 
 
@@ -269,6 +275,136 @@ def rule_at_cursor(d, t, model, output_alphabet, index):
     return rules.LocalRule(d, t, model, alpha, tuple(_digits(index, len(alpha), n)))
 
 
+# the witness reservoir (see the module docstring)
+
+_BUFFER_WORDS = 1 << 13
+# From this bit width on, rules go by windows: with fewer rules per window
+# the per-window set-up costs more than the draws it saves.
+_WINDOW_WIDTH = 16
+# a class of this many rules draws more than 32 bits for its last rule
+_TWO_WORDS = (1 << 32) - 1
+
+
+class _Reservoir:
+    """Algorithm R over the refuted rules of one search, in order of index.
+
+    Below bit width _WINDOW_WIDTH each draw is one getrandbits call.  From
+    it on, the draws come from a buffer of whole 32-bit words, the value of
+    rule i's draw being the top k = (i + 1).bit_length() bits of a word.
+    Rules go by windows of 2**(k - 8) indices that share a word's top byte
+    b as their own: every index of window c has top byte c.  So a word with
+    b < c is a value below every rule of the window (accepted), one with
+    b > c a value above them all (drawn again); only the words with b == c,
+    and those whose value may be a slot below cap, are looked at whole.
+    translate sorts the buffered words into these three classes, and
+    bytes.count and find step over the sure ones.  Indices only grow, so
+    no buffered word is left when the per-call draws of a narrower width
+    would run; a class of _TWO_WORDS or more rules keeps the per-call
+    draws throughout, since its widest draws take two words.
+    """
+
+    def __init__(self, rng_seed, cap, total):
+        self.rng = random.Random(rng_seed)
+        self.cap = cap
+        self.stored = []  # rule indices
+        self.windowed = total < _TWO_WORDS
+        self.words = self.tops = b""  # the buffer, and each word's top byte
+        self.pos = 0  # the first buffered word not drawn
+        self.classes = (None, None)  # ((k, c), translate table) of the last window
+
+    def refute(self, lo, hi):
+        """Refute rules lo..hi-1: lo is the number of rules refuted before."""
+        cap, stored = self.cap, self.stored
+        stored.extend(range(lo, min(hi, cap)))
+        i = max(lo, cap)
+        while i < hi:
+            # the bit width k of rule i's draw is the same for every rule up
+            # to the next power of two
+            k = (i + 1).bit_length()
+            end = min(hi, (1 << k) - 1)
+            if k < _WINDOW_WIDTH or not self.windowed:
+                getrandbits = self.rng.getrandbits
+                for i in range(i, end):
+                    j = getrandbits(k)
+                    while j > i:
+                        j = getrandbits(k)
+                    if j < cap:
+                        stored[j] = i
+            else:
+                while i < end:
+                    i = self._window(i, end, k)
+            i = end
+
+    def _table(self, k, c):
+        """The class of each top byte in window c of width k: b"A" for a
+        value below every rule and cap, b"R" for one above every rule, b"L"
+        for a word to look at."""
+        key, table = self.classes
+        if key != (k, c):
+            # values with top byte b < ceil(cap / 2**(k - 8)) may be slots
+            low = min((self.cap + (1 << (k - 8)) - 1) >> (k - 8), c)
+            table = b"L" * low + b"A" * (c - low) + b"L" + b"R" * (255 - c)
+            self.classes = (k, c), table
+        return table
+
+    def _window(self, i, end, k):
+        """Draw for rules i.. of width k up to end or the end of i's window;
+        returns the next rule index."""
+        step = k - 8
+        c = i >> step
+        stop = min(end, (c + 1) << step)
+        table = self._table(k, c)
+        shift, cap, stored = 32 - k, self.cap, self.stored
+        while i < stop:
+            if self.pos == len(self.tops):
+                self.words = draw_words(self.rng, _BUFFER_WORDS)
+                self.tops = self.words[3::4]
+                self.pos = 0
+            pos = self.pos
+            # a rule takes at most two words on average, so this segment
+            # seldom ends before the window does
+            seg = self.tops[pos : pos + 2 * (stop - i) + 64].translate(table)
+            q, n = 0, len(seg)
+            while True:
+                look = seg.find(b"L", q)
+                if look < 0:
+                    look = n
+                need = stop - i
+                sure = seg.count(b"A", q, look)
+                if sure >= need:
+                    q = _after_nth(seg, b"A", q, look, need)
+                    i = stop
+                    break
+                i += sure
+                q = look
+                if q == n:
+                    break
+                w = 4 * (pos + q)
+                j = int.from_bytes(self.words[w : w + 4], "little") >> shift
+                q += 1
+                if j <= i:
+                    if j < cap:
+                        stored[j] = i
+                    i += 1
+                    if i == stop:
+                        break
+            self.pos = pos + q
+        return i
+
+
+def _after_nth(seg, x, lo, hi, count):
+    """The least p with seg.count(x, lo, p) == count, where seg[lo:hi] holds
+    at least count bytes x: one past the count-th x from lo."""
+    p, q = lo + count, hi
+    while p < q:
+        mid = (p + q) // 2
+        if seg.count(x, lo, mid) < count:
+            p = mid + 1
+        else:
+            q = mid
+    return p
+
+
 def search(H, d, t, model, budget=None, force_enumeration=False):
     """Scan the whole rule class for a homomorphism rule into H.
 
@@ -320,27 +456,8 @@ def search(H, d, t, model, budget=None, force_enumeration=False):
             if not has_edge(a, b):
                 return ViolationWitness(d=d, t=t, model=model, config=cfg, outputs=(a, b))
 
-    getrandbits = random.Random(budget.rng_seed).getrandbits
-    cap = budget.witness_cap
-    stored = []  # rule indices
-
-    def refute(lo, hi):
-        # Algorithm R over rules lo..hi-1, drawn as the module docstring
-        # says.  Every rule before a Found one is refuted, so rule i is the
-        # (i+1)-th refuted.  The bit width k of rule i's draw is the same
-        # for every rule up to the next power of two.
-        stored.extend(range(lo, min(hi, cap)))
-        i = max(lo, cap)
-        while i < hi:
-            k = (i + 1).bit_length()
-            end = min(hi, (1 << k) - 1)
-            for i in range(i, end):
-                j = getrandbits(k)
-                while j > i:
-                    j = getrandbits(k)
-                if j < cap:
-                    stored[j] = i
-            i = end
+    reservoir = _Reservoir(budget.rng_seed, budget.witness_cap, total)
+    refute, stored = reservoir.refute, reservoir.stored
 
     def witnesses():
         return [(i, witness_at(i)) for i in stored]

@@ -101,7 +101,11 @@ class SeedModel:
             return cls("rank")
         for kind in ("alphabet", "hybrid"):
             if token.startswith(kind + ":"):
-                return cls(kind, int(token[len(kind) + 1:]))
+                try:
+                    q = int(token[len(kind) + 1:])
+                except ValueError:
+                    break
+                return cls(kind, q)
         raise ValueError(f"cannot parse seed model {token!r}")
 
 

@@ -198,6 +198,13 @@ class TestRuleCommands:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: ValueError: {message}\n"
 
+    @pytest.mark.parametrize("token", ["alphabet:y", "hybrid:x1"])
+    def test_seed_model_size_that_is_not_an_int_is_refused_by_name(self, capsys, token):
+        argv = ["rule", "random", "--model", token, "--alphabet", "a,b", "--seed", "1"]
+        assert cli.main(["--no-timestamp", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: ValueError: cannot parse seed model '{token}'\n"
+
     def test_random_without_seed_reports_one(self, capsys):
         code, payload, _ = run(
             capsys, "rule", "random", "--d", "3", "--t", "0", "--model", "rank",

@@ -3,10 +3,11 @@ held under fixed bounds.
 
 tracemalloc counts the Python allocations live during one call.  Read line
 by line, written from a line generator, and checked by int edge keys, the
-calls below peaked at 4.8 MiB (random_regular), 1.2 MiB (load_rule) and
-under 0.1 MiB (write_graph, save_rule) when the bounds were set.  Holding
-the whole file text and sets of (u, v) tuples took 12.2, 8.0, 2.6 and
-9.0 MiB.  The bounds leave headroom for other Python versions.
+calls below peaked at 4.8 MiB (random_regular), 6.9 MiB (read_graph),
+1.2 MiB (load_rule) and under 0.1 MiB (write_graph, save_rule) when the
+bounds were set.  Holding the whole file text and sets of (u, v) tuples
+took 12.2, 12.3, 8.0, 2.6 and 9.0 MiB.  The bounds leave headroom for other
+Python versions.
 """
 
 import gc
@@ -52,6 +53,17 @@ def test_random_regular_peak_and_retained(graph):
 def test_write_graph_streams(graph, tmp_path):
     _, peak, _ = traced(lambda: graphs.write_graph(graph, tmp_path / "g.graph"))
     assert peak < 1, f"write_graph peaked at {peak:.2f} MiB"
+
+
+def test_read_graph_retains_what_random_regular_does(graph, tmp_path):
+    path = tmp_path / "g.graph"
+    graphs.write_graph(graph, path)
+    G, peak, retained = traced(lambda: graphs.read_graph(path))
+    assert G == graph
+    assert peak < 9, f"read_graph peaked at {peak:.2f} MiB"
+    # one shared int per vertex in the neighbor tuples: 1.98 MiB when set,
+    # 2.96 MiB when every parsed endpoint stayed its own int
+    assert retained < 2.6, f"the graph read holds {retained:.2f} MiB"
 
 
 def test_rule_files_stream(rank_t2_rule, tmp_path):

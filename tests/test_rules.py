@@ -64,6 +64,17 @@ def reference_hybrid_codes(d, t, q):
     )
 
 
+class TestSeedModel:
+    @pytest.mark.parametrize("token", ["alphabet:y", "hybrid:x1", "alphabet:", "hybrid:2.5"])
+    def test_size_that_is_not_an_int_is_refused_by_name(self, token):
+        with pytest.raises(ValueError, match=f"^cannot parse seed model {re.escape(repr(token))}$"):
+            rules.SeedModel.parse(token)
+
+    def test_parse_reads_its_own_text(self):
+        for model in (rules.rank(), rules.alphabet(2), rules.hybrid(256)):
+            assert rules.SeedModel.parse(str(model)) == model
+
+
 class TestEnumeration:
     def test_alphabet_t0(self):
         assert len(rules.enumerate_canonical_balls(3, 0, rules.alphabet(2))) == 2
