@@ -4,78 +4,76 @@ A law stores `counts` over one `denominator`.  An exact law counts seed
 configurations (or orders) as ints over their total, and its `p`, `probs`
 and `mass` are Fraction views; a Monte Carlo law holds float masses over 1.
 The exact vertex law is the marginal of the exact pair law.  No pair law
-enumerates the edge ball (the union of the two endpoint balls); each splits
-it instead.
+enumerates the edge ball (the union of the two endpoint balls).  Each is
+one bilinear form over a rule-independent `CellForm`, built once per class:
 
-Alphabet seeds.  Split the edge ball (u, v) into two disjoint half-trees:
-A, u with its d-1 subtrees away from v, to depth t, and B, the same at v.
-Their seeds are independent.  Write A' and B' for A and B cut to depth t-1.
-The ball of u is A with B' as the root's d-th child, so its code is A's root
-byte followed by the codes of A's children and of B', sorted as bytes (all d
-have the same shape).  Hence
+    P(a, b) = 1/D * sum over blocks I of w_I * sum over J of
+              M_a[I, J] * M_b[partner(I), J].
 
-    P(a, b) = sum over (A', B') of g(A', B', a) * g(B', A', b),
-    g(A', B', a) = sum over types A cut to A' of c_A * [rule(code(A, B')) = a],
+The form's cells list ball indices with multiplicities.  Each cell lies in
+one block and lifts to each J with a coefficient, and M_a[I, J] sums
+multiplicity times coefficient over block I's balls that the rule labels a.
+Partnering is an involution and partners have equal weights w, so block
+I's term for (a, b) is its partner's for (b, a).  D is the denominator.
 
-over q^(2|A|), where c_A counts the seed configurations of type A.  The
-rule-independent (A', B') cells are built once per (d, t, q) from the
-half-tree types of `rules._alphabet_subtree_types`; a rule costs one pass
-over their N_t * N_(t-1) entries, not q^(edge ball size) configurations.
-At t=0, A is the vertex alone and B' is empty.
-
-The same sum runs by label class.  Each canonical ball gets a packed
-column: its multiplicity in each cell (A', B'), the sum of c_A over the
-types A cut to A' that give that ball with B', in a byte-aligned
-little-endian field per cell, as wide as the largest cell total needs.  The
-columns of the balls a rule labels a add, field by field without a carry,
-to M_a[A', B'] = g(A', B', a); the last label's M is the class total less
-the others.  Then
-
-    P(a, b) = sum over (A', B') of M_a[A', B'] * M_b[B', A'],
-
-one sum of products over the cells per pair of labels.  The dict form
-above costs one step per (ball, count) entry and about min(k, e)^2 per
-cell for k labels and e = N_t / N_(t-1) half-tree types per cell; the
-label-class form costs one add of a packed column per ball and k^2 / 2
-products per cell.  So it runs for rules of at most min(16, e) labels on
-classes whose packed column takes at most 1 KiB, and the dict form for
-every other rule: many labels (alphabet:3 t=2 crosses over near 50), few
-types per cell (d=2, where e = q), and wide grids (alphabet:2 t=3, 1,764
-cells of two bytes), where the columns also cost memory on every ball.
+Alphabet seeds: half-tree types.  Split the edge ball (u, v) into two
+disjoint half-trees: A, u with its d-1 subtrees away from v, to depth t, and
+B, the same at v.  Their seeds are independent.  Write A' and B' for A and B
+cut to depth t-1.  The ball of u is A with B' as the root's d-th child, so
+its code is A's root byte followed by the codes of A's children and of B',
+sorted as bytes (all d have the same shape).  So D = q^(2|A|), and a cell is
+a pair (A', B') of cut types, listing the ball of each type A cut to A'
+with B', with multiplicity c_A, the number of seed configurations of type
+A.  It is its own block, with one J of coefficient 1, and its partner is
+(B', A'), of weight 1.  The cells hold N_t * N_(t-1) entries, built from
+the half-tree types of `rules._alphabet_subtree_types`.  At t=0, A is the
+vertex alone and B' is empty.
 
 Rank and hybrid seeds: core interleavings.  Let K = ball(u) & ball(v) be
 the core (k vertices), U the vertices only u sees and V those only v sees,
 and S the edge-ball size.  The seeds' order is uniform over S! orders and
-the tags over q^S (q = 1 for rank).  An order of the edge ball restricts to
-an order sigma of K and to orders of K+U and of K+V that extend sigma.  Let
-n and m count the U and the V vertices in each of the k+1 gaps of sigma.
-The orders of the edge ball that restrict to two given ones interleave U
-and V within each gap, so there are prod_i C(n_i + m_i, n_i) of them, and
-
-    P(a, b) = 1/(S! q^S) * sum over (sigma, core tags) of
-              sum_(n, m) F_a[n] * prod_i C(n_i + m_i, n_i) * G_b[m],
-
-where F_a[n] counts the orders of K+U (with U tags) that extend sigma, have
-gap vector n and whose u-ball code the rule maps to a; G_b[m] likewise at v.
-Vandermonde's identity C(n + m, n) = sum_j C(n, j) * C(m, j) splits the
-kernel: the inner sum is sum_j F'_a[j] * G'_b[j], where
-F'[j] = sum over n >= j of prod_i C(n_i, j_i) * F[n], so a rule lifts each
-count into the j below its gap vector and never forms the kernel.  Three
-symmetries keep the rule-independent (sigma, core tags, n) cells small:
+the tags over q^S (q = 1 for rank), so D = S! q^S.  An order of the edge
+ball restricts to an order sigma of K and to orders of K+U and of K+V that
+extend sigma.  Let n and m count the U and the V vertices in each of the
+k+1 gaps of sigma.  The orders of the edge ball that restrict to two given
+ones interleave U and V within each gap, so there are
+prod_i C(n_i + m_i, n_i) of them, and Vandermonde's identity
+C(n + m, n) = sum_J C(n, J) * C(m, J) splits that count between the two
+sides, which meet only through J.  So a cell is a gap vector n of
+(sigma, core tags), listing the ball of each order of K+U (with U tags)
+that extends it with gap vector n, and lifting to every J <= n with
+coefficient prod_i C(n_i, J_i).  Three symmetries keep the form small:
 
 * the flip u_ids[i] -> v_ids[i] of `rules.edge_ball_layout` maps the v-ball
-  onto the u-ball and K onto itself, so G for sigma is F for sigma composed
-  with the flip: only the u side is built;
+  onto the u-ball and K onto itself, so only the u side is built, and the
+  v side of (sigma, core tags) is the u side of its flip;
 * the sibling permutations inside K are automorphisms of both balls that
-  fix K, so F is constant on their orbits, and the sum runs over the pairs
-  (orbit of sigma, orbit of the flipped sigma), with multiplicities;
+  fix K: a block is an orbit of (sigma, core tags) under them, its partner
+  the orbit of the flipped labellings, and its weight counts the labellings
+  in the orbit;
 * the sibling permutations inside U fix K pointwise, so each cell keeps one
-  order per orbit (ranks increasing along each sibling group), weighted by
-  the group order.
+  order per orbit (ranks increasing along each sibling group), with
+  multiplicity 1, and the weight has the squared group order.
 
-At d=3, t=2 that is 180 core orbits, 210 gap vectors and 226,800 coded
-balls, where the edge ball has 14! orders.  The build codes B! q^B / |group|
-balls of size B, so the pair law needs only the vertex law's budget.
+At d=3, t=2 that is 180 core orbits, 210 gap vectors, 330 J and 226,800
+coded balls, where the edge ball has 14! orders.  The build codes
+B! q^B / |group| balls of size B, so the pair law needs only the vertex
+law's budget.
+
+Two kernels read the form, with the fields (I, J) packed little-endian in
+ints, each as wide as the largest field total needs.  The per-cell kernel
+adds each entry's multiplicity times its cell's packed lift into M_a[I, .]
+and sums each pair of partner blocks once: about min(k, e)^2 dot products
+per pair for k labels and e entries per cell.  The label-class kernel adds
+the packed columns (all fields) of the balls labelled a into M_a without a
+carry, the last label's being the class total less the others, and reads
+label b's grid through the weighted partner, w_I * M_b[partner(I), J]: one
+add per ball and k^2 / 2 products per field.  A rule takes it if it has at
+most min(16, e) labels and a column takes at most 1 KiB.  Many labels
+(alphabet:3 t=2 crosses over near 50), few entries per cell (alphabet at
+d=2, e = q; rank t=1, e = 1) and wide grids (alphabet:2 t=3, rank t=2),
+where columns would also cost memory on every ball, take the per-cell
+kernel.  A class keeps only the data of the kernels its rules take.
 
 Monte Carlo marginals are plug-in empirical laws from i.i.d. edge-ball
 samples, deterministic per seed via fixed-size blocks with derived
@@ -91,12 +89,12 @@ All entropies are in nats.
 import hashlib
 import math
 import random
-import sys
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, compress, permutations, product, repeat
+from itertools import combinations, compress, permutations, product, repeat
 from operator import add, eq, le, lt, mul
 
 from . import graphs, randbelows, rules
@@ -321,12 +319,75 @@ def _truncated_code(code, d, depth):
     return code[:1] + b"".join(sorted(_truncated_code(kid, d, depth - 1) for kid in kids))
 
 
+# Bounds of the label-class kernel, below where the per-cell kernel overtakes
+# it (see the module docstring).
+_PACKED_MAX_LABELS = 16
+_PACKED_MAX_BYTES = 1024
+_FIELD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _field_size(top):
+    """The fewest bytes of a field that holds `top`.  The enumeration budgets
+    keep every field total of a form below 2^64."""
+    return next(w for w in _FIELD_FORMATS if top < 1 << 8 * w)
+
+
+def _reader(size, n):
+    """A function that unpacks an int into n little-endian fields of `size` bytes."""
+    unpack = struct.Struct(f"<{n}{_FIELD_FORMATS[size]}").unpack
+    return lambda packed: unpack(packed.to_bytes(n * size, "little"))
+
+
+@dataclass(frozen=True)
+class CellForm:
+    """The rule-independent cell form of a class; see the module docstring.
+
+    `stream()` yields each cell as (block, unit, balls, mults): its balls'
+    indices (in the class's sorted codes) and multiplicities, and its lift
+    packed into `unit`, the coefficient of J in the field J of `size` bytes,
+    which hold any field total.  Block i has partner[i] and weight[i];
+    `width` counts the J, `cell_size` is the mean number of entries per cell
+    rounded down, and `balls` counts the class's canonical balls."""
+
+    partner: tuple
+    weight: tuple
+    width: int
+    size: int
+    cell_size: int
+    balls: int
+    denominator: int
+    stream: object
+
+    @cached_property
+    def cells(self):
+        """(cells, read) of the per-cell kernel: the stream, and a function
+        that unpacks one block's lifted vector."""
+        return list(self.stream()), _reader(self.size, self.width)
+
+    @cached_property
+    def columns(self):
+        """(columns, total, read, partner_fields) of the label-class kernel,
+        or None if a column would pass _PACKED_MAX_BYTES.  columns[ball]
+        packs the ball's lifted multiplicities in the fields i * width + J;
+        partner_fields lists (partner's field at the same J, weight)."""
+        n = len(self.partner) * self.width
+        if n * self.size > _PACKED_MAX_BYTES:
+            return None
+        columns = [0] * self.balls
+        for block, unit, balls, mults in self.stream():
+            unit <<= 8 * self.size * self.width * block
+            for ball, m in zip(balls, mults):
+                columns[ball] += m * unit
+        partner_fields = [
+            (j * self.width + f, w) for j, w in zip(self.partner, self.weight)
+            for f in range(self.width)
+        ]
+        return columns, sum(columns), _reader(self.size, n), partner_fields
+
+
 def _half_tree_types(d, t, q):
-    """(cuts, types) of an alphabet class; see the module docstring.
-    `cuts` lists the half-tree types cut to depth t-1.  `types` yields, for
-    each half-tree type A, the index i of its cut, the ball index (in the
-    class's sorted codes) of A coded with cut j as the root's d-th child
-    for every j, and c_A."""
+    """The cell form of an alphabet class; see the module docstring.  Of n
+    cut types, cell (i, j) is block i * n + j."""
     codes = rules.enumerate_canonical_balls(d, t, rules.alphabet(q))
     entries = _half_tree_count(d, t, q) * _half_tree_count(d, t - 1, q)
     if entries > rules.ALPHABET_ENUM_BUDGET:
@@ -334,142 +395,29 @@ def _half_tree_types(d, t, q):
             f"alphabet pair law needs {entries} half-tree type pairs "
             f"> {rules.ALPHABET_ENUM_BUDGET}"
         )
-    index = {code: i for i, code in enumerate(codes)}
-    if t == 0:
-        cuts = [b""]
-    else:
-        cuts = [code for code, _ in rules._alphabet_subtree_types(d, t - 1, q, d - 1)]
-    cut_index = {code: i for i, code in enumerate(cuts)}
-    width = rules.subtree_size(d, t - 1)
-
-    def types():
-        for code, count in rules._alphabet_subtree_types(d, t, q, d - 1):
-            root = code[:1]
-            kids = [code[k:k + width] for k in range(1, len(code), width)]
-            balls = [index[root + b"".join(sorted(kids + [cut]))] for cut in cuts]
-            yield cut_index[_truncated_code(code, d, t - 1)], balls, count
-
-    return cuts, types()
-
-
-@lru_cache(maxsize=None)
-def _half_tree_structure(d, t, q):
-    """(cells, denominator) of the alphabet pair law by cells; see the
-    module docstring.  cells[i][j] lists the (ball index, c_A) of every
-    half-tree type A cut to type i, coded with cut type j as the root's d-th
-    child.  Rule-independent, cached."""
-    cuts, types = _half_tree_types(d, t, q)
-    cells = [[[] for _ in cuts] for _ in cuts]
-    for i, balls, count in types:
-        row = cells[i]
-        for j, ball in enumerate(balls):
-            row[j].append((ball, count))
-    return cells, q ** (2 * rules.subtree_size(d, t))
-
-
-# Bounds of the label-class path, below where the per-cell sums overtake it
-# (see the module docstring and `_label_class_limit`).
-_PACKED_MAX_LABELS = 16
-_PACKED_MAX_BYTES = 1024
-_FIELD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
-def _label_class_limit(d, t, q):
-    """The most labels a rule may have for its pair law to be summed by
-    label class: at most _PACKED_MAX_LABELS, and at most the mean number
-    N_t / N_(t-1) of half-tree types per cell.  The label-class form pays
-    k^2 products per cell, the per-cell form about min(k, types)^2."""
-    return min(_PACKED_MAX_LABELS, _half_tree_count(d, t, q) // _half_tree_count(d, t - 1, q))
-
-
-@lru_cache(maxsize=None)
-def _half_tree_columns(d, t, q):
-    """(columns, total, n, width, denominator) of the alphabet pair law by
-    label class, or None when a packed column would exceed
-    _PACKED_MAX_BYTES or a cell total 8 bytes.  columns[ball] packs the
-    ball's multiplicity in each of the n * n cells (i, j), summed c_A as in
-    `_half_tree_structure`, into the little-endian field i * n + j of
-    `width` bytes; `total` is the sum of the columns.  Rule-independent,
-    cached."""
     cuts = [(b"", 1)] if t == 0 else rules._alphabet_subtree_types(d, t - 1, q, d - 1)
     n = len(cuts)
+    width = rules.subtree_size(d, t - 1)
+
+    def stream():
+        index = {code: i for i, code in enumerate(codes)}
+        cut_index = {code: i for i, (code, _) in enumerate(cuts)}
+        rows = [[] for _ in cuts]
+        for code, count in rules._alphabet_subtree_types(d, t, q, d - 1):
+            kids = [code[k:k + width] for k in range(1, len(code), width)]
+            rows[cut_index[_truncated_code(code, d, t - 1)]].append((code[:1], kids, count))
+        for i, row in enumerate(rows):
+            mults = [count for _, _, count in row]
+            for j, (cut, _) in enumerate(cuts):
+                balls = [index[root + b"".join(sorted(kids + [cut]))] for root, kids, _ in row]
+                yield i * n + j, 1, balls, mults
+
     # the cells of row i hold the configurations of A cut to type i: those of
     # the cut times q to the (d-1)^t leaves of A, in total
-    top = max(count for _, count in cuts) * q ** ((d - 1) ** t)
-    width = next((w for w in _FIELD_FORMATS if top < 1 << (8 * w)), None)
-    if width is None or n * n * width > _PACKED_MAX_BYTES:
-        return None
-    _, types = _half_tree_types(d, t, q)
-    bits = 8 * width
-    columns = [0] * len(rules.enumerate_canonical_balls(d, t, rules.alphabet(q)))
-    for i, balls, count in types:
-        shift = bits * n * i
-        for ball in balls:
-            columns[ball] += count << shift
-            shift += bits
-    return columns, sum(columns), n, width, q ** (2 * rules.subtree_size(d, t))
-
-
-def _exact_pair_law_alphabet(rule):
-    if len(rule.output_alphabet) <= _label_class_limit(rule.d, rule.t, rule.model.q):
-        packed = _half_tree_columns(rule.d, rule.t, rule.model.q)
-        if packed is not None:
-            return _pair_law_by_label_class(rule, packed)
-    return _pair_law_by_cells(rule)
-
-
-def _pair_law_by_label_class(rule, packed):
-    columns, total, n, width, denom = packed
-    labels = rule.output_alphabet
-    k = len(labels)
-    # M_a, packed: the columns of the balls labelled a; the last label's is
-    # what the others leave of the total
-    packs = [sum(compress(columns, map(eq, rule.outputs, repeat(a)))) for a in range(k - 1)]
-    packs.append(total - sum(packs))
-    size = n * n * width
-    fmt = _FIELD_FORMATS[width]
-    # On a big-endian machine the cells unpack in reverse order, which maps
-    # (i, j) to (n-1-i, n-1-j) and so commutes with the transposition below.
-    used = [a for a in range(k) if packs[a]]
-    grids = {
-        a: memoryview(packs[a].to_bytes(size, sys.byteorder)).cast(fmt).tolist() for a in used
-    }
-    # M_b[j, i] in the order of M_a[i, j]: the i-th column of M_b, for each i
-    flipped = {a: list(chain.from_iterable(m[i::n] for i in range(n))) for a, m in grids.items()}
-    law = {}
-    for p, a in enumerate(used):
-        m_a = grids[a]
-        for b in used[p:]:
-            law[a, b] = law[b, a] = sum(map(mul, m_a, flipped[b]))
-    counts = {(labels[a], labels[b]): law[a, b] for a in used for b in used if law[a, b]}
-    return PairDistribution(labels, counts, EXACT, denom)
-
-
-def _pair_law_by_cells(rule):
-    cells, denom = _half_tree_structure(rule.d, rule.t, rule.model.q)
-    labels = rule.output_alphabet
-    k = len(labels)
-    out = rule.outputs
-    g = []
-    for row in cells:
-        g_row = []
-        for cell in row:
-            law = {}
-            for ball, count in cell:
-                a = out[ball]
-                law[a] = law.get(a, 0) + count
-            g_row.append(law)
-        g.append(g_row)
-    acc = {}
-    for i, g_row in enumerate(g):
-        for j, g_u in enumerate(g_row):
-            g_v = g[j][i]
-            for a, x in g_u.items():
-                base = a * k
-                for b, y in g_v.items():
-                    acc[base + b] = acc.get(base + b, 0) + x * y
-    counts = {(labels[key // k], labels[key % k]): acc[key] for key in sorted(acc)}
-    return PairDistribution(labels, counts, EXACT, denom)
+    size = _field_size(max(count for _, count in cuts) * q ** ((d - 1) ** t))
+    partner = tuple(j * n + i for i in range(n) for j in range(n))
+    denominator = q ** (2 * rules.subtree_size(d, t))
+    return CellForm(partner, (1,) * n**2, 1, size, entries // n**2, len(codes), denominator, stream)
 
 
 def _core_key(node, label, core):
@@ -491,19 +439,10 @@ def _group_assignments(values, sizes):
             yield block + tail
 
 
-@lru_cache(maxsize=None)
 def _interleaving_structure(d, t, model):
-    """(cells, terms, lifts, denominator) of the rank and hybrid pair law;
-    see the module docstring.  cells[i][n] lists the ball index (in the
-    class's sorted codes) of each order of the u-ball (with its U tags) that
-    extends core orbit i with gap vector n, one per orbit of the sibling
-    permutations inside U.  `terms` lists (i, j, weight): a core
-    orbit, the orbit of its flipped labellings, and how many core labellings
-    have that pair, times the squared order of the group inside U.  `lifts`
-    is (lift, width): lift[n] lists the (j index, prod_i C(n_i, j_i)) of
-    every j <= gap vector n, and width counts the j.  Rule-independent,
-    cached."""
-    index = {code: i for i, code in enumerate(rules.enumerate_canonical_balls(d, t, model))}
+    """The cell form of a rank or hybrid class; see the module docstring.
+    Block i is the core orbit of reps[i], and its cells are gap vectors."""
+    codes = rules.enumerate_canonical_balls(d, t, model)
     coder = rules.ball_coder(d, t, model)
     layout = rules.edge_ball_layout(d, t)
     u_ids = layout.u_ids
@@ -555,6 +494,12 @@ def _interleaving_structure(d, t, model):
             label = dict(zip(core_ids, seeds))
             ij = (orbit(label), orbit({x: label[flip[x]] for x in core_ids}))
             pair_counts[ij] = pair_counts.get(ij, 0) + 1
+    # the flip maps each orbit into one orbit
+    assert len(pair_counts) == len(reps)
+    aut = math.prod(math.factorial(size) for size in sizes)
+    partner, weight = [0] * len(reps), [0] * len(reps)
+    for (i, j), c in pair_counts.items():
+        partner[i], weight[i] = j, c * aut * aut
 
     # the ranks of U in the u-ball, one set per gap vector
     slot_sets = list(combinations(range(1, B + 1), s))
@@ -575,67 +520,121 @@ def _interleaving_structure(d, t, model):
         ]
         for slots in slot_sets
     ]
-    cells = []
-    for label in reps:
-        row = []
-        for slots, filling in zip(slot_sets, fillings):
-            core_ranks = [r for r in range(1, B + 1) if r not in slots]
-            seeds = [None] * B
-            for p, x in zip(core_pos, core_ids):
-                if hybrid:
-                    r, g = label[x]
-                    seeds[p] = (core_ranks[r - 1], g)
-                else:
-                    seeds[p] = core_ranks[label[x] - 1]
-            cell = []
-            for u_seeds in filling:
-                for p, y in zip(u_pos, u_seeds):
-                    seeds[p] = y
-                cell.append(index[coder(seeds)])
-            row.append(cell)
-        cells.append(row)
-    aut = math.prod(math.factorial(size) for size in sizes)
-    terms = [(i, j, c * aut * aut) for (i, j), c in pair_counts.items()]
+    ones = [(1,) * len(filling) for filling in fillings]
+    # every block's cells hold the same number of balls per gap vector
+    totals = [0] * len(lift_index)
+    for lift, filling in zip(lifts, fillings):
+        for j, c in lift:
+            totals[j] += c * len(filling)
+    size = _field_size(max(totals))
+    units = [sum(c << 8 * size * j for j, c in lift) for lift in lifts]
+
+    def stream():
+        index = {code: i for i, code in enumerate(codes)}
+        for i, label in enumerate(reps):
+            for slots, unit, filling, mults in zip(slot_sets, units, fillings, ones):
+                core_ranks = [r for r in range(1, B + 1) if r not in slots]
+                seeds = [None] * B
+                for p, x in zip(core_pos, core_ids):
+                    if hybrid:
+                        r, g = label[x]
+                        seeds[p] = (core_ranks[r - 1], g)
+                    else:
+                        seeds[p] = core_ranks[label[x] - 1]
+                balls = []
+                for u_seeds in filling:
+                    for p, y in zip(u_pos, u_seeds):
+                        seeds[p] = y
+                    balls.append(index[coder(seeds)])
+                yield i, unit, balls, mults
+
     q = model.q if hybrid else 1
     denominator = math.factorial(layout.size) * q**layout.size
-    return cells, terms, (lifts, len(lift_index)), denominator
+    cell_size = sum(map(len, fillings)) // len(fillings)
+    return CellForm(
+        tuple(partner), tuple(weight), len(lift_index), size, cell_size, len(codes), denominator,
+        stream,
+    )
 
 
-def _exact_pair_law_ordered(rule):
-    cells, terms, (lifts, width), denom = _interleaving_structure(rule.d, rule.t, rule.model)
+@lru_cache(maxsize=None)
+def _cell_form(d, t, model):
+    """The cell form of a class, built once."""
+    if model.kind == "alphabet":
+        return _half_tree_types(d, t, model.q)
+    return _interleaving_structure(d, t, model)
+
+
+def _pair_law_by_label_class(rule, form):
+    columns, total, read, partner_fields = form.columns
     labels = rule.output_alphabet
     k = len(labels)
+    # M_a, packed: the columns of the balls labelled a; the last label's is
+    # what the others leave of the total
+    packs = [sum(compress(columns, map(eq, rule.outputs, repeat(a)))) for a in range(k - 1)]
+    packs.append(total - sum(packs))
+    used = [a for a in range(k) if packs[a]]
+    grids = {a: read(packs[a]) for a in used}
+    # w_I * M_b[partner(I), J], in the order of M_a[I, J]
+    partnered = {b: [w * m[f] for f, w in partner_fields] for b, m in grids.items()}
+    law = {}
+    for p, a in enumerate(used):
+        m_a = grids[a]
+        for b in used[p:]:
+            law[a, b] = law[b, a] = sum(map(mul, m_a, partnered[b]))
+    counts = {(labels[a], labels[b]): law[a, b] for a in used for b in used if law[a, b]}
+    return PairDistribution(labels, counts, EXACT, form.denominator)
+
+
+def _dot(u, v):
+    return sum(map(mul, u, v))
+
+
+def _pair_law_per_cell(rule, form):
+    cells, read = form.cells
+    labels = rule.output_alphabet
     out = rule.outputs
-    # lifted[i][a][j]: core orbit i's u-ball orders with output a, lifted to j
-    lifted = []
-    for row in cells:
-        h = {}
-        for lift, cell in zip(lifts, row):
-            for ball in cell:
-                a = out[ball]
-                vec = h.get(a)
-                if vec is None:
-                    vec = h[a] = [0] * width
-                for j, x in lift:
-                    vec[j] += x
-        lifted.append(h)
-    acc = {}
-    for i, j, weight in terms:
-        for a, vec in lifted[i].items():
-            base = a * k
-            for b, other in lifted[j].items():
-                acc[base + b] = acc.get(base + b, 0) + weight * sum(map(mul, vec, other))
-    counts = {(labels[key // k], labels[key % k]): acc[key] for key in sorted(acc)}
-    return PairDistribution(labels, counts, EXACT, denom)
+    # lifted[i][a] = M_a[i, .], packed as the cells' units are
+    lifted = [{} for _ in form.partner]
+    for block, unit, balls, mults in cells:
+        h = lifted[block]
+        for ball, m in zip(balls, mults):
+            a = out[ball]
+            h[a] = h.get(a, 0) + m * unit
+    # a vector of one field is its int, and a dot product one product
+    dot = mul if form.width == 1 else _dot
+    if form.width > 1:
+        for h in lifted:  # in place, so each packed vector is freed as it is read
+            for a, v in h.items():
+                h[a] = read(v)
+    # block i's term for (a, b) is its partner's for (b, a): each partner
+    # pair is summed once, into both; rows[a][b] sums P(a, b)
+    rows = [{} for _ in labels]
+    for i, (h, j, weight) in enumerate(zip(lifted, form.partner, form.weight)):
+        if j < i:
+            continue
+        h_partner = lifted[j]
+        for a, vec in h.items():
+            row = rows[a]
+            for b, other in h_partner.items():
+                x = weight * dot(vec, other)
+                row[b] = row.get(b, 0) + x
+                if j != i:
+                    column = rows[b]
+                    column[a] = column.get(a, 0) + x
+    counts = {
+        (labels[a], labels[b]): x for a, row in enumerate(rows) for b, x in sorted(row.items())
+    }
+    return PairDistribution(labels, counts, EXACT, form.denominator)
 
 
 def exact_marginals(rule):
     """Exact (LabelDistribution, PairDistribution) of a rule: integer counts
     over one denominator, the vertex law being the pair law's marginal."""
-    if rule.model.kind == "alphabet":
-        pair = _exact_pair_law_alphabet(rule)
-    else:
-        pair = _exact_pair_law_ordered(rule)
+    form = _cell_form(rule.d, rule.t, rule.model)
+    by_class = len(rule.output_alphabet) <= min(_PACKED_MAX_LABELS, form.cell_size)
+    kernel = _pair_law_by_label_class if by_class and form.columns else _pair_law_per_cell
+    pair = kernel(rule, form)
     return pair.marginal(), pair
 
 

@@ -101,9 +101,14 @@ class SeedModel:
             return cls("rank")
         for kind in ("alphabet", "hybrid"):
             if token.startswith(kind + ":"):
+                # the size must be its own text: int() also reads " 3",
+                # "+3", "03", "1_0" and non-ASCII digits
+                size = token[len(kind) + 1:]
                 try:
-                    q = int(token[len(kind) + 1:])
+                    q = int(size)
                 except ValueError:
+                    break
+                if size != str(q):
                     break
                 return cls(kind, q)
         raise ValueError(f"cannot parse seed model {token!r}")

@@ -198,7 +198,7 @@ class TestRuleCommands:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: ValueError: {message}\n"
 
-    @pytest.mark.parametrize("token", ["alphabet:y", "hybrid:x1"])
+    @pytest.mark.parametrize("token", ["alphabet:y", "hybrid:x1", "alphabet:1_0"])
     def test_seed_model_size_that_is_not_an_int_is_refused_by_name(self, capsys, token):
         argv = ["rule", "random", "--model", token, "--alphabet", "a,b", "--seed", "1"]
         assert cli.main(["--no-timestamp", *argv]) == 2

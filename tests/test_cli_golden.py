@@ -111,6 +111,28 @@ CASES = {
             ]
         ],
     ),
+    # one exact law from each builder of the cell form: the half-tree types
+    # and the core interleavings
+    "entropy_exact_alphabet": (
+        0,
+        [
+            [
+                "rule", "random", "--d", "3", "--t", "2", "--model", "alphabet:3",
+                "--alphabet", "0,1,2", "--seed", "6", "--out", "a6.rule",
+            ],
+            ["entropy", "exact", "--rule", "a6.rule"],
+        ],
+    ),
+    "entropy_exact_hybrid": (
+        0,
+        [
+            [
+                "rule", "random", "--d", "3", "--t", "1", "--model", "hybrid:2",
+                "--alphabet", "0,1,2", "--seed", "6", "--out", "h6.rule",
+            ],
+            ["entropy", "exact", "--rule", "h6.rule"],
+        ],
+    ),
     # a rank t=1 rule over ten labels uses four: the six unused labels print
     # an exact "0" and a Monte Carlo integer 0
     "entropy_exact_unused_labels": (

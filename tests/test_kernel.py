@@ -19,6 +19,7 @@ masses before laws became integer counts; the counts must reproduce them
 float for float.
 """
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -237,14 +238,15 @@ def test_alphabet_edge_structure_t2_equals_reference():
 def _oracle_rules(d, t, model):
     """Seeded random rules, constant rules (one with an unused label) and
     the identity-factor rule, which gives each canonical ball its own label.
-    An alphabet pair law of at most `entropy._label_class_limit` labels sums
-    by label class, a larger one by cells: one random rule sits at that
-    bound and one just past it."""
+    An alphabet pair law of at most min(`entropy._PACKED_MAX_LABELS`, the
+    `cell_size` of its class's `entropy._cell_form`) labels sums by label
+    class, a larger one by cells: one random rule sits at that bound and one
+    just past it."""
     balls = rules.enumerate_canonical_balls(d, t, model)
     for seed in range(3):
         yield rules.random_rule(d, t, model, ("x", "y", "z"), seed)
     if model.kind == "alphabet":
-        top = entropy._label_class_limit(d, t, model.q)
+        top = min(entropy._PACKED_MAX_LABELS, entropy._cell_form(d, t, model).cell_size)
     else:
         top = entropy._PACKED_MAX_LABELS
     for k in (top, top + 1):
@@ -271,6 +273,21 @@ ENUMERABLE = [
 ] + [(1, t, 2) for t in (0, 1, 2, 3)]
 
 
+ORDERED = [
+    (3, 1, rules.rank()),
+    (2, 2, rules.rank()),
+    (2, 3, rules.rank()),
+    (4, 1, rules.rank()),
+    (3, 1, rules.hybrid(2)),
+    (2, 2, rules.hybrid(2)),
+]
+
+
+def _model(seeds):
+    """An alphabet size as its alphabet model; any other seed model as itself."""
+    return rules.alphabet(seeds) if isinstance(seeds, int) else seeds
+
+
 @pytest.mark.parametrize("d,t,q", ENUMERABLE)
 def test_pair_law_equals_edge_enumeration(d, t, q):
     for rule in _oracle_rules(d, t, rules.alphabet(q)):
@@ -279,36 +296,51 @@ def test_pair_law_equals_edge_enumeration(d, t, q):
         _assert_alphabet_order(pair, rule)
 
 
-@pytest.mark.parametrize("d,t,q", ENUMERABLE + [(2, 5, 2), (3, 3, 2)])
-def test_packed_columns_sum_the_cells(d, t, q):
-    """Each packed column holds the ball's summed c_A per cell, in fields of
-    the fewest bytes that hold the largest cell total; a class whose column
-    would pass the byte bound has none."""
-    cells, _ = entropy._half_tree_structure(d, t, q)
-    codes = rules.enumerate_canonical_balls(d, t, rules.alphabet(q))
-    n = len(cells)
-    totals = [sum(c for _, c in cell) for row in cells for cell in row]
-    width = next(w for w in (1, 2, 4, 8) if max(totals) < 256**w)
-    packed = entropy._half_tree_columns(d, t, q)
-    if n * n * width > entropy._PACKED_MAX_BYTES:
-        assert packed is None
+@pytest.mark.parametrize("d,t,seeds", ENUMERABLE + ORDERED, ids=str)
+def test_partner_is_a_weighted_involution(d, t, seeds):
+    """Both kernels sum each pair of partner blocks once, for both orders of
+    the labels: that needs partner(partner(I)) = I, with equal weights."""
+    form = entropy._cell_form(d, t, _model(seeds))
+    for i, (j, weight) in enumerate(zip(form.partner, form.weight)):
+        assert form.partner[j] == i
+        assert form.weight[j] == weight > 0
+
+
+@pytest.mark.parametrize("d,t,seeds", ENUMERABLE + [(2, 5, 2), (3, 3, 2)] + ORDERED, ids=str)
+def test_packed_columns_sum_the_cells(d, t, seeds):
+    """A cell's unit packs its lift, and each packed column holds the ball's
+    lifted multiplicity per field (block, J), in fields of the fewest bytes
+    that hold the largest field total; a class whose column would pass the
+    byte bound has none."""
+    form = entropy._cell_form(d, t, _model(seeds))
+    n = len(form.partner) * form.width
+    mask = 256**form.size - 1
+    expected = [{} for _ in range(form.balls)]
+    for block, unit, balls, mults in form.stream():
+        assert unit < 256 ** (form.size * form.width)
+        for ball, m in zip(balls, mults):
+            for j in range(form.width):
+                if c := unit >> 8 * form.size * j & mask:
+                    field = block * form.width + j
+                    expected[ball][field] = expected[ball].get(field, 0) + m * c
+    totals = {}
+    for column in expected:
+        for field, x in column.items():
+            totals[field] = totals.get(field, 0) + x
+    assert form.size == next(w for w in (1, 2, 4, 8) if max(totals.values()) < 256**w)
+    if n * form.size > entropy._PACKED_MAX_BYTES:
+        assert form.columns is None
         return
-    assert len(packed[0]) == len(codes) and packed[2:4] == (n, width)
-    expected = [[0] * (n * n) for _ in codes]
-    for i, row in enumerate(cells):
-        for j, cell in enumerate(row):
-            for ball, count in cell:
-                expected[ball][i * n + j] += count
-    fields = [
-        [column >> (8 * width * f) & (256**width - 1) for f in range(n * n)]
-        for column in packed[0]
-    ]
-    assert fields == expected
-    assert packed[1] == sum(packed[0])
+    columns, total, read, _ = form.columns
+    assert len(columns) == form.balls
+    fields = [[column >> 8 * form.size * f & mask for f in range(n)] for column in columns]
+    assert [{f: x for f, x in enumerate(column) if x} for column in fields] == expected
+    assert [list(read(column)) for column in columns] == fields
+    assert total == sum(columns)
 
 
 @pytest.mark.parametrize(
-    "d,t,q,k,by_class",
+    "d,t,seeds,k,by_class",
     [
         (3, 2, 3, 16, True),  # 28.5 half-tree types per cell, 324-byte columns
         (3, 2, 3, 17, False),  # past _PACKED_MAX_LABELS
@@ -317,11 +349,17 @@ def test_packed_columns_sum_the_cells(d, t, q):
         (2, 4, 2, 2, True),  # at d=2 a cell holds q types
         (2, 4, 2, 3, False),
         (3, 3, 2, 2, False),  # 1,764 two-byte cells pass _PACKED_MAX_BYTES
+        (3, 1, rules.hybrid(2), 4, True),  # 4 balls per cell, 80 one-byte fields
+        (3, 1, rules.hybrid(2), 5, False),
+        (3, 1, rules.rank(), 2, False),  # 1 ball per cell
     ],
+    ids=str,
 )
-def test_alphabet_pair_law_selection(monkeypatch, d, t, q, k, by_class):
+def test_alphabet_pair_law_selection(monkeypatch, d, t, seeds, k, by_class):
+    """One selection rule for every seed model: `seeds` is an alphabet size
+    or a seed model."""
     calls = []
-    for name in ("_pair_law_by_label_class", "_pair_law_by_cells"):
+    for name in ("_pair_law_by_label_class", "_pair_law_per_cell"):
         real = getattr(entropy, name)
 
         def spy(*args, _real=real, _name=name):
@@ -329,8 +367,8 @@ def test_alphabet_pair_law_selection(monkeypatch, d, t, q, k, by_class):
             return _real(*args)
 
         monkeypatch.setattr(entropy, name, spy)
-    entropy.exact_marginals(rules.random_rule(d, t, rules.alphabet(q), tuple(range(k)), 0))
-    assert calls == ["_pair_law_by_label_class" if by_class else "_pair_law_by_cells"]
+    entropy.exact_marginals(rules.random_rule(d, t, _model(seeds), tuple(range(k)), 0))
+    assert calls == ["_pair_law_by_label_class" if by_class else "_pair_law_per_cell"]
 
 
 def reference_pair_law_ordered(rule):
@@ -341,16 +379,6 @@ def reference_pair_law_ordered(rule):
         key = (rule.table[cu], rule.table[cv])
         acc[key] = acc.get(key, 0) + c
     return {k: Fraction(v, pt.total) for k, v in acc.items()}
-
-
-ORDERED = [
-    (3, 1, rules.rank()),
-    (2, 2, rules.rank()),
-    (2, 3, rules.rank()),
-    (4, 1, rules.rank()),
-    (3, 1, rules.hybrid(2)),
-    (2, 2, rules.hybrid(2)),
-]
 
 
 @pytest.mark.parametrize("d,t,model", ORDERED, ids=str)
@@ -408,6 +436,29 @@ def test_exact_laws_are_counts_matching_references(d, t, model):
         assert vertex.denominator == pair.denominator == denominator
         assert all(type(c) is int for c in vertex.counts)
         assert all(type(c) is int for c in pair.counts.values())
+
+
+@pytest.mark.parametrize(
+    "d,t,model,k,digest",
+    [
+        # either side of the label-class bound
+        (3, 2, rules.alphabet(3), 16, "f69ea39d372afd37c6a5c00dda7e4e7a116e7dd43a5c91c4ab81caff71b56db1"),
+        (3, 2, rules.alphabet(3), 17, "5df59d67155f9e1d55254b521ae75698907c81e99163500f4cbd0eaedc671083"),
+        (3, 3, rules.alphabet(2), 2, "a2a291e3193ba1f08014b72eada0d58fece0d93b7c1672cff793b174222b5c62"),
+        (3, 3, rules.alphabet(2), 50, "375ed7629a00f238f10047ab660b8deae0f4a8adbbeaabac3353b87a2c9b9fbf"),
+        (3, 1, rules.hybrid(2), 3, "cfcef2171735160464e9540dfac4f5d74342abf669939750c524104f9964d20c"),
+        (3, 2, rules.rank(), 3, "17c483a680a20975402667fe965ee89f8b549a7232ffe5bec02c0eee860f80be"),
+        (2, 3, rules.rank(), 3, "50ad1a564e8c446652647302eb3affd8c4101180b0ecd50474facab214772632"),
+    ],
+    ids=str,
+)
+def test_exact_laws_are_pinned(d, t, model, k, digest):
+    """sha256 of the counts, in key order, and the denominator of rules the
+    edge enumeration cannot reach: a kernel change must leave them
+    byte-identical."""
+    pair = entropy.exact_marginals(rules.random_rule(d, t, model, tuple(range(k)), k))[1]
+    text = repr((list(pair.counts.items()), pair.denominator))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _cut(node, depth):
@@ -474,7 +525,7 @@ def test_lifted_rank_rule_keeps_its_laws():
 
 def test_alphabet3_t3_over_budget():
     with pytest.raises(rules.BudgetExceeded):
-        entropy._half_tree_structure(3, 3, 3)
+        entropy._cell_form(3, 3, rules.alphabet(3))
     with pytest.raises(rules.BudgetExceeded):
         rules.random_rule(3, 3, rules.alphabet(3), (0, 1), 0)
 
@@ -494,16 +545,14 @@ def test_hot_builds_skip_public_canonicalize(monkeypatch):
     for cached in (
         rules.edge_pair_table,
         rules.enumerate_canonical_balls_weighted,
-        entropy._half_tree_structure,
-        entropy._half_tree_columns,
-        entropy._interleaving_structure,
+        entropy._cell_form,
     ):
         cached.cache_clear()
     table = rules.edge_pair_table(3, 1, rules.hybrid(2))
-    entropy._half_tree_structure(3, 2, 2)
-    entropy._half_tree_columns(3, 2, 2)
+    form = entropy._cell_form(3, 2, rules.alphabet(2))
+    assert form.cells and form.columns
     for d, t, model in ((3, 1, rules.hybrid(2)), (2, 3, rules.rank())):
-        assert entropy._interleaving_structure(d, t, model)[0]
+        assert entropy._cell_form(d, t, model).cells
     assert table.total == 46080
     assert calls == []
 

@@ -65,7 +65,14 @@ def reference_hybrid_codes(d, t, q):
 
 
 class TestSeedModel:
-    @pytest.mark.parametrize("token", ["alphabet:y", "hybrid:x1", "alphabet:", "hybrid:2.5"])
+    @pytest.mark.parametrize(
+        "token",
+        [
+            "alphabet:y", "hybrid:x1", "alphabet:", "hybrid:2.5",
+            # int() reads each of these as a size, but none is its own text
+            "alphabet:1_0", "alphabet:+3", "alphabet:03", "alphabet: 3", "hybrid:\u0663",
+        ],
+    )
     def test_size_that_is_not_an_int_is_refused_by_name(self, token):
         with pytest.raises(ValueError, match=f"^cannot parse seed model {re.escape(repr(token))}$"):
             rules.SeedModel.parse(token)
