@@ -102,12 +102,17 @@ def randbelows(rng, n, count):
         while len(out) < count:
             out += filter(n.__gt__, map(rng.getrandbits, repeat(k, count - len(out))))
         return out
+    return list(randbelow_bytes(rng, n, count))
+
+
+def randbelow_bytes(rng, n, count):
+    """randbelows(rng, n, count) as a bytearray, for 1 <= n <= 255."""
     table, delete = _top_byte_tables(n)
     out = bytearray()
     while len(out) < count:
         m = min(count - len(out), _BULK_WORDS)
         out += draw_words(rng, m)[3::4].translate(table, delete)
-    return list(out)
+    return out
 
 
 def shuffle(rng, x):

@@ -14,6 +14,7 @@ import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import lru_cache
 
 from . import SCHEMA_VERSION, __version__, entropy, graphs, homsearch, jsonable, rules, simulate
 
@@ -394,7 +395,9 @@ def _u64(text):
     return value
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="fiidlab",
         description="local rules on regular trees: marginals, entropy audits, "

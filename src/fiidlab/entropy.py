@@ -64,11 +64,14 @@ Two kernels read the form, with the fields (I, J) packed little-endian in
 ints, each as wide as the largest field total needs.  The per-cell kernel
 adds each entry's multiplicity times its cell's packed lift into M_a[I, .]
 and sums each pair of partner blocks once: about min(k, e)^2 dot products
-per pair for k labels and e entries per cell.  The label-class kernel adds
-the packed columns (all fields) of the balls labelled a into M_a without a
-carry, the last label's being the class total less the others, and reads
-label b's grid through the weighted partner, w_I * M_b[partner(I), J]: one
-add per ball and k^2 / 2 products per field.  A rule takes it if it has at
+per pair for k labels and e entries per cell.  Both read the rule's
+`outputs`: one `bytes` for at most 256 labels, else a tuple of ints.  The
+label-class kernel adds the packed columns (all fields) of the balls
+labelled a into M_a without a carry, picking them by one bytes.translate
+of the outputs to a 0/1 mask; the last label's M_a is the class total less
+the others.  It reads label b's grid through the weighted partner,
+w_I * M_b[partner(I), J], with one getter over the partner fields: one add
+per ball and k^2 / 2 products per field.  A rule takes it if it has at
 most min(16, e) labels and a column takes at most 1 KiB.  Many labels
 (alphabet:3 t=2 crosses over near 50), few entries per cell (alphabet at
 d=2, e = q; rank t=1, e = 1) and wide grids (alphabet:2 t=3, rank t=2),
@@ -94,8 +97,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, compress, permutations, product, repeat
-from operator import add, eq, le, lt, mul
+from itertools import combinations, compress, permutations, product
+from operator import add, le, lt, mul
 
 from . import graphs, randbelows, rules
 from .rules import BudgetExceeded
@@ -366,10 +369,12 @@ class CellForm:
 
     @cached_property
     def columns(self):
-        """(columns, total, read, partner_fields) of the label-class kernel,
-        or None if a column would pass _PACKED_MAX_BYTES.  columns[ball]
-        packs the ball's lifted multiplicities in the fields i * width + J;
-        partner_fields lists (partner's field at the same J, weight)."""
+        """(columns, total, read, (partnered, weights)) of the label-class
+        kernel, or None if a column would pass _PACKED_MAX_BYTES.
+        columns[ball] packs the ball's lifted multiplicities in the fields
+        i * width + J.  partnered(grid) reads each field's partner, the
+        field of block partner(i) at the same J, and weights lists each
+        field's block weight, or is None when every weight is 1."""
         n = len(self.partner) * self.width
         if n * self.size > _PACKED_MAX_BYTES:
             return None
@@ -378,11 +383,11 @@ class CellForm:
             unit <<= 8 * self.size * self.width * block
             for ball, m in zip(balls, mults):
                 columns[ball] += m * unit
-        partner_fields = [
-            (j * self.width + f, w) for j, w in zip(self.partner, self.weight)
-            for f in range(self.width)
-        ]
-        return columns, sum(columns), _reader(self.size, n), partner_fields
+        fields = range(self.width)
+        partnered = rules._getter([j * self.width + f for j in self.partner for f in fields])
+        # an alphabet form weighs every block 1, and its partner read needs no product
+        weights = None if set(self.weight) == {1} else [w for w in self.weight for _ in fields]
+        return columns, sum(columns), _reader(self.size, n), (partnered, weights)
 
 
 def _half_tree_types(d, t, q):
@@ -565,18 +570,26 @@ def _cell_form(d, t, model):
     return _interleaving_structure(d, t, model)
 
 
+# bytes.translate tables of the label-class kernel: _LABEL_MASKS[a] maps
+# byte a to 1 and every other byte to 0
+_LABEL_MASKS = tuple(bytes(a) + b"\1" + bytes(255 - a) for a in range(_PACKED_MAX_LABELS))
+
+
 def _pair_law_by_label_class(rule, form):
-    columns, total, read, partner_fields = form.columns
+    columns, total, read, (partner_of, weights) = form.columns
     labels = rule.output_alphabet
     k = len(labels)
-    # M_a, packed: the columns of the balls labelled a; the last label's is
-    # what the others leave of the total
-    packs = [sum(compress(columns, map(eq, rule.outputs, repeat(a)))) for a in range(k - 1)]
+    # M_a, packed: the columns of the balls labelled a, picked by the mask
+    # of a over the outputs' bytes; the last label's is what the others
+    # leave of the total
+    packs = [sum(compress(columns, rule.outputs.translate(_LABEL_MASKS[a]))) for a in range(k - 1)]
     packs.append(total - sum(packs))
     used = [a for a in range(k) if packs[a]]
     grids = {a: read(packs[a]) for a in used}
     # w_I * M_b[partner(I), J], in the order of M_a[I, J]
-    partnered = {b: [w * m[f] for f, w in partner_fields] for b, m in grids.items()}
+    partnered = {b: partner_of(m) for b, m in grids.items()}
+    if weights is not None:
+        partnered = {b: list(map(mul, m, weights)) for b, m in partnered.items()}
     law = {}
     for p, a in enumerate(used):
         m_a = grids[a]

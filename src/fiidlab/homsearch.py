@@ -272,7 +272,7 @@ def rule_at_cursor(d, t, model, output_alphabet, index):
     """Rule `index` of the class in mixed-radix order, ball 0 the most significant digit."""
     alpha = rules.check_output_alphabet(output_alphabet)
     n = len(rules.enumerate_canonical_balls(d, t, model))
-    return rules.LocalRule(d, t, model, alpha, tuple(_digits(index, len(alpha), n)))
+    return rules.LocalRule(d, t, model, alpha, _digits(index, len(alpha), n))
 
 
 # the witness reservoir (see the module docstring)
@@ -478,7 +478,7 @@ def search(H, d, t, model, budget=None, force_enumeration=False):
             return SearchOutcome(
                 kind="Found",
                 rules_examined=index + 1,
-                rule=rules.LocalRule(d, t, model, labels, tuple(digits)),
+                rule=rules.LocalRule(d, t, model, labels, digits),
                 witnesses=witnesses(),
                 caveat=caveat,
             )

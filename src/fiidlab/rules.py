@@ -5,7 +5,8 @@ label.  Equivariance is enforced structurally: the rule sees only a
 canonical encoding of the seed-labeled rooted ball, so any two balls related
 by a root-fixing automorphism (a permutation of sibling subtrees) look
 identical to the rule.  A rule stores `outputs`, the label index of each
-canonical ball in the class's sorted order; `table` is a {code: label} view.
+canonical ball in the class's sorted order: one `bytes` for at most 256
+labels, else a tuple of ints; `table` is a {code: label} view.
 
 Raw balls are nested tuples ``(label, (child, child, ...))``: the root has d
 children, every deeper internal vertex has d-1, and leaves sit at depth t.
@@ -46,7 +47,7 @@ from itertools import combinations, combinations_with_replacement, count, permut
 from math import factorial
 from operator import itemgetter
 
-from . import randbelows, read_lines, write_lines
+from . import randbelow_bytes, randbelows, read_lines, write_lines
 
 ALPHABET_ENUM_BUDGET = 10_000_000
 RANK_BALL_LIMIT = 10
@@ -96,7 +97,9 @@ class SeedModel:
 
     @classmethod
     def parse(cls, token):
-        token = str(token).strip()
+        """The model whose text is the token; ValueError on any other text,
+        such as a size that int() reads but does not print, or padding."""
+        token = str(token)
         if token == "rank":
             return cls("rank")
         for kind in ("alphabet", "hybrid"):
@@ -531,18 +534,36 @@ def enumerate_canonical_balls(d, t, model):
 class LocalRule:
     """Total mapping from canonical balls of (d, t, model) to output labels:
     outputs[i] indexes in output_alphabet the label of the i-th code of
-    enumerate_canonical_balls(d, t, model); `table` is a {code: label} view."""
+    enumerate_canonical_balls(d, t, model); `table` is a {code: label} view.
+
+    Any sequence of indices is taken, and stored as `bytes` when the
+    alphabet has at most 256 labels, else as a tuple, so one rule has one
+    form whatever it was built from."""
 
     d: int
     t: int
     model: SeedModel
     output_alphabet: tuple
-    outputs: tuple
+    outputs: bytes | tuple
 
     def __post_init__(self):
         n = len(enumerate_canonical_balls(self.d, self.t, self.model))
-        if len(self.outputs) != n or not set(self.outputs) <= set(range(len(self.output_alphabet))):
+        k = len(self.output_alphabet)
+        outputs = self.outputs
+        valid = len(outputs) == n
+        if valid and k <= 256:
+            try:  # bytes() refuses what is not an int in 0..255
+                outputs = bytes(outputs)
+            except (TypeError, ValueError):
+                valid = False
+            else:  # deleting the k index bytes must leave nothing
+                valid = not outputs.translate(None, bytes(range(k)))
+        elif valid:
+            outputs = tuple(outputs)
+            valid = set(outputs) <= set(range(k))
+        if not valid:
             raise ValueError(f"a rule of this class has {n} outputs, each an output alphabet index")
+        object.__setattr__(self, "outputs", outputs)
 
     @cached_property
     def table(self):
@@ -610,7 +631,8 @@ def random_rule(d, t, model, output_alphabet, rng_seed):
     """Independent uniform output per canonical ball; deterministic per seed."""
     n = len(enumerate_canonical_balls(d, t, model))
     alpha = check_output_alphabet(output_alphabet)
-    return LocalRule(d, t, model, alpha, tuple(randbelows(random.Random(rng_seed), len(alpha), n)))
+    draw = randbelow_bytes if len(alpha) <= 255 else randbelows
+    return LocalRule(d, t, model, alpha, draw(random.Random(rng_seed), len(alpha), n))
 
 
 def recode_outputs(rule, mapping, output_alphabet=None):
@@ -680,7 +702,7 @@ def _rule_from_lines(lines):
         raise ValueError(f"line {extra[0]}: extra line past the {len(codes)} canonical balls")
     if len(outputs) < len(codes):
         raise ValueError(f"line {n + 1}: missing, only {len(outputs)} of {len(codes)} balls")
-    return LocalRule(d, t, model, out, tuple(outputs))
+    return LocalRule(d, t, model, out, outputs)
 
 
 def rule_from_text(text):

@@ -40,6 +40,25 @@ class TestEnvelope:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        """Every call parses with the parser the first call built, and a call
+        that argparse refuses leaves it parsing as before."""
+        parser = cli._build_parser()
+
+        def rebuild(*args, **kwargs):
+            raise AssertionError("the parser was built again")
+
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", rebuild)
+        args = ["--no-timestamp", "entropy", "constant", "--r", "3", "--c0", "0.3"]
+        assert cli.main(args) == 0
+        first = capsys.readouterr().out
+        assert cli.main(["--no-timestamp", "entropy", "constant", "--r", "3"]) == 2
+        assert cli.main(["--no-timestamp", "rule", "random", "--bogus"]) == 2
+        capsys.readouterr()
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out == first
+        assert cli._build_parser() is parser
+
 
 class TestGraphCommands:
     def test_gen_profile_invariants(self, capsys, tmp_path):
@@ -204,6 +223,13 @@ class TestRuleCommands:
         assert cli.main(["--no-timestamp", *argv]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: ValueError: cannot parse seed model '{token}'\n"
+
+    @pytest.mark.parametrize("token", [" alphabet:3 ", "rank ", "\thybrid:2"])
+    def test_padded_seed_model_is_refused(self, capsys, token):
+        argv = ["rule", "random", "--t", "0", "--model", token, "--alphabet", "a,b", "--seed", "1"]
+        assert cli.main(["--no-timestamp", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: ValueError: cannot parse seed model {token!r}\n"
 
     def test_random_without_seed_reports_one(self, capsys):
         code, payload, _ = run(

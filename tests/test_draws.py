@@ -54,6 +54,17 @@ def test_bulk_randbelows_equals_the_per_call_draws(n):
             assert got_rng.getstate() == want_rng.getstate()
 
 
+@pytest.mark.parametrize("n", range(1, 256))
+def test_randbelow_bytes_are_the_per_call_draws(n):
+    for seed in (n, 2**40 + n):
+        want_rng, got_rng = random.Random(seed), random.Random(seed)
+        for count in (0, 1, 7, 300):
+            got = fiidlab.randbelow_bytes(got_rng, n, count)
+            assert type(got) is bytearray
+            assert list(got) == per_call_randbelows(want_rng, n, count)
+            assert got_rng.getstate() == want_rng.getstate()
+
+
 @pytest.mark.parametrize("n", [1, 3, 129, 255])
 def test_bulk_randbelows_across_bulk_calls(n):
     # more values than one bulk call draws words, so the draw runs in batches

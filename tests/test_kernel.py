@@ -371,6 +371,37 @@ def test_alphabet_pair_law_selection(monkeypatch, d, t, seeds, k, by_class):
     assert calls == ["_pair_law_by_label_class" if by_class else "_pair_law_per_cell"]
 
 
+@pytest.mark.parametrize(
+    "d,t,seeds,k",
+    [(3, 2, 3, 16), (3, 2, 2, 7), (2, 4, 2, 2), (3, 1, rules.hybrid(2), 4)],
+    ids=str,
+)
+def test_label_class_kernel_equals_the_per_cell_kernel(d, t, seeds, k):
+    """The label-class kernel picks each label's balls by a translate mask of
+    the outputs' bytes and gives the last label what the others leave: it
+    must agree with the per-cell kernel when labels go unused, when every
+    ball takes the last label, and when no ball does."""
+    model = _model(seeds)
+    form = entropy._cell_form(d, t, model)
+    assert form.columns is not None
+    n = form.balls
+    drawn = rules.random_rule(d, t, model, tuple(range(k)), 5).outputs
+    vectors = [
+        drawn,
+        bytes(n),  # every ball takes the first label
+        bytes([k - 1]) * n,  # every ball takes the last label
+        bytes(0 if x < k // 2 else k - 1 for x in drawn),  # only the first and last
+        bytes(min(x, k - 2) for x in drawn),  # all but the last
+        bytes(x // 2 * 2 for x in drawn),  # every other label
+    ]
+    for outputs in vectors:
+        rule = rules.LocalRule(d, t, model, tuple(range(k)), outputs)
+        by_class = entropy._pair_law_by_label_class(rule, form)
+        per_cell = entropy._pair_law_per_cell(rule, form)
+        assert by_class == per_cell
+        assert list(by_class.counts.items()) == list(per_cell.counts.items())
+
+
 def reference_pair_law_ordered(rule):
     """Pair-law masses of a rank or hybrid rule from `rules.edge_pair_table`."""
     pt = rules.edge_pair_table(rule.d, rule.t, rule.model)

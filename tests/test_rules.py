@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fiidlab import graphs, homsearch, rules
+from fiidlab import entropy, graphs, homsearch, rules
 
 
 def random_raw_ball(d, t, model, rng):
@@ -80,6 +80,11 @@ class TestSeedModel:
     def test_parse_reads_its_own_text(self):
         for model in (rules.rank(), rules.alphabet(2), rules.hybrid(256)):
             assert rules.SeedModel.parse(str(model)) == model
+
+    @pytest.mark.parametrize("token", [" alphabet:3 ", "rank ", " rank", "hybrid:2\n", "\talphabet:2"])
+    def test_padded_token_is_refused(self, token):
+        with pytest.raises(ValueError, match=f"^cannot parse seed model {re.escape(repr(token))}$"):
+            rules.SeedModel.parse(token)
 
 
 class TestEnumeration:
@@ -411,12 +416,88 @@ class TestLocalRule:
         for outputs in ((0, 1, 0), (0, 1, 0, 1, 0), (0, 1, 0, 2), (0, 1, 0, -1)):
             with pytest.raises(ValueError, match=message):
                 rules.LocalRule(3, 1, model, ("a", "b"), outputs)
+        # the same refusals of bytes, of values no byte holds, and past 256 labels
+        for outputs in (b"\0\1\0", b"\0\1\0\1\0", b"\0\1\0\2", (0, 1, 0, 256), (0, 1, 0, 0.5)):
+            with pytest.raises(ValueError, match=message):
+                rules.LocalRule(3, 1, model, ("a", "b"), outputs)
+        for outputs in ((0, 1, 0), (0, 1, 0, 300), (0, 1, 0, -1)):
+            with pytest.raises(ValueError, match=message):
+                rules.LocalRule(3, 1, model, tuple(range(300)), outputs)
 
     def test_table_is_a_view_of_the_outputs(self):
         rule = rules.LocalRule(3, 1, rules.rank(), ("a", "b"), (0, 1, 1, 0))
         codes = rules.enumerate_canonical_balls(3, 1, rules.rank())
         assert rule.table == dict(zip(codes, "abba"))
         assert rules.make_rule(3, 1, rules.rank(), ("a", "b"), rule.table) == rule
+
+
+def _producers(k):
+    """(name, rule) of every producer of rules over k labels (k >= 2 for a
+    found search, which needs an edge), all at rank t=1 but the builtins."""
+    d, t, model, alpha = 3, 1, rules.rank(), tuple(range(k))
+    drawn = rules.random_rule(d, t, model, alpha, k)
+    yield "random_rule", drawn
+    yield "rule_from_text", rules.rule_from_text(rules.rule_to_text(drawn))
+    yield "make_rule", rules.make_rule(d, t, model, alpha, drawn.table)
+    yield "recode_outputs", rules.recode_outputs(drawn, {a: k - 1 - a for a in alpha}, alpha)
+    yield "rule_at_cursor", homsearch.rule_at_cursor(d, t, model, alpha, k**4 - 1)
+    if k == 1:
+        yield "constant", rules.builtin_rule("constant", label=0)
+        yield "max_seed_independent", rules.builtin_rule("max_seed_independent")
+    else:
+        # rule 1 of rank d=1 t=1 maps every edge onto the edge 0-1
+        found = homsearch.search(graphs.build_graph(k, [(0, 1)]), 1, 1, model)
+        assert found.kind == "Found"
+        yield "search", found.rule
+
+
+class TestOutputStorage:
+    """A rule stores its outputs as bytes up to 256 labels and as a tuple of
+    ints past them, whichever producer built it."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 16, 17, 255, 256])
+    def test_outputs_are_bytes_up_to_256_labels(self, k):
+        for name, rule in _producers(k):
+            assert type(rule.outputs) is bytes, name
+            assert list(rule.table.values()) == [rule.output_alphabet[i] for i in rule.outputs]
+
+    @pytest.mark.parametrize("k", [257, 300])
+    def test_outputs_past_256_labels_are_a_tuple(self, k):
+        for name, rule in _producers(k):
+            assert type(rule.outputs) is tuple, name
+            assert all(type(i) is int for i in rule.outputs), name
+
+    def test_one_rule_whatever_it_was_built_from(self):
+        def rule(outputs, alpha=("a", "b")):
+            return rules.LocalRule(3, 1, rules.rank(), alpha, outputs)
+
+        forms = [(0, 1, 1, 0), [0, 1, 1, 0], b"\0\1\1\0", bytearray(b"\0\1\1\0")]
+        built = [rule(outputs) for outputs in forms]
+        for other in built:
+            assert other == built[0] and hash(other) == hash(built[0])
+            assert other.outputs == b"\0\1\1\0"
+        wide = [rule(outputs, tuple(range(257))) for outputs in ((0, 256, 1, 0), [0, 256, 1, 0])]
+        assert wide[0] == wide[1] and hash(wide[0]) == hash(wide[1])
+        assert wide[0].outputs == (0, 256, 1, 0)
+        narrow = rule(b"\0\1\1\0", tuple(range(257)))
+        assert narrow.outputs == (0, 1, 1, 0) and narrow == rule((0, 1, 1, 0), tuple(range(257)))
+
+    def test_wide_rule_law_and_file_are_pinned(self):
+        """sha256 of the exact law (counts in key order and the denominator)
+        and of the rule file of a 300-label alphabet:3 t=2 rule, recorded
+        when every rule stored a tuple."""
+        rule = rules.random_rule(3, 2, rules.alphabet(3), tuple(range(300)), 300)
+        assert type(rule.outputs) is tuple
+        pair = entropy.exact_marginals(rule)[1]
+        law = repr((list(pair.counts.items()), pair.denominator))
+        assert hashlib.sha256(law.encode()).hexdigest() == (
+            "1ac798aabcbfcdb40f8ac519d99f62726083dc4b20755d9636bcecaf7ee0ae30"
+        )
+        text = rules.rule_to_text(rule)
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+            "c08324e8d4a13313230165934926c98c8d1eeb5386e0c8bd2becb9f0a94227b1"
+        )
+        assert rules.rule_from_text(text) == rule
 
 
 class TestSerialization:
