@@ -5,6 +5,13 @@ fails or a search is inconclusive, 2 usage or input errors.  Randomized
 subcommands either take --seed or record the seed they generated, so every
 run is reproducible; with --no-timestamp the output is byte-identical across
 repeats of the same command line.
+
+Each refusal is made once, where its input arrives: the parser refuses
+usage (a missing flag, a --name outside its choices, not exactly one of
+--exact and --samples N); a handler, what needs two flags or a loaded file
+(--seed with --exact in `entropy audit`, --d against a rule file); the
+library, values out of range (a sample count below 1, a seed in exact mode)
+and classes past a budget.  Every refusal exits 2 with nothing on stdout.
 """
 
 import argparse
@@ -52,7 +59,7 @@ def _alphabet(spec):
     return tuple(map(_label, spec.split(",")))
 
 
-def _load_target(spec):
+def _load_target(spec, flag="--target"):
     try:
         return graphs.named_graph(spec)
     except graphs.UnknownName:
@@ -60,7 +67,7 @@ def _load_target(spec):
     try:
         return graphs.read_graph(spec)
     except OSError as exc:
-        raise UsageError(f"--target {spec!r} is neither a named graph nor a readable file: {exc}")
+        raise UsageError(f"{flag} {spec!r} is neither a named graph nor a readable file: {exc}")
 
 
 def _load_rule(spec, args):
@@ -145,8 +152,6 @@ def _search_payload(out):
 
 
 def _cmd_graph_gen(args):
-    if not args.out:
-        raise UsageError("graph gen writes a graph file; give --out <path>")
     payload = {}
     seed = _seed_of(args, payload)
     G = graphs.random_regular(args.n, args.d, seed)
@@ -197,15 +202,11 @@ def _cmd_rule_make(args):
         rule = rules.builtin_rule(
             "constant", label=_label(args.label), d=args.d, output_alphabet=out
         )
-    elif args.name == "max_seed_independent":
+    else:
         for flag in ("label", "alphabet"):
             if getattr(args, flag) is not None:
                 raise UsageError(f"rule make --name max_seed_independent takes no --{flag}")
         rule = rules.builtin_rule("max_seed_independent", d=args.d)
-    else:
-        raise UsageError(
-            "rule make supports constant and max_seed_independent; table rules come from files"
-        )
     payload = _rule_summary(rule)
     if args.out:
         rules.save_rule(rule, args.out)
@@ -215,8 +216,6 @@ def _cmd_rule_make(args):
 
 def _cmd_rule_random(args):
     model = rules.SeedModel.parse(args.model)
-    if not args.alphabet:
-        raise UsageError("rule random needs --alphabet, e.g. --alphabet a,b,c")
     out = _alphabet(args.alphabet)
     payload = {}
     seed = _seed_of(args, payload)
@@ -234,30 +233,6 @@ def _cmd_rule_show(args):
     codes = rules.enumerate_canonical_balls(rule.d, rule.t, rule.model)
     payload["table"] = {code.hex(): str(rule.output_alphabet[i]) for code, i in zip(codes, rule.outputs)}
     return payload, 0
-
-
-def _check_samples(args):
-    """--samples, where a subcommand takes it, is at least 1; where the
-    subcommand also takes --exact, exactly one of the two is given, and
-    --seed, which only Monte Carlo runs read, comes without --exact."""
-    samples = getattr(args, "samples", None)
-    if samples is not None and samples < 1:
-        raise UsageError(f"--samples must be >= 1, got {samples}")
-    if not hasattr(args, "exact"):
-        return
-    if args.exact and samples is not None:
-        raise UsageError("give --exact or --samples N, not both")
-    if not args.exact and samples is None:
-        raise UsageError("give --exact or --samples N")
-    if args.exact and args.seed is not None:
-        raise UsageError("--seed applies only to --samples runs, not to --exact")
-
-
-def _marginals_for(args, rule):
-    if args.exact:
-        return entropy.exact_marginals(rule)
-    seed = args.seed if args.seed is not None else 0
-    return entropy.mc_marginals(rule, args.samples, seed)
 
 
 def _laws_payload(vertex, pair):
@@ -284,27 +259,27 @@ def _cmd_entropy_mc(args):
 
 
 def _cmd_entropy_audit(args):
+    # the one check that reads two flags: only a Monte Carlo run reads --seed
+    if args.exact and args.seed is not None:
+        raise UsageError("--seed applies only to --samples runs, not to --exact")
     rule = _load_rule(args.rule, args)
-    vertex, pair = _marginals_for(args, rule)
+    if args.exact:
+        vertex, pair = entropy.exact_marginals(rule)
+    else:
+        vertex, pair = entropy.mc_marginals(rule, args.samples, args.seed or 0)
     H = _load_target(args.target) if args.target else None
     res = entropy.audit(vertex, pair, r=args.r, H=H)
     return _audit_payload(res), 0 if res.all_passed() else 1
 
 
 def _cmd_entropy_constant(args):
-    if args.r is None or args.c0 is None:
-        raise UsageError("entropy constant needs --r and --c0")
     return {"C": entropy.min_girth_constant(args.r, args.c0)}, 0
 
 
 def _cmd_entropy_tail(args):
-    if args.C is None or args.c0 is None:
-        raise UsageError("entropy tail needs --C and --c0")
-    if bool(args.probs) == bool(args.rule):
-        raise UsageError("entropy tail needs --probs or --rule, not both")
-    if args.d is not None and not args.rule:
-        raise UsageError("entropy tail takes --d only with --rule")
-    if args.probs:
+    if args.probs is not None:
+        if args.d is not None:
+            raise UsageError("entropy tail takes --d only with --rule")
         try:
             masses = [Fraction(x) for x in args.probs.split(",")]
         except ZeroDivisionError:
@@ -350,9 +325,7 @@ def _cmd_hom_certificate(args):
 
 def _cmd_sim_run(args):
     rule = _load_rule(args.rule, args)
-    if not args.graph:
-        raise UsageError("sim run needs --graph <name|path>")
-    G = _load_target(args.graph)
+    G = _load_target(args.graph, "--graph")
     H = _load_target(args.target) if args.target else None
     payload = {}
     seed = _seed_of(args, payload)
@@ -369,8 +342,6 @@ def _cmd_sim_run(args):
 def _cmd_sim_pipeline(args):
     rule = _load_rule(args.rule, args)
     H = _load_target(args.target)
-    if args.c0 is None or args.C is None:
-        raise UsageError("sim pipeline needs --c0 and --C")
     mode = "exact" if args.exact else "mc"
     report = simulate.theorem_pipeline(
         rule, H, args.c0, args.C, mode=mode, samples=args.samples, rng_seed=args.seed
@@ -422,13 +393,19 @@ def _build_parser():
         if "out" in names:
             p.add_argument("--out", default=None, help="output file path")
 
+    def exact_or_samples(p):
+        laws = p.add_mutually_exclusive_group(required=True)
+        laws.add_argument("--exact", action="store_true")
+        laws.add_argument("--samples", type=int, default=None)
+
     graph = top.add_parser("graph", help="graph construction and invariants").add_subparsers(
         dest="sub", required=True
     )
     g = graph.add_parser("gen", help="random regular graph to a file")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--d", type=int, required=True)
-    common(g, "seed", "out")
+    common(g, "seed")
+    g.add_argument("--out", required=True, help="output file path")
     g.set_defaults(func=_cmd_graph_gen)
     g = graph.add_parser("profile", help="girth, regularity, bipartiteness, connectivity")
     g.add_argument("--target", required=True)
@@ -441,7 +418,7 @@ def _build_parser():
         dest="sub", required=True
     )
     r = rule.add_parser("make", help="a built-in rule, optionally saved to a file")
-    r.add_argument("--name", required=True)
+    r.add_argument("--name", required=True, choices=("constant", "max_seed_independent"))
     r.add_argument("--label", default=None)
     r.add_argument("--alphabet", default=None, help="comma-separated output labels")
     r.add_argument("--d", type=int, default=3)
@@ -467,8 +444,7 @@ def _build_parser():
     e.set_defaults(func=_cmd_entropy_mc)
     e = entg.add_parser("audit", help="entropy inequality audit (exit 1 on failure)")
     common(e, "rule", "seed", "target")
-    e.add_argument("--exact", action="store_true")
-    e.add_argument("--samples", type=int, default=None)
+    exact_or_samples(e)
     e.add_argument("--r", type=int, default=None, help="target regularity for the caps")
     e.set_defaults(func=_cmd_entropy_audit)
     e = entg.add_parser("constant", help="least integer above r^(3/c0)")
@@ -476,10 +452,11 @@ def _build_parser():
     e.add_argument("--c0", required=True)
     e.set_defaults(func=_cmd_entropy_constant)
     e = entg.add_parser("tail", help="top C-1 labels, tail mass and entropy")
-    e.add_argument("--rule", default=None)
-    e.add_argument("--probs", default=None, help="comma-separated masses, e.g. 1/4,1/4,1/2")
-    e.add_argument("--C", type=int, default=None)
-    e.add_argument("--c0", default=None)
+    law = e.add_mutually_exclusive_group(required=True)
+    law.add_argument("--rule", default=None)
+    law.add_argument("--probs", default=None, help="comma-separated masses, e.g. 1/4,1/4,1/2")
+    e.add_argument("--C", type=int, required=True)
+    e.add_argument("--c0", required=True)
     e.add_argument("--d", type=int, default=None, help=RULE_D_HELP)
     e.set_defaults(func=_cmd_entropy_tail)
 
@@ -511,10 +488,9 @@ def _build_parser():
     s = sim.add_parser("pipeline", help="five-step refutation chain (exit 1 when inconclusive)")
     common(s, "rule", "seed")
     s.add_argument("--target", required=True)
-    s.add_argument("--c0", default=None)
-    s.add_argument("--C", type=int, default=None)
-    s.add_argument("--exact", action="store_true")
-    s.add_argument("--samples", type=int, default=None)
+    s.add_argument("--c0", required=True)
+    s.add_argument("--C", type=int, required=True)
+    exact_or_samples(s)
     s.set_defaults(func=_cmd_sim_pipeline)
 
     return parser
@@ -529,7 +505,6 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     args.command_echo = argv
     try:
-        _check_samples(args)
         payload, code = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,8 +26,9 @@ a pair (A', B') of cut types, listing the ball of each type A cut to A'
 with B', with multiplicity c_A, the number of seed configurations of type
 A.  It is its own block, with one J of coefficient 1, and its partner is
 (B', A'), of weight 1.  The cells hold N_t * N_(t-1) entries, built from
-the half-tree types of `rules._alphabet_subtree_types`.  At t=0, A is the
-vertex alone and B' is empty.
+the half-tree types of `rules._alphabet_subtree_types`; A and B' hold the
+ball's B vertices between them, so N_t * N_(t-1) <= q^B, within the vertex
+law's budget.  At t=0, A is the vertex alone and B' is empty.
 
 Rank and hybrid seeds: core interleavings.  Let K = ball(u) & ball(v) be
 the core (k vertices), U the vertices only u sees and V those only v sees,
@@ -101,7 +102,6 @@ from itertools import combinations, compress, permutations, product
 from operator import add, le, lt, mul
 
 from . import graphs, randbelows, rules
-from .rules import BudgetExceeded
 
 
 class EntropyError(Exception):
@@ -300,15 +300,6 @@ def total_variation(d1, d2):
 # exact marginals
 
 
-def _half_tree_count(d, depth, q):
-    """Number of half-tree types of a depth (1 for the empty depth -1):
-    a root tag and a multiset of d-1 types one level shallower."""
-    n = 1 if depth < 0 else q
-    for _ in range(depth):
-        n = q * math.comb(n + d - 2, d - 1)
-    return n
-
-
 def _truncated_code(code, d, depth):
     """A subtree code cut to the given depth (empty below depth 0).  Its
     children are the d-1 equal slices of the code after the root byte; at
@@ -394,12 +385,7 @@ def _half_tree_types(d, t, q):
     """The cell form of an alphabet class; see the module docstring.  Of n
     cut types, cell (i, j) is block i * n + j."""
     codes = rules.enumerate_canonical_balls(d, t, rules.alphabet(q))
-    entries = _half_tree_count(d, t, q) * _half_tree_count(d, t - 1, q)
-    if entries > rules.ALPHABET_ENUM_BUDGET:
-        raise BudgetExceeded(
-            f"alphabet pair law needs {entries} half-tree type pairs "
-            f"> {rules.ALPHABET_ENUM_BUDGET}"
-        )
+    halves = rules._alphabet_subtree_types(d, t, q, d - 1)
     cuts = [(b"", 1)] if t == 0 else rules._alphabet_subtree_types(d, t - 1, q, d - 1)
     n = len(cuts)
     width = rules.subtree_size(d, t - 1)
@@ -408,7 +394,7 @@ def _half_tree_types(d, t, q):
         index = {code: i for i, code in enumerate(codes)}
         cut_index = {code: i for i, (code, _) in enumerate(cuts)}
         rows = [[] for _ in cuts]
-        for code, count in rules._alphabet_subtree_types(d, t, q, d - 1):
+        for code, count in halves:
             kids = [code[k:k + width] for k in range(1, len(code), width)]
             rows[cut_index[_truncated_code(code, d, t - 1)]].append((code[:1], kids, count))
         for i, row in enumerate(rows):
@@ -422,7 +408,7 @@ def _half_tree_types(d, t, q):
     size = _field_size(max(count for _, count in cuts) * q ** ((d - 1) ** t))
     partner = tuple(j * n + i for i in range(n) for j in range(n))
     denominator = q ** (2 * rules.subtree_size(d, t))
-    return CellForm(partner, (1,) * n**2, 1, size, entries // n**2, len(codes), denominator, stream)
+    return CellForm(partner, (1,) * n**2, 1, size, len(halves) // n, len(codes), denominator, stream)
 
 
 def _core_key(node, label, core):
@@ -853,7 +839,9 @@ def audit(vertex, pair, r=None, H=None):
     set; (c) when the support check passes and a regularity r is known (or
     read from H, whose regular degree a given r must equal), the neighbor
     and vertex entropies are within `entropy_caps(r)`.  The slack is
-    `tolerance` of the vertex law, as in pipeline step 2.
+    `tolerance` of the vertex law at the fewer samples of the two laws; the
+    vertex cap reads only the vertex law, so it takes that law's own sample
+    count, as pipeline step 2 does.
     """
     if r is not None and r < 1:
         raise ValueError(f"regularity r must be >= 1, got {r}")
@@ -883,8 +871,9 @@ def audit(vertex, pair, r=None, H=None):
     if r is not None and (support_ok or (H is None)):
         nbr_cap, vertex_cap = entropy_caps(r)
         verdicts.append(Verdict("nbr_entropy_cap", h_n <= nbr_cap + tol, nbr_cap - h_n))
+        vertex_tol = tolerance(vertex, vertex.provenance.n_samples)
         verdicts.append(
-            Verdict("vertex_entropy_cap", h_v <= vertex_cap + tol, vertex_cap - h_v)
+            Verdict("vertex_entropy_cap", h_v <= vertex_cap + vertex_tol, vertex_cap - h_v)
         )
 
     prov = (

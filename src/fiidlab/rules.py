@@ -819,25 +819,19 @@ def edge_configs(layout, model):
 
 
 def check_edge_budget(d, t, model):
-    """Feasibility of exact edge-ball enumeration for (d, t, model).  Only
-    the homomorphism scans enumerate the edge ball; the exact laws need
-    only `check_enumeration_budget`."""
+    """Feasibility of exact edge-ball enumeration for (d, t, model): the
+    configurations `edge_configs` yields over S seeds, q^S, S! or S! q^S,
+    are at most ALPHABET_ENUM_BUDGET.  S! alone passes it past S =
+    RANK_BALL_LIMIT, where the factorial stops rather than build a huge int.
+    Only the homomorphism scans enumerate the edge ball; the exact laws
+    need only `check_enumeration_budget`."""
     layout = edge_ball_layout(d, t)
-    if model.kind == "alphabet":
-        if model.q**layout.size > ALPHABET_ENUM_BUDGET:
-            raise BudgetExceeded(
-                f"alphabet edge ball needs q^{layout.size} > {ALPHABET_ENUM_BUDGET}"
-            )
-    else:
-        if layout.size > RANK_BALL_LIMIT:
-            raise BudgetExceeded(
-                f"edge ball size {layout.size} exceeds rank limit {RANK_BALL_LIMIT}"
-            )
-        if (
-            model.kind == "hybrid"
-            and factorial(layout.size) * model.q**layout.size > ALPHABET_ENUM_BUDGET
-        ):
-            raise BudgetExceeded("hybrid edge ball enumeration over budget")
+    S = layout.size
+    orders = 1 if model.kind == "alphabet" else factorial(min(S, RANK_BALL_LIMIT + 1))
+    if orders * (model.q or 1) ** S > ALPHABET_ENUM_BUDGET:
+        raise BudgetExceeded(
+            f"{model} edge ball of {S} seeds has over {ALPHABET_ENUM_BUDGET} configurations"
+        )
     return layout
 
 

@@ -356,7 +356,7 @@ def theorem_pipeline(rule, H, c0, C, mode="exact", samples=None, rng_seed=None):
             raise ValueError("exact mode takes neither a sample count nor an rng seed")
         vertex, pair = ent.exact_marginals(rule)
     elif mode == "mc":
-        if not samples:
+        if samples is None:
             raise ValueError("mc mode needs a sample count")
         vertex, pair = ent.mc_marginals(rule, samples, rng_seed or 0)
     else:

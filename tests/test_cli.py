@@ -339,11 +339,11 @@ class TestEntropyCommands:
         pipeline = ["sim", "pipeline", "--rule", "builtin:constant:0", "--target",
                     "Petersen", "--c0", "0.089", "--C", "5"]
         for argv, message in (
-            (["entropy", "mc", *rule, "--samples", "0"], "--samples must be >= 1"),
-            (["entropy", "audit", *rule, "--samples", "-3"], "--samples must be >= 1"),
-            (["entropy", "audit", *rule, "--exact", "--samples", "100"], "not both"),
-            ([*pipeline, "--samples", "0"], "--samples must be >= 1"),
-            ([*pipeline, "--exact", "--samples", "100"], "not both"),
+            (["entropy", "mc", *rule, "--samples", "0"], "n_samples must be >= 1"),
+            (["entropy", "audit", *rule, "--samples", "-3"], "n_samples must be >= 1"),
+            (["entropy", "audit", *rule, "--exact", "--samples", "100"], "not allowed with"),
+            ([*pipeline, "--samples", "0"], "n_samples must be >= 1"),
+            ([*pipeline, "--exact", "--samples", "100"], "not allowed with"),
         ):
             assert cli.main(["--no-timestamp", *argv]) == 2, argv
             out, err = capsys.readouterr()
@@ -530,6 +530,17 @@ class TestSimCommands:
         lines = open(labels).read().strip().splitlines()
         assert len(lines) == payload["covered"]
 
+    @pytest.mark.parametrize("flag", ["--graph", "--target"])
+    def test_unreadable_graph_error_names_its_flag(self, capsys, tmp_path, flag):
+        missing = str(tmp_path / "nosuch.graph")
+        graph = missing if flag == "--graph" else "Petersen"
+        target = ["--target", missing] if flag == "--target" else []
+        assert cli.main(["--no-timestamp", "sim", "run", "--rule", "builtin:max_seed_independent",
+                         "--graph", graph, *target, "--seed", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {flag} {missing!r} is neither a named graph nor a readable")
+
     def test_pipeline_refuted_exits_zero(self, capsys):
         code, payload, _ = run(
             capsys, "sim", "pipeline", "--rule", "builtin:constant:0",
@@ -546,14 +557,14 @@ class TestSimCommands:
         assert cli.main(["--no-timestamp", "sim", "pipeline", "--rule", "builtin:constant:0",
                          "--target", "Petersen", "--c0", "0.089", "--C", "5"]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and "give --exact or --samples N" in err
+        assert out == "" and "one of the arguments --exact --samples is required" in err
 
     def test_pipeline_exact_with_seed_is_refused(self, capsys):
         assert cli.main(["--no-timestamp", "sim", "pipeline", "--rule", "builtin:constant:0",
                          "--target", "Petersen", "--c0", "0.089", "--C", "5", "--exact",
                          "--seed", "3"]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and "--seed applies only to --samples runs" in err
+        assert out == "" and "exact mode takes neither a sample count nor an rng seed" in err
 
     def test_pipeline_into_zero_regular_target_is_refused(self, capsys, tmp_path):
         g = str(tmp_path / "empty.graph")
@@ -640,6 +651,73 @@ class TestInputErrors:
         assert cli.main(["--no-timestamp", *argv, path]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: FileNotFoundError:")
+
+    # each refusal, made once where its input arrives: the parser, a handler
+    # (two flags, or a loaded file) or the library; the text names the flag
+    # or the limit
+    RULE = ["--rule", "builtin:max_seed_independent"]
+    PIPELINE = ["sim", "pipeline", "--rule", "builtin:constant:0", "--target", "Petersen"]
+    TAIL = ["entropy", "tail", "--probs", "1/2,1/2"]
+    USAGE = {
+        "audit without a law": (["entropy", "audit", *RULE],
+                                "one of the arguments --exact --samples is required"),
+        "audit exact and samples": (["entropy", "audit", *RULE, "--exact", "--samples", "3"],
+                                    "argument --samples: not allowed with argument --exact"),
+        "audit exact with seed": (["entropy", "audit", *RULE, "--exact", "--seed", "3"],
+                                  "--seed applies only to --samples runs"),
+        "audit samples 0": (["entropy", "audit", *RULE, "--samples", "0"],
+                            "n_samples must be >= 1"),
+        "mc without samples": (["entropy", "mc", *RULE],
+                               "the following arguments are required: --samples"),
+        "mc samples -1": (["entropy", "mc", *RULE, "--samples", "-1"], "n_samples must be >= 1"),
+        "pipeline without a law": ([*PIPELINE, "--c0", "0.089", "--C", "5"],
+                                   "one of the arguments --exact --samples is required"),
+        "pipeline exact and samples": ([*PIPELINE, "--c0", "0.089", "--C", "5", "--exact",
+                                        "--samples", "3"], "not allowed with argument --exact"),
+        "pipeline samples 0": ([*PIPELINE, "--c0", "0.089", "--C", "5", "--samples", "0"],
+                               "n_samples must be >= 1"),
+        "pipeline exact with seed": ([*PIPELINE, "--c0", "0.089", "--C", "5", "--exact",
+                                      "--seed", "3"],
+                                     "exact mode takes neither a sample count nor an rng seed"),
+        "pipeline without c0": ([*PIPELINE, "--C", "5", "--exact"],
+                                "the following arguments are required: --c0"),
+        "pipeline without C": ([*PIPELINE, "--c0", "0.089", "--exact"],
+                               "the following arguments are required: --C"),
+        "gen without out": (["graph", "gen", "--n", "10", "--d", "3"],
+                            "the following arguments are required: --out"),
+        "make unknown name": (["rule", "make", "--name", "table"],
+                              "argument --name: invalid choice: 'table'"),
+        "make constant without label": (["rule", "make", "--name", "constant"],
+                                        "--name constant needs --label"),
+        "make max_seed with label": (["rule", "make", "--name", "max_seed_independent",
+                                      "--label", "0"], "takes no --label"),
+        "random empty alphabet": (["rule", "random", "--model", "alphabet:2", "--alphabet", "",
+                                   "--seed", "1"], "label ''"),
+        "tail without a law": (["entropy", "tail", "--C", "2", "--c0", "0.1"],
+                               "one of the arguments --rule --probs is required"),
+        "tail probs and rule": ([*TAIL, *RULE, "--C", "2", "--c0", "0.1"],
+                                "argument --rule: not allowed with argument --probs"),
+        "tail empty probs": (["entropy", "tail", "--probs", "", "--C", "2", "--c0", "0.1"],
+                             "Invalid literal for Fraction: ''"),
+        "tail without C": ([*TAIL, "--c0", "0.1"], "the following arguments are required: --C"),
+        "tail without c0": ([*TAIL, "--C", "2"], "the following arguments are required: --c0"),
+        "tail d with probs": ([*TAIL, "--C", "2", "--c0", "0.1", "--d", "3"],
+                              "--d only with --rule"),
+        "constant without c0": (["entropy", "constant", "--r", "3"],
+                                "the following arguments are required: --c0"),
+        "search max-rules 0": (["hom", "search", "--target", "C5", "--model", "rank",
+                                "--max-rules", "0"], "max_rules must be >= 1"),
+        "run without graph": (["sim", "run", *RULE, "--seed", "1"],
+                              "the following arguments are required: --graph"),
+        "run empty graph": (["sim", "run", *RULE, "--graph", "", "--seed", "1"],
+                            "--graph '' is neither a named graph nor a readable file"),
+    }
+
+    @pytest.mark.parametrize("argv,message", USAGE.values(), ids=USAGE.keys())
+    def test_each_refusal_exits_two_and_names_its_flag_or_limit(self, capsys, argv, message):
+        assert cli.main(["--no-timestamp", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
 
 
 def test_python_dash_m_runs_quietly():

@@ -21,6 +21,29 @@ def random_edge_law(H, seed):
     return entropy.pair_from_edge_weights(H, weights)
 
 
+def half_tree_count(d, depth, q):
+    """Half-tree types of a depth (1 for the empty depth -1): a root tag and
+    a multiset of d-1 types one level shallower."""
+    n = 1 if depth < 0 else q
+    for _ in range(depth):
+        n = q * math.comb(n + d - 2, d - 1)
+    return n
+
+
+def alphabet_classes_within_vertex_budget():
+    """Every (d, t, q) whose alphabet vertex law is within the enumeration
+    budget, q^B <= 10^7 for a ball of B vertices."""
+    for d in range(1, 24):
+        for t in range(24):
+            B = rules.ball_size(d, t)
+            if 2**B > rules.ALPHABET_ENUM_BUDGET:
+                break
+            for q in range(2, 257):
+                if q**B > rules.ALPHABET_ENUM_BUDGET:
+                    break
+                yield d, t, q, B
+
+
 class TestEntropy:
     def test_uniform_five(self):
         assert entropy.entropy(dist(*([Fraction(1, 5)] * 5))) == pytest.approx(
@@ -157,11 +180,28 @@ class TestExactMarginals:
         assert sum(pair.probs.values()) == 1
         assert pair.marginal().p == vertex.p
 
+    def test_vertex_budget_bounds_the_alphabet_pair_law(self):
+        # A and B' hold the ball's B vertices between them, so the cell
+        # form's N_t * N_(t-1) entries are at most q^B
+        classes = list(alphabet_classes_within_vertex_budget())
+        for d, t, q, B in classes:
+            assert half_tree_count(d, t, q) * half_tree_count(d, t - 1, q) <= q**B, (d, t, q)
+        assert len(classes) > 3000
+
+    @pytest.mark.parametrize(
+        "d,t,q", [(1, 2, 3), (2, 0, 4), (2, 3, 2), (3, 1, 3), (3, 2, 3), (4, 1, 2), (5, 1, 3)]
+    )
+    def test_alphabet_cell_size_from_the_half_tree_types(self, d, t, q):
+        types = rules._alphabet_subtree_types(d, t, q, d - 1)
+        assert len(types) == half_tree_count(d, t, q)
+        form = entropy._half_tree_types(d, t, q)
+        assert form.cell_size == half_tree_count(d, t, q) // half_tree_count(d, t - 1, q)
+
     @pytest.mark.parametrize("d,t,model", [(3, 3, rules.rank()), (3, 2, rules.hybrid(2))], ids=str)
     def test_pair_law_over_ball_budget(self, d, t, model):
-        with pytest.raises(entropy.BudgetExceeded):
+        with pytest.raises(rules.BudgetExceeded):
             entropy._interleaving_structure(d, t, model)
-        with pytest.raises(entropy.BudgetExceeded):
+        with pytest.raises(rules.BudgetExceeded):
             rules.random_rule(d, t, model, (0, 1), 3)
 
     @pytest.mark.parametrize(

@@ -248,6 +248,18 @@ class TestCanonicalize:
         twice = rules.canonicalize(labels, 3, 2, m)
         assert once == twice and rules._decode(twice, 3, 2, m.kind) == labels
 
+    def test_node_memo_cleared_when_full_keeps_every_code(self, monkeypatch):
+        # a memo of 4 keys is cleared many times over the class; every code
+        # still decodes and recodes to itself
+        monkeypatch.setattr(rules, "_NODE_CODES", {})
+        monkeypatch.setattr(rules, "_NODE_CODES_LIMIT", 4)
+        m = rules.alphabet(3)
+        codes = rules.enumerate_canonical_balls(3, 2, m)
+        for code in codes:
+            assert rules.canonicalize(rules._decode(code, 3, 2, m.kind), 3, 2, m) == code
+            assert len(rules._NODE_CODES) <= 4
+        assert len(codes) > 4
+
     def test_tied_seeds_rejected(self):
         tied = (0.5, ((0.5, ()), (0.1, ()), (0.2, ())))
         with pytest.raises(rules.MalformedBall):
@@ -705,7 +717,57 @@ class TestSerialization:
         assert [type(x) for x in back.output_alphabet] == [type(x) for x in alpha]
 
 
+def reference_edge_budget_refuses(d, t, model):
+    """The edge budget as three branches: q^S for alphabet seeds, else the
+    rank limit on S, and for hybrid seeds also S! q^S."""
+    S = rules.edge_ball_layout(d, t).size
+    if model.kind == "alphabet":
+        return model.q**S > rules.ALPHABET_ENUM_BUDGET
+    if S > rules.RANK_BALL_LIMIT:
+        return True
+    return model.kind == "hybrid" and factorial(S) * model.q**S > rules.ALPHABET_ENUM_BUDGET
+
+
 class TestEdgeBall:
+    def test_edge_budget_is_one_count(self):
+        # the count of edge_configs refuses the classes the three branches
+        # refuse: for rank, S <= 10 is S! <= 10^7
+        models = [rules.rank()] + [
+            make(q) for q in range(2, 257) for make in (rules.alphabet, rules.hybrid)
+        ]
+        cases = refused = 0
+        for d, t in product(range(1, 7), range(4)):
+            for model in models:
+                expected = reference_edge_budget_refuses(d, t, model)
+                try:
+                    rules.check_edge_budget(d, t, model)
+                    refuses = False
+                except rules.BudgetExceeded as exc:
+                    refuses = True
+                    assert f"{model} edge ball of " in str(exc)
+                assert refuses == expected, (d, t, str(model))
+                cases += 1
+                refused += refuses
+        assert cases == 24 * 511 and 0 < refused < cases
+
+    def test_edge_budget_builds_no_huge_factorial(self, monkeypatch):
+        # a 14,762-seed rank edge ball: the count stops at RANK_BALL_LIMIT + 1 seeds
+        seen = []
+        monkeypatch.setattr(rules, "factorial", lambda n: seen.append(n) or factorial(n))
+        with pytest.raises(rules.BudgetExceeded, match="rank edge ball of 14762 seeds"):
+            rules.check_edge_budget(10, 4, rules.rank())
+        assert seen == [rules.RANK_BALL_LIMIT + 1]
+
+    def test_edge_budget_counts_the_configurations(self):
+        # within the budget, the count is the number edge_configs yields
+        for d, t, model in ((3, 1, rules.rank()), (1, 1, rules.hybrid(2)),
+                            (2, 1, rules.alphabet(3))):
+            layout = rules.check_edge_budget(d, t, model)
+            assert sum(1 for _ in rules.edge_configs(layout, model)) == (
+                (1 if model.kind == "alphabet" else factorial(layout.size))
+                * (model.q or 1) ** layout.size
+            )
+
     def test_layout_sizes(self):
         assert rules.edge_ball_layout(3, 0).size == 2
         assert rules.edge_ball_layout(3, 1).size == 6

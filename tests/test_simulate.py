@@ -162,6 +162,29 @@ class TestRunOnGraph:
         _, report = simulate.run_on_graph(MAX_SEED, G, 6)
         assert report.seed_collisions == 0  # 64-bit doubles, 100 draws
 
+    def test_hybrid_seeds_are_deterministic(self):
+        rule = rules.random_rule(3, 1, rules.hybrid(2), (0, 1, 2), 5)
+        G = graphs.random_regular(500, 3, 2)
+        a_lab, a_rep = simulate.run_on_graph(rule, G, 7)
+        b_lab, b_rep = simulate.run_on_graph(rule, G, 7)
+        c_lab, _ = simulate.run_on_graph(rule, G, 8)
+        assert a_lab == b_lab and a_lab != c_lab
+        assert json.dumps(jsonable(a_rep)) == json.dumps(jsonable(b_rep))
+
+    def test_hybrid_tree_marginal_agreement(self):
+        # ranks from the uniforms, tags drawn after them: the empirical
+        # vertex law matches the exact hybrid:2 t=1 law
+        rule = rules.random_rule(3, 1, rules.hybrid(2), (0, 1, 2), 5)
+        G = graphs.random_regular(20_000, 3, 21)
+        _, report = simulate.run_on_graph(rule, G, 4)
+        exact_v, _ = entropy.exact_marginals(rule)
+        assert report.covered_fraction > 0.99
+        tv = 0.5 * sum(
+            abs(report.histogram.get(a, 0) / report.covered - float(exact_v.mass(a)))
+            for a in exact_v.labels
+        )
+        assert tv < 0.02
+
 
 class TestPipeline:
     def test_constant_rule_refuted_at_support(self):
@@ -189,6 +212,27 @@ class TestPipeline:
         assert report.step(5).passed is False
         assert report.classification == "no refutation at these parameters"
         assert report.hypothesis_weakened  # C=5 is far below the girth constant
+
+    def test_uniform_edge_law_on_a_9_cycle_is_refuted_at_step_2(self):
+        # ln 9 > 3 ln 2: the uniform vertex law of a 2-regular target is too spread
+        C9 = graphs.build_graph(9, [(i, (i + 1) % 9) for i in range(9)])
+        pair = entropy.pair_from_edge_weights(C9, {e: 1 for e in C9.edges()})
+        report = simulate.pipeline_from_laws(pair.marginal(), pair, C9, 0.089, 5)
+        assert report.step(1).passed and not report.step(2).passed
+        assert report.step(2).data["margin"] == pytest.approx(3 * math.log(2) - math.log(9))
+        assert report.classification == "refuted at step 2: vertex entropy exceeds 3 ln r"
+
+    def test_selected_set_with_a_cycle_is_not_refuted(self):
+        # C = 6 selects the top 5 of 10 uniform labels, which close a 5-cycle
+        # of Petersen (girth 5)
+        pair = entropy.pair_from_edge_weights(PETERSEN, {e: 1 for e in PETERSEN.edges()})
+        report = simulate.pipeline_from_laws(pair.marginal(), pair, PETERSEN, 0.089, 6)
+        step = report.step(4)
+        assert step.passed is False and step.data["guaranteed_by_girth"] is False
+        assert step.data["cycle"] == [2, 1, 0, 4, 3] and step.data["coloring"] is None
+        assert report.classification == (
+            "no refutation at these parameters (selected set induces a cycle)"
+        )
 
     def test_pipeline_coherence_domain_mass(self):
         vertex, pair = heawood_uniform_edge_law()
@@ -308,3 +352,19 @@ class TestAuditAgreesWithPipeline:
         (cap,) = [v for v in res.verdicts if v.check == "vertex_entropy_cap"]
         assert cap.passed is step.passed is False
         assert cap.margin == step.data["margin"]
+
+    def test_exact_vertex_law_with_a_monte_carlo_pair_law(self):
+        # the vertex cap reads only the vertex law: with an exact one, both
+        # checks allow 1e-9, not 3 sigma of the pair law's 20 samples
+        masses = (Fraction(2, 10),) + (Fraction(1, 10),) * 8
+        labels = tuple(range(len(masses)))
+        vertex = entropy.LabelDistribution(labels, masses, entropy.EXACT)
+        counts = {(a, b): float(masses[a] * masses[b]) for a in labels for b in labels}
+        pair = entropy.PairDistribution(labels, counts, entropy.monte_carlo(20))
+        res = entropy.audit(vertex, pair, r=2)
+        C9 = graphs.build_graph(9, [(i, (i + 1) % 9) for i in range(9)])
+        step = simulate.pipeline_from_laws(vertex, pair, C9, 0.089, 5).step(2)
+        (cap,) = [v for v in res.verdicts if v.check == "vertex_entropy_cap"]
+        assert cap.margin == step.data["margin"] == pytest.approx(-0.0845, abs=1e-4)
+        assert 3 * entropy.entropy_sigma(vertex, 20) > -cap.margin
+        assert cap.passed is step.passed is False
