@@ -4,7 +4,9 @@ Exit codes: 0 success (and audited property holds), 1 the audited property
 fails or a search is inconclusive, 2 usage or input errors.  Randomized
 subcommands either take --seed or record the seed they generated, so every
 run is reproducible; with --no-timestamp the output is byte-identical across
-repeats of the same command line.
+repeats of the same command line when it gives --seed.  Without it, graph
+gen, rule random, entropy mc and sim run draw a fresh seed each run and
+print it.
 
 Each refusal is made once, where its input arrives: the parser refuses
 usage (a missing flag, a --name outside its choices, not exactly one of
@@ -70,19 +72,18 @@ def _load_target(spec, flag="--target"):
         raise UsageError(f"{flag} {spec!r} is neither a named graph nor a readable file: {exc}")
 
 
-def _load_rule(spec, args):
+def _load_rule(spec, d, target=None):
     """The rule of --rule.  A builtin rule is built at --d (3 when absent); a
-    rule file carries its own d, which --d, when given, must match."""
-    d = getattr(args, "d", None)
+    rule file carries its own d, which --d, when given, must match.  A
+    builtin:constant rule outputs into the loaded target's vertices, when
+    there is a target."""
     if spec.startswith("builtin:"):
         d = 3 if d is None else d
         if spec == "builtin:max_seed_independent":
             return rules.builtin_rule("max_seed_independent", d=d)
         if spec.startswith("builtin:constant:"):
             label = _label(spec[len("builtin:constant:"):])
-            out = None
-            if getattr(args, "target", None):
-                out = tuple(range(_load_target(args.target).n))
+            out = None if target is None else tuple(range(target.n))
             return rules.builtin_rule("constant", label=label, d=d, output_alphabet=out)
         if spec == "builtin:constant":
             raise UsageError("builtin:constant needs a label, e.g. builtin:constant:0")
@@ -228,7 +229,7 @@ def _cmd_rule_random(args):
 
 
 def _cmd_rule_show(args):
-    rule = _load_rule(args.rule, args)
+    rule = _load_rule(args.rule, args.d)
     payload = _rule_summary(rule)
     codes = rules.enumerate_canonical_balls(rule.d, rule.t, rule.model)
     payload["table"] = {code.hex(): str(rule.output_alphabet[i]) for code, i in zip(codes, rule.outputs)}
@@ -246,12 +247,12 @@ def _laws_payload(vertex, pair):
 
 
 def _cmd_entropy_exact(args):
-    rule = _load_rule(args.rule, args)
+    rule = _load_rule(args.rule, args.d)
     return _laws_payload(*entropy.exact_marginals(rule)), 0
 
 
 def _cmd_entropy_mc(args):
-    rule = _load_rule(args.rule, args)
+    rule = _load_rule(args.rule, args.d)
     payload = {"samples": args.samples}
     seed = _seed_of(args, payload)
     payload.update(_laws_payload(*entropy.mc_marginals(rule, args.samples, seed)))
@@ -262,12 +263,12 @@ def _cmd_entropy_audit(args):
     # the one check that reads two flags: only a Monte Carlo run reads --seed
     if args.exact and args.seed is not None:
         raise UsageError("--seed applies only to --samples runs, not to --exact")
-    rule = _load_rule(args.rule, args)
+    H = _load_target(args.target) if args.target else None
+    rule = _load_rule(args.rule, args.d, H)
     if args.exact:
         vertex, pair = entropy.exact_marginals(rule)
     else:
         vertex, pair = entropy.mc_marginals(rule, args.samples, args.seed or 0)
-    H = _load_target(args.target) if args.target else None
     res = entropy.audit(vertex, pair, r=args.r, H=H)
     return _audit_payload(res), 0 if res.all_passed() else 1
 
@@ -288,15 +289,15 @@ def _cmd_entropy_tail(args):
             tuple(range(len(masses))), tuple(masses), entropy.EXACT
         )
     else:
-        rule = _load_rule(args.rule, args)
+        rule = _load_rule(args.rule, args.d)
         dist, _ = entropy.exact_marginals(rule)
     sel = entropy.tail_select(dist, args.C, args.c0)
     return sel, 0
 
 
 def _cmd_hom_check(args):
-    rule = _load_rule(args.rule, args)
     H = _load_target(args.target)
+    rule = _load_rule(args.rule, args.d, H)
     res = homsearch.is_homomorphism_rule(rule, H)
     payload = {
         "passed": res.passed,
@@ -324,9 +325,9 @@ def _cmd_hom_certificate(args):
 
 
 def _cmd_sim_run(args):
-    rule = _load_rule(args.rule, args)
-    G = _load_target(args.graph, "--graph")
     H = _load_target(args.target) if args.target else None
+    rule = _load_rule(args.rule, args.d, H)
+    G = _load_target(args.graph, "--graph")
     payload = {}
     seed = _seed_of(args, payload)
     labeling, report = simulate.run_on_graph(rule, G, seed, target=H)
@@ -340,8 +341,8 @@ def _cmd_sim_run(args):
 
 
 def _cmd_sim_pipeline(args):
-    rule = _load_rule(args.rule, args)
     H = _load_target(args.target)
+    rule = _load_rule(args.rule, args.d, H)
     mode = "exact" if args.exact else "mc"
     report = simulate.theorem_pipeline(
         rule, H, args.c0, args.C, mode=mode, samples=args.samples, rng_seed=args.seed

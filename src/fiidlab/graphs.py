@@ -541,9 +541,6 @@ def independence_number(G):
         nonlocal best
         if size + P.bit_count() <= best:
             return
-        if P == 0:
-            best = max(best, size)
-            return
         # pivot on maximum internal degree; if that is <= 2 close exactly
         pivot, pdeg = -1, -1
         scan = P
@@ -621,13 +618,43 @@ def _k_colorable(G, k):
     return rec(0, -1)
 
 
+def _components(G):
+    """The connected components of G, each a graph on its vertices in
+    increasing order; [G] itself when G is connected."""
+    seen = [False] * G.n
+    parts = []
+    for root in range(G.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        part = [root]
+        for x in part:  # part grows as the loop walks it: a BFS
+            for w in G.adjacency[x]:
+                if not seen[w]:
+                    seen[w] = True
+                    part.append(w)
+        parts.append(sorted(part))
+    if len(parts) == 1:
+        return [G]
+    out = []
+    for part in parts:
+        index = {v: i for i, v in enumerate(part)}
+        adjacency = tuple(tuple(index[w] for w in G.adjacency[v]) for v in part)
+        m = sum(map(len, adjacency)) // 2
+        out.append(FiniteGraph(n=len(part), adjacency=adjacency, m=m))
+    return out
+
+
 def chromatic_number(G):
-    """Exact chromatic number by iterated k-colorability search."""
-    n = G.n
-    if n > EXACT_INVARIANT_MAX_N:
-        raise TooLarge(f"exact search capped at n={EXACT_INVARIANT_MAX_N}, got {n}")
-    if n == 0:
-        return 0
+    """Exact chromatic number: the largest over the connected components,
+    each by iterated k-colorability search.  A search across components
+    backtracks over the product of their colorings."""
+    if G.n > EXACT_INVARIANT_MAX_N:
+        raise TooLarge(f"exact search capped at n={EXACT_INVARIANT_MAX_N}, got {G.n}")
+    return max(map(_connected_chromatic_number, _components(G)), default=0)
+
+
+def _connected_chromatic_number(G):
     if G.m == 0:
         return 1
     bipartite, _ = _two_color_components(G)

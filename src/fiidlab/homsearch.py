@@ -73,9 +73,6 @@ def class_caveat(d, t, model):
 class ViolationWitness:
     """An edge-ball seed configuration on which a rule outputs a non-edge."""
 
-    d: int
-    t: int
-    model: rules.SeedModel
     config: tuple
     outputs: tuple
 
@@ -84,12 +81,6 @@ class ViolationWitness:
 class CheckResult:
     passed: bool
     witness: ViolationWitness | None
-
-
-def _witness_from_config(rule, config, outputs):
-    return ViolationWitness(
-        d=rule.d, t=rule.t, model=rule.model, config=tuple(config), outputs=tuple(outputs)
-    )
 
 
 def is_homomorphism_rule(rule, H):
@@ -109,15 +100,15 @@ def is_homomorphism_rule(rule, H):
     for config in rules.edge_configs(layout, rule.model):
         x, y = rule.table[code_u(config)], rule.table[code_v(config)]
         if not H.has_edge(x, y):
-            return CheckResult(passed=False, witness=_witness_from_config(rule, config, (x, y)))
+            return CheckResult(passed=False, witness=ViolationWitness(config, (x, y)))
     return CheckResult(passed=True, witness=None)
 
 
 def replay_witness(rule, H, witness):
     """True when re-evaluating the rule on the witness reproduces the
     stored violating pair."""
-    layout = rules.edge_ball_layout(witness.d, witness.t)
-    cu, cv = rules.endpoint_codes(layout, witness.model, witness.config)
+    layout = rules.edge_ball_layout(rule.d, rule.t)
+    cu, cv = rules.endpoint_codes(layout, rule.model, witness.config)
     x, y = rule.table[cu], rule.table[cv]
     return (x, y) == witness.outputs and not H.has_edge(x, y)
 
@@ -227,7 +218,7 @@ def replay_certificate(cert, rule, H):
     x, y = rule.table[cu], rule.table[cv]
     if x != y or H.has_edge(x, y):
         raise AssertionError("certificate replay did not produce a monochromatic non-edge")
-    return _witness_from_config(rule, cert.config, (x, y))
+    return ViolationWitness(cert.config, (x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +228,6 @@ def replay_certificate(cert, rule, H):
 @dataclass
 class SearchBudget:
     max_rules: int = 1_000_000
-    witness_cap: int = 1000
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -277,6 +267,8 @@ def rule_at_cursor(d, t, model, output_alphabet, index):
 
 # the witness reservoir (see the module docstring)
 
+# the most refuted rules whose witnesses a search keeps
+WITNESS_CAP = 1000
 _BUFFER_WORDS = 1 << 13
 # From this bit width on, rules go by windows: with fewer rules per window
 # the per-window set-up costs more than the draws it saves.
@@ -412,8 +404,8 @@ def search(H, d, t, model, budget=None, force_enumeration=False):
     Past either budget the outcome is Impossible, with the class's
     certificate, or BudgetExceeded where no certificate exists or
     force_enumeration is set.  Refuted rules each get a witness; a
-    reservoir sample of them is kept, and any rule's witness is
-    reconstructible from its index via `rule_at_cursor`.
+    reservoir sample of WITNESS_CAP of them is kept, and any rule's
+    witness is reconstructible from its index via `rule_at_cursor`.
     """
     budget = budget or SearchBudget()
     caveat = class_caveat(d, t, model)
@@ -440,9 +432,7 @@ def search(H, d, t, model, budget=None, force_enumeration=False):
     # pair entries by first lexicographic occurrence; scanning them in this
     # order makes the first violating entry the lexicographically first
     # violating configuration
-    entries = [
-        (ball_index[cu], ball_index[cv], cfg) for _, cu, cv, cfg in pair_table.order
-    ]
+    entries = [(ball_index[cu], ball_index[cv], cfg) for cu, cv, cfg in pair_table.order]
     # decided[p]: the entries whose pair is fixed once balls 0..p have outputs
     decided = [[] for _ in codes]
     for iu, iv, _ in entries:
@@ -454,9 +444,9 @@ def search(H, d, t, model, budget=None, force_enumeration=False):
         for iu, iv, cfg in entries:
             a, b = outputs[iu], outputs[iv]
             if not has_edge(a, b):
-                return ViolationWitness(d=d, t=t, model=model, config=cfg, outputs=(a, b))
+                return ViolationWitness(cfg, (a, b))
 
-    reservoir = _Reservoir(budget.rng_seed, budget.witness_cap, total)
+    reservoir = _Reservoir(budget.rng_seed, WITNESS_CAP, total)
     refute, stored = reservoir.refute, reservoir.stored
 
     def witnesses():

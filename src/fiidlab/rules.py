@@ -864,31 +864,24 @@ class EdgePairTable:
 
     ``counts`` maps (code_u, code_v) to the number of configurations
     realizing it; ``order`` lists the pairs by first lexicographic
-    occurrence, with a representative configuration each.
+    occurrence, each with its first configuration.
     """
 
-    d: int
-    t: int
-    model: SeedModel
     total: int
     counts: dict
-    order: tuple  # ((position, code_u, code_v, config), ...) sorted by position
+    order: tuple  # ((code_u, code_v, config), ...)
 
 
 @lru_cache(maxsize=None)
 def edge_pair_table(d, t, model):
     layout = check_edge_budget(d, t, model)
     code_u, code_v = edge_coders(d, t, model)
-    counts = {}
-    first = {}
-    total = 0
-    for pos, config in enumerate(edge_configs(layout, model)):
+    counts, order = {}, []
+    for config in edge_configs(layout, model):
         pair = (code_u(config), code_v(config))
-        counts[pair] = counts.get(pair, 0) + 1
-        if pair not in first:
-            first[pair] = (pos, config)
-        total += 1
-    order = tuple(
-        sorted((pos, pair[0], pair[1], cfg) for pair, (pos, cfg) in first.items())
-    )
-    return EdgePairTable(d=d, t=t, model=model, total=total, counts=counts, order=order)
+        if pair in counts:
+            counts[pair] += 1
+        else:
+            counts[pair] = 1
+            order.append((*pair, config))
+    return EdgePairTable(total=sum(counts.values()), counts=counts, order=tuple(order))

@@ -8,14 +8,15 @@ covered vertices matches the tree law as coverage tends to one.  Vertices on
 short cycles, or with deficient degrees, stay unlabeled and are counted.
 
 The pipeline walks the refutation chain for a candidate rule against a
-regular target H: (1) is the pair law supported on edges of H, (2) is the
-vertex entropy within 3 ln r, (3) how much mass escapes the C-1 heaviest
-labels, (4) is the selected set acyclic in H, (5) does the composed partial
-2-coloring reach domain mass 1 - c0.  The pipeline refuses the laws the
-audit refuses (`entropy.check_marginals`), and steps 1 and 2 use the checks
-of `entropy.audit`: `support_violations`, `entropy_caps` and `tolerance`.  Each
-step reports its numbers; the classification names the refuting step or
-states that no refutation follows at the chosen parameters.
+regular target H of degree r >= 2: (1) is the pair law supported on edges
+of H, (2) is the vertex entropy within 3 ln r, (3) how much mass escapes
+the C-1 heaviest labels, (4) is the selected set acyclic in H, (5) does the
+composed partial 2-coloring reach domain mass 1 - c0.  The pipeline refuses
+the laws the audit refuses (`entropy.check_marginals`), and steps 1 and 2
+use the checks of `entropy.audit`: `support_violations`, `entropy_caps` and
+`tolerance`.  Each step reports its numbers; the classification names the
+refuting step or states that no refutation follows at the chosen
+parameters.
 """
 
 import random
@@ -215,6 +216,19 @@ def _weakened(C, r, c0):
         return True
 
 
+def _target_profile(H):
+    """The profile of the pipeline's target: H must be regular of degree
+    r >= 2, the range of the girth constant r^(3/c0)."""
+    prof = graphs.profile(H)
+    if prof.regular_degree is None:
+        raise ValueError("the pipeline needs a regular target graph")
+    if prof.regular_degree < 2:
+        raise ValueError(
+            f"the pipeline needs a target of degree >= 2, got degree {prof.regular_degree}"
+        )
+    return prof
+
+
 def pipeline_from_laws(vertex, pair, H, c0, C):
     """Run the refutation chain on explicitly given marginals.
 
@@ -224,12 +238,8 @@ def pipeline_from_laws(vertex, pair, H, c0, C):
     The report's `marginal_mode` is "exact" or "mc:<n>", from the vertex
     law's provenance.
     """
-    prof = graphs.profile(H)
-    if prof.regular_degree is None:
-        raise ValueError("the pipeline needs a regular target graph")
+    prof = _target_profile(H)
     r = prof.regular_degree
-    if r < 1:
-        raise ValueError(f"the pipeline needs a target of degree >= 1, got degree {r}")
     ent.check_marginals(vertex, pair)
     c0f = ent.c0_fraction(c0)
     n_samples = vertex.provenance.n_samples
@@ -351,6 +361,8 @@ def theorem_pipeline(rule, H, c0, C, mode="exact", samples=None, rng_seed=None):
     """Marginals of the rule, then the five-step refutation chain against H."""
     if set(rule.output_alphabet) != set(range(H.n)):
         raise ValueError("rule output alphabet must equal the target vertex set")
+    # refuse the target before the laws, whose cost grows with the rule's class
+    _target_profile(H)
     if mode == "exact":
         if samples is not None or rng_seed is not None:
             raise ValueError("exact mode takes neither a sample count nor an rng seed")

@@ -541,6 +541,33 @@ class TestSimCommands:
         assert out == ""
         assert err.startswith(f"error: {flag} {missing!r} is neither a named graph nor a readable")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hom", "check"],
+            ["entropy", "audit", "--exact"],
+            ["sim", "run", "--graph", "Petersen", "--seed", "1"],
+            ["sim", "pipeline", "--c0", "0.089", "--C", "2", "--exact"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_target_file_is_read_once(self, capsys, tmp_path, monkeypatch, argv):
+        # builtin:constant sizes its alphabet by the target, which the
+        # command reads once and hands to the rule
+        g = str(tmp_path / "g.graph")
+        run(capsys, "graph", "gen", "--n", "10", "--d", "3", "--seed", "1", "--out", g)
+        reads = []
+        real = graphs.read_graph
+
+        def counted(path):
+            reads.append(path)
+            return real(path)
+
+        monkeypatch.setattr(graphs, "read_graph", counted)
+        code, payload, _ = run(capsys, *argv, "--rule", "builtin:constant:0", "--target", g)
+        assert code in (0, 1) and payload
+        assert reads == [g]
+
     def test_pipeline_refuted_exits_zero(self, capsys):
         code, payload, _ = run(
             capsys, "sim", "pipeline", "--rule", "builtin:constant:0",
@@ -572,7 +599,7 @@ class TestSimCommands:
         assert cli.main(["--no-timestamp", "sim", "pipeline", "--rule", "builtin:constant:0",
                          "--target", g, "--c0", "0.089", "--C", "2", "--exact"]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and "target of degree >= 1, got degree 0" in err
+        assert out == "" and "target of degree >= 2, got degree 0" in err
 
     def test_bad_flag_exit_two(self):
         assert cli.main(["graph", "profile", "--garbage"]) == 2
@@ -711,6 +738,21 @@ class TestInputErrors:
                               "the following arguments are required: --graph"),
         "run empty graph": (["sim", "run", *RULE, "--graph", "", "--seed", "1"],
                             "--graph '' is neither a named graph nor a readable file"),
+        "constant rule without a label": (
+            ["entropy", "exact", "--rule", "builtin:constant"],
+            "error: builtin:constant needs a label, e.g. builtin:constant:0\n",
+        ),
+        "unreadable rule file": (
+            ["entropy", "exact", "--rule", "no/such.rule"],
+            "error: cannot read rule file 'no/such.rule': [Errno 2] No such file or directory",
+        ),
+        "seed not an int": (["entropy", "mc", *RULE, "--samples", "5", "--seed", "abc"],
+                            "error: argument --seed: invalid int value: 'abc'\n"),
+        "pipeline into K2": (
+            ["sim", "pipeline", "--rule", "builtin:constant:0", "--target", "K2",
+             "--c0", "0.089", "--C", "2", "--exact"],
+            "error: ValueError: the pipeline needs a target of degree >= 2, got degree 1\n",
+        ),
     }
 
     @pytest.mark.parametrize("argv,message", USAGE.values(), ids=USAGE.keys())

@@ -196,7 +196,7 @@ def test_search_of_many_rules_stores_the_plain_loop_witnesses():
     budget = homsearch.SearchBudget(rng_seed=11)
     out = homsearch.search(C5, 3, 1, rules.alphabet(2), budget, force_enumeration=True)
     assert out.kind == "ExhaustedNone" and out.rules_examined == 5**8 > 2**16
-    want, _ = list(plain_reservoir(11, budget.witness_cap, [(0, out.rules_examined)]))[-1]
+    want, _ = list(plain_reservoir(11, homsearch.WITNESS_CAP, [(0, out.rules_examined)]))[-1]
     assert [i for i, _ in out.witnesses] == want
 
 

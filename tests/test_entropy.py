@@ -44,6 +44,49 @@ def alphabet_classes_within_vertex_budget():
                 yield d, t, q, B
 
 
+C5 = graphs.named_graph("C5")
+
+REFUSALS = [
+    (
+        lambda: LabelDistribution((0, 1), (1,), EXACT),
+        entropy.InvalidDistribution,
+        "labels and masses must align and be nonempty",
+    ),
+    (
+        lambda: PairDistribution((0, 1), {(0, 2): 1, (2, 0): 1}, EXACT, 2),
+        entropy.InvalidDistribution,
+        "pair (0, 2) outside the alphabet",
+    ),
+    (
+        lambda: PairDistribution((0, 1), {(0, 0): 4, (0, 1): -1, (1, 0): -1}, EXACT, 2),
+        entropy.InvalidDistribution,
+        "negative mass",
+    ),
+    (
+        lambda: entropy.pair_from_edge_weights(C5, {(0, 2): 1}),
+        entropy.InvalidDistribution,
+        "(0, 2) is not an edge of the target",
+    ),
+    (lambda: entropy.c0_fraction([1, 2]), ValueError, "cannot interpret c0 of type list"),
+    (
+        lambda: entropy.tail_select(entropy.uniform_distribution((0, 1, 2)), 1, "1/2"),
+        ValueError,
+        "C must be an integer >= 2, got 1",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    REFUSALS,
+    ids=["misaligned", "pair-outside", "negative-mass", "non-edge", "c0-list", "tail-C-1"],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
 class TestEntropy:
     def test_uniform_five(self):
         assert entropy.entropy(dist(*([Fraction(1, 5)] * 5))) == pytest.approx(

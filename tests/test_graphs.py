@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -314,6 +315,14 @@ class TestExactInvariants:
         with pytest.raises(graphs.TooLarge):
             graphs.exact_invariants(G)
 
+    def test_search_improves_on_the_greedy_start(self):
+        # repeated minimum-degree picks find an independent set of 3 here;
+        # only the branch and bound finds one of 4
+        edges = [(0, 3), (0, 4), (0, 7), (0, 8), (1, 4), (1, 6), (2, 5), (2, 7),
+                 (3, 4), (3, 8), (4, 7), (5, 6), (5, 7), (5, 8), (6, 7)]
+        G = graphs.build_graph(9, edges)
+        assert graphs.independence_number(G) == brute_alpha(G) == 4
+
     def test_against_brute_force(self):
         for seed in range(12):
             G = random_graph(9, 0.35, 500 + seed)
@@ -321,6 +330,92 @@ class TestExactInvariants:
             assert alpha == brute_alpha(G)
             assert chi == brute_chi(G)
             assert chi * alpha >= G.n  # chi >= n / alpha
+
+
+def disjoint_union(*parts):
+    """One graph of the given graphs side by side, vertices renumbered in order."""
+    edges, offset = [], 0
+    for G in parts:
+        edges += [(u + offset, v + offset) for u, v in G.edges()]
+        offset += G.n
+    return graphs.build_graph(offset, edges)
+
+
+def complete_bipartite(a, b):
+    return graphs.build_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def grotzsch():
+    """The Mycielskian of C5: 11 vertices, triangle-free, chromatic number 4."""
+    rim = [(i, (i + 1) % 5) for i in range(5)]
+    shadows = [(u, 5 + v) for a, b in rim for u, v in ((a, b), (b, a))]
+    return graphs.build_graph(11, rim + shadows + [(5 + i, 10) for i in range(5)])
+
+
+class TestComponents:
+    def test_union_of_bicliques_and_grotzsch(self):
+        # a search across the components backtracks over the colorings of
+        # the bicliques; each component alone answers at once
+        G = disjoint_union(complete_bipartite(6, 6), complete_bipartite(6, 6), grotzsch())
+        assert G.n == 35
+        start = time.perf_counter()
+        assert graphs.chromatic_number(G) == 4
+        assert time.perf_counter() - start < 1.0
+
+    def test_unions_of_random_graphs_against_brute_force(self):
+        rng = random.Random(17)
+        for seed in range(12):
+            parts = [
+                random_graph(rng.randint(1, 5), rng.choice((0.3, 0.6, 0.9)), 900 + 3 * seed + k)
+                for k in range(rng.randint(2, 3))
+            ]
+            G = disjoint_union(*parts)
+            alpha, chi = graphs.exact_invariants(G)
+            assert chi == brute_chi(G) == max(brute_chi(P) for P in parts)
+            assert alpha == brute_alpha(G) == sum(brute_alpha(P) for P in parts)
+
+    def test_components_are_renumbered_in_order(self):
+        G = disjoint_union(graphs.named_graph("K3"), graphs.build_graph(1, []), graphs.named_graph("C5"))
+        parts = graphs._components(G)
+        assert [(P.n, P.m) for P in parts] == [(3, 3), (1, 0), (5, 5)]
+        assert parts[2] == graphs.named_graph("C5")
+        connected = graphs.named_graph("Petersen")
+        assert graphs._components(connected)[0] is connected
+        assert graphs._components(graphs.build_graph(0, [])) == []
+
+
+REFUSALS = [
+    (lambda: graphs.build_graph(-1, []), graphs.VertexOutOfRange, "negative vertex count -1"),
+    (lambda: graphs.random_regular(4, 4, 1), ValueError, "need 0 <= d < n, got d=4, n=4"),
+    # K8 is the only 7-regular graph on 8 vertices, and almost no pairing
+    # of its stubs is simple
+    (
+        lambda: graphs.random_regular(8, 7, 1),
+        graphs.RetryBudgetExceeded,
+        "no simple pairing found in 2000 attempts (n=8, d=7)",
+    ),
+    (
+        lambda: graphs.induced_two_coloring(graphs.named_graph("C5"), [0, 5]),
+        graphs.VertexOutOfRange,
+        "vertex 5 outside 0..4",
+    ),
+    (
+        lambda: graphs.chromatic_number(graphs.build_graph(41, [])),
+        graphs.TooLarge,
+        "exact search capped at n=40, got 41",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    REFUSALS,
+    ids=["negative-n", "d-not-below-n", "retry-budget", "coloring-vertex-n", "chromatic-41"],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 class TestFileFormat:

@@ -139,8 +139,9 @@ class TestSearch:
             assert out.kind == "ExhaustedNone" and out.rules_examined == 4
             assert out.certificate is None
 
-    def test_witness_cap_reservoir(self):
-        budget = homsearch.SearchBudget(witness_cap=50, rng_seed=1)
+    def test_witness_cap_reservoir(self, monkeypatch):
+        monkeypatch.setattr(homsearch, "WITNESS_CAP", 50)
+        budget = homsearch.SearchBudget(rng_seed=1)
         out = homsearch.search(C5, 3, 1, rules.rank(), budget=budget)
         assert len(out.witnesses) == 50
         for index, witness in out.witnesses:
@@ -229,7 +230,7 @@ def reference_search(H, d, t, model, budget=None, force_enumeration=False):
     if total > budget.max_rules:
         return past_budget()
     ball_index = {code: i for i, code in enumerate(balls)}
-    entries = [(ball_index[cu], ball_index[cv], cfg) for _, cu, cv, cfg in pair_table.order]
+    entries = [(ball_index[cu], ball_index[cv], cfg) for cu, cv, cfg in pair_table.order]
     rng = random.Random(budget.rng_seed)
     witnesses = []
     refuted = 0
@@ -238,9 +239,7 @@ def reference_search(H, d, t, model, budget=None, force_enumeration=False):
         for iu, iv, cfg in entries:
             a, b = outputs[iu], outputs[iv]
             if not H.has_edge(a, b):
-                witness = homsearch.ViolationWitness(
-                    d=d, t=t, model=model, config=cfg, outputs=(a, b)
-                )
+                witness = homsearch.ViolationWitness(config=cfg, outputs=(a, b))
                 break
         if witness is None:
             rule = homsearch.rule_at_cursor(d, t, model, labels, index)
@@ -252,11 +251,11 @@ def reference_search(H, d, t, model, budget=None, force_enumeration=False):
                 )
             witness = check.witness
         refuted += 1
-        if len(witnesses) < budget.witness_cap:
+        if len(witnesses) < homsearch.WITNESS_CAP:
             witnesses.append((index, witness))
         else:
             j = rng.randrange(refuted)
-            if j < budget.witness_cap:
+            if j < homsearch.WITNESS_CAP:
                 witnesses[j] = (index, witness)
     return homsearch.SearchOutcome(
         kind="ExhaustedNone", rules_examined=total, witnesses=witnesses, caveat=caveat
@@ -308,14 +307,15 @@ CAPS_SEEDS = list(product((1, 3, 50, 1000), (0, 5)))
 class TestSearchEqualsReference:
     @pytest.mark.parametrize("target", ["K2", "K3", "K4", "C5", "Petersen"])
     @pytest.mark.parametrize("model,t", CLASSES, ids=lambda x: str(x))
-    def test_named_targets(self, model, t, target):
+    def test_named_targets(self, model, t, target, monkeypatch):
         H = graphs.named_graph(target)
         runs = CAPS_SEEDS
         if H.n ** len(rules.enumerate_canonical_balls(3, t, model)) > 100_000:
             # alphabet:2 t=1 into C5, 390,625 rules: one run keeps the suite fast
             runs = [(1000, 5)]
         for cap, seed in runs:
-            budget = homsearch.SearchBudget(witness_cap=cap, rng_seed=seed)
+            monkeypatch.setattr(homsearch, "WITNESS_CAP", cap)
+            budget = homsearch.SearchBudget(rng_seed=seed)
             want = reference_search(H, 3, t, model, budget, force_enumeration=True)
             got = homsearch.search(H, 3, t, model, budget, force_enumeration=True)
             assert _summary(got) == _summary(want), (cap, seed)
@@ -331,11 +331,12 @@ class TestSearchEqualsReference:
         ids=["K2+loop", "P3+loop", "P4+loop", "K3+loop"],
     )
     @pytest.mark.parametrize("model,t", CLASSES, ids=lambda x: str(x))
-    def test_looped_targets(self, model, t, H):
+    def test_looped_targets(self, model, t, H, monkeypatch):
         # a constant rule onto a loop is a homomorphism, so each search ends
         # Found, most of them after more refuted rules than the smaller caps
         for cap, seed in CAPS_SEEDS:
-            budget = homsearch.SearchBudget(witness_cap=cap, rng_seed=seed)
+            monkeypatch.setattr(homsearch, "WITNESS_CAP", cap)
+            budget = homsearch.SearchBudget(rng_seed=seed)
             want = reference_search(H, 3, t, model, budget, force_enumeration=True)
             got = homsearch.search(H, 3, t, model, budget, force_enumeration=True)
             assert got.kind == "Found"
@@ -352,10 +353,11 @@ class TestSearchEqualsReference:
         assert _summary(out) == _summary(reference_search(C5, 1, 1, rules.rank()))
         assert homsearch.is_homomorphism_rule(out.rule, C5).passed
 
-    def test_max_rules_cut(self):
+    def test_max_rules_cut(self, monkeypatch):
         # rank t=1 into Petersen has 10,000 rules
+        monkeypatch.setattr(homsearch, "WITNESS_CAP", 3)
         for max_rules, kind in ((9_999, "Impossible"), (10_000, "ExhaustedNone")):
-            budget = homsearch.SearchBudget(max_rules=max_rules, witness_cap=3)
+            budget = homsearch.SearchBudget(max_rules=max_rules)
             got = homsearch.search(PETERSEN, 3, 1, rules.rank(), budget)
             want = reference_search(PETERSEN, 3, 1, rules.rank(), budget)
             assert got.kind == kind and _summary(got) == _summary(want)

@@ -64,6 +64,42 @@ def reference_hybrid_codes(d, t, q):
     )
 
 
+REFUSALS = [
+    (lambda: rules.SeedModel("x"), ValueError, "unknown seed model kind 'x'"),
+    (lambda: rules.SeedModel("rank", 2), ValueError, "rank model takes no alphabet size"),
+    (
+        lambda: rules.canonicalize((0, ((1, ()), (2, ()), (3, ()))), 3, 1, rules.hybrid(2)),
+        rules.MalformedBall,
+        "hybrid label must be (seed, tag), got 0",
+    ),
+    (
+        lambda: rules.canonicalize((0, ((1, ()), ("a", ()), (3, ()))), 3, 1, rules.rank()),
+        rules.MalformedBall,
+        "seeds are not mutually comparable: "
+        "'<' not supported between instances of 'str' and 'int'",
+    ),
+    # a star of 300 leaves: 301 ranks, past the 255 a code byte holds
+    (
+        lambda: rules.canonicalize(
+            (0, tuple((i, ()) for i in range(1, 301))), 300, 1, rules.rank()
+        ),
+        rules.MalformedBall,
+        "301 ranks do not fit a code byte",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    REFUSALS,
+    ids=["unknown-kind", "rank-with-q", "hybrid-not-pair", "incomparable", "past-255-ranks"],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
 class TestSeedModel:
     @pytest.mark.parametrize(
         "token",
@@ -278,9 +314,7 @@ class TestCanonicalize:
             rules.endpoint_codes(lay, rules.hybrid(2), ((1, 0), (1, 1), (2, 0), (3, 0), (4, 0), (5, 0)))
         target = graphs.named_graph("C5")
         rule = rules.random_rule(3, 1, rules.rank(), tuple(range(5)), 3)
-        witness = homsearch.ViolationWitness(
-            d=3, t=1, model=rules.rank(), config=(1, 1, 2, 3, 4, 5), outputs=(0, 0)
-        )
+        witness = homsearch.ViolationWitness(config=(1, 1, 2, 3, 4, 5), outputs=(0, 0))
         with pytest.raises(rules.MalformedBall):
             homsearch.replay_witness(rule, target, witness)
 
@@ -302,9 +336,7 @@ class TestCanonicalize:
             rules.endpoint_codes(lay, rules.hybrid(2), tuple((r, 2) for r in range(1, 7)))
         with pytest.raises(rules.MalformedBall):
             rules.endpoint_codes(lay, rules.alphabet(2), (0,) * 5)
-        witness = homsearch.ViolationWitness(
-            d=3, t=1, model=rules.alphabet(2), config=(0, 0, 0, 9, 0, 0), outputs=(0, 0)
-        )
+        witness = homsearch.ViolationWitness(config=(0, 0, 0, 9, 0, 0), outputs=(0, 0))
         with pytest.raises(rules.MalformedBall):
             homsearch.replay_witness(rule, graphs.named_graph("C5"), witness)
 
@@ -807,6 +839,26 @@ class TestEdgeBall:
         for (cu, _), c in pt.counts.items():
             margins[cu[0]] = margins.get(cu[0], 0) + c
         assert margins == {1: 180, 2: 180, 3: 180, 4: 180}
+
+    @pytest.mark.parametrize(
+        "d,t,model",
+        [(3, 1, rules.rank()), (3, 1, rules.alphabet(2)), (2, 2, rules.hybrid(2)),
+         (3, 0, rules.alphabet(3))],
+        ids=str,
+    )
+    def test_pair_table_order_is_first_occurrence(self, d, t, model):
+        # the pairs sorted by the position of their first configuration
+        lay = rules.edge_ball_layout(d, t)
+        first = {}
+        positions = 0
+        for pos, config in enumerate(rules.edge_configs(lay, model)):
+            first.setdefault(rules.endpoint_codes(lay, model, config), (pos, config))
+            positions += 1
+        want = [(cu, cv, cfg) for (cu, cv), (_, cfg) in sorted(first.items(), key=lambda kv: kv[1])]
+        pt = rules.edge_pair_table(d, t, model)
+        assert list(pt.order) == want
+        assert list(pt.counts) == [(cu, cv) for cu, cv, _ in want]
+        assert pt.total == positions
 
     def test_pair_table_symmetric(self):
         pt = rules.edge_pair_table(3, 1, rules.rank())

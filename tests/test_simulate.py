@@ -270,15 +270,56 @@ class TestPipeline:
         report = simulate.pipeline_from_laws(vertex, pair, PETERSEN, 0.089, 5)
         assert report.marginal_mode == "mc:2000"
 
-    def test_requires_regular_target(self):
+    def test_requires_regular_target(self, monkeypatch):
+        # refused before the laws, whose cost grows with the rule's class
         path = graphs.build_graph(3, [(0, 1), (1, 2)])
         rule = rules.builtin_rule("constant", label=0, output_alphabet=(0, 1, 2))
-        with pytest.raises(ValueError):
+
+        def no_laws(*args, **kwargs):
+            raise AssertionError("the laws were computed")
+
+        monkeypatch.setattr(entropy, "exact_marginals", no_laws)
+        with pytest.raises(ValueError, match="^the pipeline needs a regular target graph$"):
             simulate.theorem_pipeline(rule, path, 0.089, 2)
+
+    def test_one_regular_target_is_refused_by_the_pipeline(self):
+        # K2 is regular of degree 1, below the girth constant's r >= 2
+        K2 = graphs.named_graph("K2")
+        rule = rules.builtin_rule("constant", label=0, output_alphabet=(0, 1))
+        message = "^the pipeline needs a target of degree >= 2, got degree 1$"
+        with pytest.raises(ValueError, match=message):
+            simulate.theorem_pipeline(rule, K2, 0.089, 2)
+        vertex, pair = entropy.exact_marginals(rule)
+        with pytest.raises(ValueError, match=message):
+            simulate.pipeline_from_laws(vertex, pair, K2, 0.089, 2)
+
+    def test_girth_constant_past_its_bit_cap_is_weakened(self):
+        # r^(3q) with q = 2,000,000 passes the bit cap: the constant raises
+        # Overflow, and the report calls the hypothesis weakened
+        weights = {e: 1 for e in PETERSEN.edges()}
+        pair = entropy.pair_from_edge_weights(PETERSEN, weights)
+        with pytest.raises(entropy.Overflow):
+            entropy.min_girth_constant(3, "1/2000000")
+        report = simulate.pipeline_from_laws(pair.marginal(), pair, PETERSEN, "1/2000000", 5)
+        assert report.hypothesis_weakened is True
 
     def test_alphabet_must_match_target(self):
         with pytest.raises(ValueError):
             simulate.theorem_pipeline(MAX_SEED, PETERSEN, 0.089, 5)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"mode": "mc"}, "mc mode needs a sample count"),
+            ({"mode": "both"}, "unknown marginal mode 'both'"),
+        ],
+        ids=["mc-without-samples", "unknown-mode"],
+    )
+    def test_refusals(self, kwargs, message):
+        rule = rules.builtin_rule("constant", label=0, output_alphabet=tuple(range(10)))
+        with pytest.raises(ValueError) as info:
+            simulate.theorem_pipeline(rule, PETERSEN, 0.089, 5, **kwargs)
+        assert type(info.value) is ValueError and str(info.value) == message
 
     def test_laws_the_audit_refuses_are_refused(self):
         # a uniform vertex law with the pair law of one edge: the pair
