@@ -6,7 +6,8 @@ subcommands either take --seed or record the seed they generated, so every
 run is reproducible; with --no-timestamp the output is byte-identical across
 repeats of the same command line when it gives --seed.  Without it, graph
 gen, rule random, entropy mc and sim run draw a fresh seed each run and
-print it.
+print it; entropy audit --samples, sim pipeline --samples and hom search
+use seed 0 and print none.
 
 Each refusal is made once, where its input arrives: the parser refuses
 usage (a missing flag, a --name outside its choices, not exactly one of
@@ -17,7 +18,9 @@ and classes past a budget.  Every refusal exits 2 with nothing on stdout.
 """
 
 import argparse
+import errno
 import json
+import os
 import random
 import sys
 from dataclasses import asdict
@@ -97,6 +100,13 @@ def _load_rule(spec, d, target=None):
     return rule
 
 
+def _check_out_dir(path):
+    """Refuse an output path in a missing directory before any work, with
+    the error that opening it would raise; a path of None is no output."""
+    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _seed_of(args, payload):
     if args.seed is not None:
         payload["seed"] = args.seed
@@ -153,6 +163,7 @@ def _search_payload(out):
 
 
 def _cmd_graph_gen(args):
+    _check_out_dir(args.out)
     payload = {}
     seed = _seed_of(args, payload)
     G = graphs.random_regular(args.n, args.d, seed)
@@ -196,6 +207,7 @@ def _rule_summary(rule):
 
 
 def _cmd_rule_make(args):
+    _check_out_dir(args.out)
     if args.name == "constant":
         if args.label is None:
             raise UsageError("rule make --name constant needs --label")
@@ -216,6 +228,7 @@ def _cmd_rule_make(args):
 
 
 def _cmd_rule_random(args):
+    _check_out_dir(args.out)
     model = rules.SeedModel.parse(args.model)
     out = _alphabet(args.alphabet)
     payload = {}
@@ -325,6 +338,7 @@ def _cmd_hom_certificate(args):
 
 
 def _cmd_sim_run(args):
+    _check_out_dir(args.labels_out)
     H = _load_target(args.target) if args.target else None
     rule = _load_rule(args.rule, args.d, H)
     G = _load_target(args.graph, "--graph")

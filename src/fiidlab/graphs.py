@@ -562,29 +562,6 @@ def independence_number(G):
     return best
 
 
-def _greedy_clique(G):
-    best = 0
-    for start in range(G.n):
-        clique = [start]
-        for w in sorted(range(G.n), key=lambda u: -len(G.adjacency[u])):
-            if w != start and all(G.has_edge(w, c) for c in clique):
-                clique.append(w)
-        best = max(best, len(clique))
-    return best
-
-
-def _greedy_coloring_bound(G):
-    order = sorted(range(G.n), key=lambda u: -len(G.adjacency[u]))
-    color = {}
-    for v in order:
-        used = {color[w] for w in G.adjacency[v] if w in color}
-        c = 0
-        while c in used:
-            c += 1
-        color[v] = c
-    return max(color.values()) + 1 if color else 0
-
-
 def _k_colorable(G, k):
     n = G.n
     color = [-1] * n
@@ -618,54 +595,76 @@ def _k_colorable(G, k):
     return rec(0, -1)
 
 
-def _components(G):
-    """The connected components of G, each a graph on its vertices in
-    increasing order; [G] itself when G is connected."""
-    seen = [False] * G.n
+def _blocks(G):
+    """The vertex lists of G's biconnected blocks, each in increasing order,
+    by one iterative Hopcroft-Tarjan depth-first pass: a bridge is a block
+    of its own, a cut vertex lies in each of its blocks, an isolated vertex
+    in none.  The edge from a vertex back to its parent counts as a back
+    edge too, which leaves the block test low[v] >= disc[u] unchanged."""
+    adj = G.adjacency
+    disc = [0] * G.n  # discovery time from 1; 0 while unvisited
+    low = [0] * G.n
+    clock = 0
     parts = []
     for root in range(G.n):
-        if seen[root]:
+        if disc[root]:
             continue
-        seen[root] = True
-        part = [root]
-        for x in part:  # part grows as the loop walks it: a BFS
-            for w in G.adjacency[x]:
-                if not seen[w]:
-                    seen[w] = True
-                    part.append(w)
-        parts.append(sorted(part))
-    if len(parts) == 1:
-        return [G]
-    out = []
-    for part in parts:
-        index = {v: i for i, v in enumerate(part)}
-        adjacency = tuple(tuple(index[w] for w in G.adjacency[v]) for v in part)
-        m = sum(map(len, adjacency)) // 2
-        out.append(FiniteGraph(n=len(part), adjacency=adjacency, m=m))
-    return out
+        clock += 1
+        disc[root] = low[root] = clock
+        path = [(root, iter(adj[root]), 0)]  # (vertex, unread neighbors, place in found)
+        found = [root]  # visited vertices not yet closed into a block
+        while path:
+            v, nbrs, place = path[-1]
+            for w in nbrs:
+                if not disc[w]:
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    path.append((w, iter(adj[w]), len(found)))
+                    found.append(w)
+                    break
+                low[v] = min(low[v], disc[w])
+            else:
+                path.pop()
+                if path:
+                    u = path[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= disc[u]:
+                        # u separates v's subtree: close the block under u
+                        parts.append(sorted(found[place:] + [u]))
+                        del found[place:]
+    return parts
+
+
+def _induced(G, part):
+    """G's subgraph on the increasing vertex list part, renumbered in order:
+    on a block's vertices, the block, as two blocks share at most one vertex."""
+    index = {v: i for i, v in enumerate(part)}
+    adjacency = tuple(tuple(index[w] for w in G.adjacency[v] if w in index) for v in part)
+    return FiniteGraph(n=len(part), adjacency=adjacency, m=sum(map(len, adjacency)) // 2)
 
 
 def chromatic_number(G):
-    """Exact chromatic number: the largest over the connected components,
-    each by iterated k-colorability search.  A search across components
-    backtracks over the product of their colorings."""
+    """Exact chromatic number: the largest over the biconnected blocks.
+
+    Two blocks share at most one vertex, where their colorings can be made
+    to agree by renaming colors, and the block-cut graph of each component
+    is a tree, so coloring its blocks outward from any one glues their
+    colorings into a coloring of G.  A bipartite block needs 2 colors; any
+    other block, the least k >= 3 that the k-colorability search accepts.
+    An edgeless graph gives 1, the empty graph 0."""
     if G.n > EXACT_INVARIANT_MAX_N:
         raise TooLarge(f"exact search capped at n={EXACT_INVARIANT_MAX_N}, got {G.n}")
-    return max(map(_connected_chromatic_number, _components(G)), default=0)
-
-
-def _connected_chromatic_number(G):
-    if G.m == 0:
-        return 1
-    bipartite, _ = _two_color_components(G)
-    if bipartite:
-        return 2
-    ub = _greedy_coloring_bound(G)
-    lb = max(_greedy_clique(G), 3)
-    for k in range(lb, ub):
-        if _k_colorable(G, k):
-            return k
-    return ub
+    chi = min(G.n, 1)
+    for part in _blocks(G):
+        B = _induced(G, part)
+        if _two_color_components(B)[0]:
+            k = 2
+        else:
+            k = 3
+            while not _k_colorable(B, k):
+                k += 1
+        chi = max(chi, k)
+    return chi
 
 
 def exact_invariants(G):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import fiidlab
-from fiidlab import cli, graphs
+from fiidlab import cli, graphs, rules, simulate
 
 
 def run(capsys, *argv):
@@ -673,11 +673,20 @@ class TestInputErrors:
         ],
         ids=lambda argv: " ".join(argv[:2]),
     )
-    def test_output_path_in_a_missing_directory(self, capsys, tmp_path, argv):
+    def test_output_path_in_a_missing_directory(self, capsys, tmp_path, monkeypatch, argv):
+        # refused before the work: a call to the work fails the test
+        def work(*args, **kwargs):
+            pytest.fail("the work ran before the output path was refused")
+
+        for module, name in ((graphs, "random_regular"), (rules, "random_rule"),
+                             (simulate, "run_on_graph")):
+            monkeypatch.setattr(module, name, work)
         path = str(tmp_path / "missing" / "out.txt")
         assert cli.main(["--no-timestamp", *argv, path]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: FileNotFoundError:")
+        assert out == ""
+        assert err == f"error: FileNotFoundError: [Errno 2] No such file or directory: {path!r}\n"
+        assert list(tmp_path.iterdir()) == []
 
     # each refusal, made once where its input arrives: the parser, a handler
     # (two flags, or a loaded file) or the library; the text names the flag
@@ -738,6 +747,10 @@ class TestInputErrors:
                               "the following arguments are required: --graph"),
         "run empty graph": (["sim", "run", *RULE, "--graph", "", "--seed", "1"],
                             "--graph '' is neither a named graph nor a readable file"),
+        "run rule outputs outside the target": (
+            ["sim", "run", *RULE, "--target", "K3", "--graph", "Petersen", "--seed", "1"],
+            "error: ValueError: rule outputs must be vertices of the target graph\n",
+        ),
         "constant rule without a label": (
             ["entropy", "exact", "--rule", "builtin:constant"],
             "error: builtin:constant needs a label, e.g. builtin:constant:0\n",

@@ -20,6 +20,8 @@ GOLDEN = dict(
 # pinned, the ones before it write its input files
 CASES = {
     "entropy_constant": (0, [["entropy", "constant", "--r", "3", "--c0", "0.3"]]),
+    "graph_invariants_petersen": (0, [["graph", "invariants", "--target", "Petersen"]]),
+    "graph_profile_mcgee": (0, [["graph", "profile", "--target", "McGee"]]),
     "hom_search_c5": (
         0,
         [["hom", "search", "--target", "C5", "--d", "3", "--t", "1", "--model", "rank"]],

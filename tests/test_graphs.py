@@ -374,14 +374,66 @@ class TestComponents:
             assert chi == brute_chi(G) == max(brute_chi(P) for P in parts)
             assert alpha == brute_alpha(G) == sum(brute_alpha(P) for P in parts)
 
-    def test_components_are_renumbered_in_order(self):
-        G = disjoint_union(graphs.named_graph("K3"), graphs.build_graph(1, []), graphs.named_graph("C5"))
-        parts = graphs._components(G)
-        assert [(P.n, P.m) for P in parts] == [(3, 3), (1, 0), (5, 5)]
-        assert parts[2] == graphs.named_graph("C5")
-        connected = graphs.named_graph("Petersen")
-        assert graphs._components(connected)[0] is connected
-        assert graphs._components(graphs.build_graph(0, [])) == []
+
+def chain(parts, glued):
+    """The given graphs in a row, vertices renumbered in order; the last
+    vertex of each is joined to the first of the next by a bridge edge, or,
+    when glued, is that first vertex (a cut vertex shared by the two)."""
+    edges, offset = [], 0
+    for i, G in enumerate(parts):
+        start = offset - 1 if glued and i else offset
+        edges += [(u + start, v + start) for u, v in G.edges()]
+        if i and not glued:
+            edges.append((offset - 1, offset))
+        offset = start + G.n
+    return graphs.build_graph(offset, edges)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("glued", [False, True], ids=["bridged", "glued"])
+    def test_bicliques_and_grotzsch_in_a_row(self, glued):
+        # one search over the whole graph backtracks over the colorings of
+        # the bicliques; each block alone answers at once
+        G = chain([complete_bipartite(6, 6), complete_bipartite(6, 6), grotzsch()], glued)
+        assert (G.n, G.m) == ((33, 92) if glued else (35, 94))
+        assert graphs.profile(G).connected
+        start = time.perf_counter()
+        assert graphs.chromatic_number(G) == 4
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("glued", [False, True], ids=["bridged", "glued"])
+    def test_rows_of_random_graphs_against_brute_force(self, glued):
+        rng = random.Random(29 + glued)
+        for seed in range(20):
+            parts = [
+                random_graph(rng.randint(1, 4), rng.choice((0.3, 0.6, 0.9)), 700 + 3 * seed + k)
+                for k in range(rng.randint(2, 3))
+            ]
+            G = chain(parts, glued)
+            expected = max(brute_chi(P) for P in parts)
+            if not glued:
+                expected = max(expected, 2)  # the bridges
+            assert graphs.chromatic_number(G) == brute_chi(G) == expected
+
+    def test_empty_and_edgeless_graphs(self):
+        for n, chi in ((0, 0), (1, 1), (5, 1)):
+            G = graphs.build_graph(n, [])
+            assert graphs.chromatic_number(G) == brute_chi(G) == chi
+            assert graphs._blocks(G) == []
+
+    def test_bridges_and_cut_vertices(self):
+        # K3 on 0-2, the bridge 2-3, C5 on 3-7 and K4 on 3, 8-10 sharing the
+        # cut vertex 3, the isolated vertex 11, and the lone edge 12-13
+        edges = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 7)]
+        edges += list(combinations((3, 8, 9, 10), 2)) + [(12, 13)]
+        G = graphs.build_graph(14, edges)
+        blocks = graphs._blocks(G)
+        assert sorted(blocks) == [[0, 1, 2], [2, 3], [3, 4, 5, 6, 7], [3, 8, 9, 10], [12, 13]]
+        assert [v for v in range(G.n) if not any(v in part for part in blocks)] == [11]
+        assert sum(graphs._induced(G, part).m for part in blocks) == G.m
+        named = [graphs.named_graph(name) for name in ("K3", "K2", "C5", "K4", "K2")]
+        assert [graphs._induced(G, part) for part in sorted(blocks)] == named
+        assert graphs.chromatic_number(G) == 4
 
 
 REFUSALS = [
