@@ -282,7 +282,7 @@ def _cmd_entropy_audit(args):
         vertex, pair = entropy.exact_marginals(rule)
     else:
         vertex, pair = entropy.mc_marginals(rule, args.samples, args.seed or 0)
-    res = entropy.audit(vertex, pair, r=args.r, H=H)
+    res = entropy.audit(vertex, pair, r=args.r, H=H, d=rule.d)
     return _audit_payload(res), 0 if res.all_passed() else 1
 
 
@@ -462,7 +462,7 @@ def _build_parser():
     exact_or_samples(e)
     e.add_argument("--r", type=int, default=None, help="target regularity for the caps")
     e.set_defaults(func=_cmd_entropy_audit)
-    e = entg.add_parser("constant", help="least integer above r^(3/c0)")
+    e = entg.add_parser("constant", help="least integer above r^(3/c0), the d=3 constant")
     e.add_argument("--r", type=int, required=True)
     e.add_argument("--c0", required=True)
     e.set_defaults(func=_cmd_entropy_constant)
@@ -485,7 +485,7 @@ def _build_parser():
     h = hom.add_parser("search", help="scan a whole rule class against the target")
     h.add_argument("--target", required=True)
     common(h, "dt", "model", "seed")
-    h.add_argument("--max-rules", type=int, default=1_000_000)
+    h.add_argument("--max-rules", type=int, default=homsearch.SearchBudget.max_rules)
     h.set_defaults(func=_cmd_hom_search)
     h = hom.add_parser("certificate", help="impossibility certificate into a loopless target")
     h.add_argument("--target", required=True)

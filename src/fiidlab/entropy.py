@@ -87,6 +87,38 @@ in bulk, making the same random() calls in the same order as the generic
 path, so both give the same counts, in the same key order, and leave the
 generator in the same state.
 
+Degree-d bounds.  Let X and Y be the labels at the ends of an edge of T_d
+under a factor of i.i.d., h_vertex = h(X) and h_edge = h(X, Y).  On a
+random d-regular graph of n vertices, the expected number of labellings
+whose vertex and edge laws are those of (X, Y) is
+
+    exp(n * ((d/2) h_edge - (d-1) h_vertex) + o(n)),
+
+since there are about exp(n h_vertex) ways to place the labels, and the
+configuration model pairs the dn half-edges as the edge law asks with
+probability about exp((dn/2) h_edge - dn h_vertex).  Such a graph has few
+short cycles, so the factor, run on it, gives such a labelling with
+probability near 1, and the exponent is not negative (Lyons, *Factors of
+IID on trees*, 2017; Backhausz, Szegedy and Virag, 2015):
+
+    (d/2) h_edge >= (d-1) h_vertex,
+
+and `audit` checks the slack h_edge - (2(d-1)/d) h_vertex >= 0, with
+factor 4/3 at d=3.  At d <= 2 the factor is at most 1, and every law
+passes, as h(X, Y) >= h(X).  If the pair law lies on the edges of an
+r-regular target, Y takes at most r values given X, so
+h(Y|X) <= ln r and h_edge = h_vertex + h(Y|X) <= h_vertex + ln r.  With
+the inequality, (d/2 - 1) h_vertex <= (d/2) ln r, so for d >= 3
+
+    h_vertex <= (d/(d-2)) ln r        (`vertex_entropy_cap`),
+
+and at d <= 2 the vertex entropy has no cap.  When the C-1 heaviest labels
+leave mass c0 or more outside, h_vertex >= c0 ln C (`tail_select`), so no
+such law meets the cap once c0 ln C > (d/(d-2)) ln r, that is for
+C > r^(d/((d-2) c0)).  With c0 = p/q, `min_girth_constant` finds the least
+such integer n, the least n with n^(p(d-2)) > r^(dq), in exact arithmetic;
+`entropy constant` prints it at d=3, r^(3/c0).
+
 All entropies are in nats.
 """
 
@@ -792,10 +824,16 @@ def support_violations(pair, H):
     ]
 
 
-def entropy_caps(r):
-    """(ln r, 3 ln r): the caps on the neighbor entropy h(X|Y) and on the
-    vertex entropy of a d=3 law supported on the edges of an r-regular target."""
-    return math.log(r), 3 * math.log(r)
+def vertex_entropy_cap(vertex, r, d=3):
+    """(h, cap, holds): a vertex law's entropy h, its cap (d/(d-2)) ln r on
+    an r-regular target, and whether h <= cap within the law's own
+    `tolerance`; cap and holds are None at d <= 2, where there is no cap
+    (see the module docstring).  The audit and pipeline step 2 both read it."""
+    h = entropy(vertex)
+    if d <= 2:
+        return h, None, None
+    cap = d / (d - 2) * math.log(r)
+    return h, cap, h <= cap + tolerance(vertex, vertex.provenance.n_samples)
 
 
 def tolerance(dist, n_samples):
@@ -831,18 +869,19 @@ def check_marginals(vertex, pair):
     return ns
 
 
-def audit(vertex, pair, r=None, H=None):
-    """Entropies plus verdicts.
+def audit(vertex, pair, r=None, H=None, d=3):
+    """Entropies plus verdicts for laws of a rule on T_d.
 
-    Checks, in order: (a) the edge law dominates 4/3 of the vertex entropy;
-    (b) when a target graph is given, the pair support lies inside its edge
-    set; (c) when the support check passes and a regularity r is known (or
-    read from H, whose regular degree a given r must equal), the neighbor
-    and vertex entropies are within `entropy_caps(r)`.  The slack is
-    `tolerance` of the vertex law at the fewer samples of the two laws; the
-    vertex cap reads only the vertex law, so it takes that law's own sample
-    count, as pipeline step 2 does.
+    Checks, in order: (a) the edge law dominates 2(d-1)/d of the vertex
+    entropy; (b) when a target graph is given, the pair support lies inside
+    its edge set; (c) when the support check passes and a regularity r is
+    known (or read from H, whose regular degree a given r must equal), the
+    neighbor entropy h(X|Y) is at most ln r, and at d >= 3 the vertex
+    entropy within `vertex_entropy_cap`.  The other entropy checks allow
+    `tolerance` of the vertex law at the fewer samples of the two laws.
     """
+    if d < 1:
+        raise ValueError(f"degree d must be >= 1, got {d}")
     if r is not None and r < 1:
         raise ValueError(f"regularity r must be >= 1, got {r}")
     if H is not None:
@@ -859,7 +898,7 @@ def audit(vertex, pair, r=None, H=None):
     h_n = conditional_entropy(pair)
 
     tol = tolerance(vertex, min(ns) if ns else None)
-    slack = h_e - (4.0 / 3.0) * h_v
+    slack = h_e - 2 * (d - 1) / d * h_v
     verdicts = [Verdict("edge_vertex", slack >= -tol, slack)]
 
     support_ok = None
@@ -869,12 +908,11 @@ def audit(vertex, pair, r=None, H=None):
         verdicts.append(Verdict("support_in_target", support_ok, -sum(x for x, _, _ in bad)))
 
     if r is not None and (support_ok or (H is None)):
-        nbr_cap, vertex_cap = entropy_caps(r)
+        nbr_cap = math.log(r)
         verdicts.append(Verdict("nbr_entropy_cap", h_n <= nbr_cap + tol, nbr_cap - h_n))
-        vertex_tol = tolerance(vertex, vertex.provenance.n_samples)
-        verdicts.append(
-            Verdict("vertex_entropy_cap", h_v <= vertex_cap + vertex_tol, vertex_cap - h_v)
-        )
+        _, vertex_cap, holds = vertex_entropy_cap(vertex, r, d)
+        if vertex_cap is not None:
+            verdicts.append(Verdict("vertex_entropy_cap", holds, vertex_cap - h_v))
 
     prov = (
         vertex.provenance
@@ -918,29 +956,33 @@ def c0_fraction(c0):
     return frac
 
 
-def min_girth_constant(r, c0):
-    """Least integer strictly greater than r**(3/c0), in exact arithmetic.
+def min_girth_constant(r, c0, d=3):
+    """Least integer strictly greater than r**(d/((d-2) c0)), in exact
+    arithmetic (see the module docstring); there is none at d <= 2.
 
-    With c0 = p/q in lowest terms the answer is 1 + max{n : n**p <= r**(3q)},
-    found by binary search over big integers.  Results are memoized on
-    (r, c0 as a fraction), since pipelines ask again for the same constant.
+    With c0 = p/q in lowest terms the answer is
+    1 + max{n : n**(p(d-2)) <= r**(dq)}, found by binary search over big
+    integers.  Results are memoized on (r, c0 as a fraction, d), since
+    pipelines ask again for the same constant.
     """
     if not isinstance(r, int) or r < 2:
         raise ValueError(f"regularity r must be an integer >= 2, got {r!r}")
-    return _min_girth_constant(r, c0_fraction(c0))
+    if d <= 2:
+        raise ValueError(f"the girth constant needs d >= 3, got d = {d}")
+    return _min_girth_constant(r, c0_fraction(c0), d)
 
 
 @lru_cache(maxsize=64)
-def _min_girth_constant(r, frac):
+def _min_girth_constant(r, frac, d):
     # lru_cache stores no exception, so Overflow is raised on every call
-    p, q = frac.numerator, frac.denominator
-    bits = 3 * q * max(r.bit_length(), 1)
+    p, q = frac.numerator * (d - 2), frac.denominator
+    bits = d * q * max(r.bit_length(), 1)
     if bits > _OVERFLOW_BIT_CAP:
         raise Overflow(
-            f"r^(3q) needs about {bits} bits with c0 = {frac}; "
+            f"r^({d}q) needs about {bits} bits with c0 = {frac}; "
             "give c0 with a smaller denominator"
         )
-    R = r ** (3 * q)
+    R = r ** (d * q)
     hi = 1 << (R.bit_length() // p + 2)
     lo = 1
     while lo < hi:
@@ -976,9 +1018,14 @@ def tail_select(dist, C, c0):
     """Top C-1 labels by mass, the leftover tail, and the implication chain.
 
     Selection ties break toward the smaller label index, so reports are
-    deterministic.  When the tail mass reaches c0 the tail entropy is
-    bounded below by outside_mass * ln C, which needs every outside mass to
-    be at most 1/C; both links are computed and reported, not assumed.
+    deterministic.  Both links of the chain always hold, and both are
+    reported.  The C-1 selected labels each weigh at least the heaviest
+    outside one, so C times its mass is at most the total 1: every outside
+    mass x is at most 1/C.  Then -ln x >= ln C, so -x ln x >= x ln C, and
+    summed over the outside labels the tail entropy is at least
+    outside_mass * ln C, hence at least c0 * ln C when the outside mass
+    reaches c0.  A Monte Carlo law's float masses are compared with 1/C
+    with a slack of 1e-12, as the entropy floor is.
     """
     if not isinstance(C, int) or C < 2:
         raise ValueError(f"C must be an integer >= 2, got {C!r}")
@@ -1006,20 +1053,15 @@ def tail_select(dist, C, c0):
     )
     min_sel = mass(min((counts[i] for i in chosen), default=0))
     max_out = mass(max((counts[i] for i in rest), default=0))
-    inv_C = Fraction(1, C)
-    bounded = max_out <= inv_C
+    bounded = max_out <= Fraction(1, C) if exact else max_out <= 1 / C + 1e-12
     triggered = outside_mass >= c0_fraction(c0)
     entropy_floor = float(outside_mass) * math.log(C)
     c0_floor = float(c0_fraction(c0)) * math.log(C)
     floor_holds = tail_entropy >= entropy_floor - 1e-12
-    if not triggered:
-        verdict = "tail hypothesis not triggered: outside mass below c0"
-    elif bounded and floor_holds:
-        verdict = (
-            "tail entropy at least outside_mass * ln C, hence at least c0 * ln C"
-        )
+    if triggered:
+        verdict = "tail entropy at least outside_mass * ln C, hence at least c0 * ln C"
     else:
-        verdict = "implication chain incomplete (see computed bounds)"
+        verdict = "tail hypothesis not triggered: outside mass below c0"
     return TailSelection(
         selected=tuple(dist.labels[i] for i in chosen),
         selected_mass=selected_mass,

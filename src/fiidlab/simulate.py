@@ -7,20 +7,23 @@ degrees); the rule applies verbatim there and the empirical label law on
 covered vertices matches the tree law as coverage tends to one.  Vertices on
 short cycles, or with deficient degrees, stay unlabeled and are counted.
 
-The pipeline walks the refutation chain for a candidate rule against a
-regular target H of degree r >= 2: (1) is the pair law supported on edges
-of H, (2) is the vertex entropy within 3 ln r, (3) how much mass escapes
-the C-1 heaviest labels, (4) is the selected set acyclic in H, (5) does the
-composed partial 2-coloring reach domain mass 1 - c0.  The pipeline refuses
-the laws the audit refuses (`entropy.check_marginals`), and steps 1 and 2
-use the checks of `entropy.audit`: `support_violations`, `entropy_caps` and
-`tolerance`.  Each step reports its numbers; the classification names the
-refuting step or states that no refutation follows at the chosen
-parameters.
+The pipeline walks the refutation chain for a candidate rule on T_d against
+a regular target H of degree r >= 2: (1) is the pair law supported on edges
+of H, (2) is the vertex entropy within (d/(d-2)) ln r (not applicable at
+d <= 2, where there is no cap; the `entropy` docstring derives the bounds),
+(3) how much mass escapes the C-1 heaviest labels, (4) is the selected set
+acyclic in H, (5) does the composed partial 2-coloring reach domain mass
+1 - c0.  The pipeline refuses the laws the audit refuses
+(`entropy.check_marginals`), and steps 1 and 2 use the checks of
+`entropy.audit`: `support_violations` and `vertex_entropy_cap`.  Each step
+reports its numbers; the classification names the refuting step or states
+that no refutation follows at the chosen parameters.
 """
 
 import random
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import entropy as ent
 from . import graphs, randbelows, rules
@@ -135,31 +138,23 @@ def run_on_graph(rule, G, rng_seed, target=None):
     for lab in labeling.values():
         histogram[lab] = histogram.get(lab, 0) + 1
 
-    covered_edges = None
-    violating = None
-    vfrac = None
-    if target is not None:
-        covered_edges = 0
-        violating = 0
-        for u, w in G.edges():
-            if u in labeling and w in labeling:
-                covered_edges += 1
-                if not target.has_edge(labeling[u], labeling[w]):
-                    violating += 1
-        vfrac = violating / covered_edges if covered_edges else 0.0
-
-    independent = None
-    if set(rule.output_alphabet) == {"IN", "OUT"}:
-        size = histogram.get("IN", 0)
-        adjacent = sum(
-            1
-            for u, w in G.edges()
-            if labeling.get(u) == "IN" and labeling.get(w) == "IN"
+    covered_edges = violating = vfrac = independent = None
+    in_out = set(rule.output_alphabet) == {"IN", "OUT"}
+    if target is not None or in_out:
+        # the label pairs of the edges whose two ends are covered
+        pairs = Counter(
+            (labeling[u], labeling[w]) for u, w in G.edges() if u in labeling and w in labeling
         )
+    if target is not None:
+        covered_edges = sum(pairs.values())
+        violating = sum(c for (a, b), c in pairs.items() if not target.has_edge(a, b))
+        vfrac = violating / covered_edges if covered_edges else 0.0
+    if in_out:
+        size = histogram.get("IN", 0)
         independent = {
             "size": size,
             "fraction": size / n if n else 0.0,
-            "adjacent_in_in": adjacent,
+            "adjacent_in_in": pairs["IN", "IN"],
         }
 
     report = SimulationReport(
@@ -198,7 +193,7 @@ class PipelineReport:
     C: int
     r: int
     girth: float
-    hypothesis_weakened: bool
+    hypothesis_weakened: bool | None
     marginal_mode: str
     steps: list
     classification: str
@@ -207,10 +202,13 @@ class PipelineReport:
         return self.steps[index - 1]
 
 
-def _weakened(C, r, c0):
-    """Is C below the threshold the girth argument actually needs?"""
+def _weakened(C, r, c0, d):
+    """Is C below the threshold the girth argument actually needs?  None at
+    d <= 2, where there is no threshold."""
+    if d <= 2:
+        return None
     try:
-        return C < ent.min_girth_constant(r, c0)
+        return C < ent.min_girth_constant(r, c0, d)
     except ent.Overflow:
         # the true constant is astronomically large, so any practical C is below it
         return True
@@ -218,7 +216,7 @@ def _weakened(C, r, c0):
 
 def _target_profile(H):
     """The profile of the pipeline's target: H must be regular of degree
-    r >= 2, the range of the girth constant r^(3/c0)."""
+    r >= 2, the range of the girth constant r^(d/((d-2) c0))."""
     prof = graphs.profile(H)
     if prof.regular_degree is None:
         raise ValueError("the pipeline needs a regular target graph")
@@ -229,8 +227,8 @@ def _target_profile(H):
     return prof
 
 
-def pipeline_from_laws(vertex, pair, H, c0, C):
-    """Run the refutation chain on explicitly given marginals.
+def pipeline_from_laws(vertex, pair, H, c0, C, d=3):
+    """Run the refutation chain on explicitly given marginals of a rule on T_d.
 
     This is the testing hook behind `theorem_pipeline`; it accepts any
     (vertex, pair) laws that `entropy.check_marginals` finds consistent, so
@@ -261,16 +259,14 @@ def pipeline_from_laws(vertex, pair, H, c0, C):
         )
     )
 
-    # (2) vertex entropy against 3 ln r
-    h_v = ent.entropy(vertex)
-    _, cap = ent.entropy_caps(r)
-    cap_ok = h_v <= cap + ent.tolerance(vertex, n_samples)
+    # (2) vertex entropy against (d/(d-2)) ln r; passed None at d <= 2
+    h_v, cap, cap_ok = ent.vertex_entropy_cap(vertex, r, d)
     steps.append(
         PipelineStep(
             2,
             "vertex_entropy_cap",
             cap_ok,
-            {"h_vertex": h_v, "bound": cap, "margin": cap - h_v},
+            {"h_vertex": h_v, "bound": cap, "margin": None if cap is None else cap - h_v},
         )
     )
 
@@ -334,8 +330,8 @@ def pipeline_from_laws(vertex, pair, H, c0, C):
 
     if not support_ok:
         classification = "refuted at step 1: not a homomorphism (support)"
-    elif not cap_ok:
-        classification = "refuted at step 2: vertex entropy exceeds 3 ln r"
+    elif cap_ok is False:
+        classification = f"refuted at step 2: vertex entropy exceeds {Fraction(d, d - 2)} ln r"
     elif acyclic and big_domain:
         classification = (
             "refuted at step 5: partial 2-coloring domain mass reaches 1 - c0"
@@ -350,7 +346,7 @@ def pipeline_from_laws(vertex, pair, H, c0, C):
         C=C,
         r=r,
         girth=prof.girth,
-        hypothesis_weakened=_weakened(C, r, c0f),
+        hypothesis_weakened=_weakened(C, r, c0f, d),
         marginal_mode="exact" if n_samples is None else f"mc:{n_samples}",
         steps=steps,
         classification=classification,
@@ -373,4 +369,4 @@ def theorem_pipeline(rule, H, c0, C, mode="exact", samples=None, rng_seed=None):
         vertex, pair = ent.mc_marginals(rule, samples, rng_seed or 0)
     else:
         raise ValueError(f"unknown marginal mode {mode!r}")
-    return pipeline_from_laws(vertex, pair, H, c0, C)
+    return pipeline_from_laws(vertex, pair, H, c0, C, rule.d)

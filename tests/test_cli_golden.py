@@ -198,6 +198,28 @@ CASES = {
             ]
         ],
     ),
+    # the audit reads the rule's d: no vertex entropy cap at d = 2, the
+    # factor 3/2 and cap 2 ln r at d = 4
+    "entropy_audit_d2": (
+        1,
+        [
+            [
+                "rule", "random", "--d", "2", "--t", "3", "--model", "rank",
+                "--alphabet", "a,b,c", "--seed", "5", "--out", "r.rule",
+            ],
+            ["entropy", "audit", "--rule", "r.rule", "--exact", "--r", "2"],
+        ],
+    ),
+    "entropy_audit_d4": (
+        0,
+        [
+            [
+                "rule", "random", "--d", "4", "--t", "1", "--model", "rank",
+                "--alphabet", "a,b,c", "--seed", "5", "--out", "r.rule",
+            ],
+            ["entropy", "audit", "--rule", "r.rule", "--exact", "--r", "2"],
+        ],
+    ),
 }
 
 

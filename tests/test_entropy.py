@@ -45,6 +45,7 @@ def alphabet_classes_within_vertex_budget():
 
 
 C5 = graphs.named_graph("C5")
+C9 = graphs.build_graph(9, [(i, (i + 1) % 9) for i in range(9)])
 
 REFUSALS = [
     (
@@ -409,6 +410,57 @@ class TestAudit:
             resid = res.h_edge - res.h_vertex - res.h_nbr_given_vertex
             assert abs(resid) < 1e-9
 
+    @pytest.mark.parametrize(
+        "d,t,model",
+        [
+            (2, 2, rules.alphabet(4)), (2, 3, rules.alphabet(2)), (2, 3, rules.rank()),
+            (3, 1, rules.rank()), (3, 2, rules.alphabet(2)),
+            (4, 1, rules.rank()), (4, 1, rules.alphabet(2)),
+        ],
+        ids=str,
+    )
+    def test_identity_factor_passes_edge_vertex(self, d, t, model):
+        # each canonical ball its own label: a valid rule of the class; at
+        # d = 2 the first three fail the d=3 factor 4/3
+        codes = rules.enumerate_canonical_balls(d, t, model)
+        labels = tuple(range(len(codes)))
+        rule = rules.make_rule(d, t, model, labels, dict(zip(codes, labels)))
+        vertex, pair = entropy.exact_marginals(rule)
+        res = entropy.audit(vertex, pair, d=d)
+        assert res.verdicts[0].check == "edge_vertex" and res.verdicts[0].passed
+        assert res.slack_edge_vertex == res.h_edge - 2 * (d - 1) / d * res.h_vertex
+        if d == 2:
+            assert not entropy.audit(vertex, pair).verdicts[0].passed
+
+    def test_petersen_edge_law_fails_the_d4_factor(self):
+        # h_edge / h_vertex = ln 30 / ln 10 lies between 4/3 and 3/2: the law
+        # passes at d = 3 and is rejected at d = 4
+        petersen = graphs.named_graph("Petersen")
+        pair = entropy.pair_from_edge_weights(petersen, {e: 1 for e in petersen.edges()})
+        assert 4 / 3 < math.log(30) / math.log(10) < 3 / 2
+        assert entropy.audit(pair.marginal(), pair, d=3).all_passed()
+        res = entropy.audit(pair.marginal(), pair, d=4)
+        assert not res.verdicts[0].passed
+        assert res.slack_edge_vertex == pytest.approx(math.log(30) - 1.5 * math.log(10))
+
+    def test_vertex_cap_by_degree(self):
+        # a uniform law on 9 labels: ln 9 is within 3 ln 2 (d=3), not within
+        # 2 ln 2 (d=4); at d <= 2 there is no cap and no verdict
+        pair = entropy.pair_from_edge_weights(C9, {e: 1 for e in C9.edges()})
+        for d, cap in ((1, None), (2, None), (3, 3 * math.log(2)), (4, 2 * math.log(2)),
+                       (5, 5 / 3 * math.log(2))):
+            h, bound, holds = entropy.vertex_entropy_cap(pair.marginal(), 2, d)
+            assert h == entropy.entropy(pair.marginal()) and bound == cap
+            assert holds is (None if cap is None else h <= cap)
+            checks = [v.check for v in entropy.audit(pair.marginal(), pair, r=2, d=d).verdicts]
+            assert ("vertex_entropy_cap" in checks) is (d >= 3)
+        assert entropy.vertex_entropy_cap(pair.marginal(), 3, 3)[1] == 3 * math.log(3)
+
+    def test_degree_must_be_positive(self):
+        vertex, pair = entropy.exact_marginals(rules.builtin_rule("max_seed_independent"))
+        with pytest.raises(ValueError, match="^degree d must be >= 1, got 0$"):
+            entropy.audit(vertex, pair, d=0)
+
     def test_edge_supported_laws_nbr_cap(self):
         for name, r in (("C5", 2), ("Petersen", 3), ("Heawood", 3)):
             H = graphs.named_graph(name)
@@ -438,6 +490,21 @@ class TestMinGirthConstant:
             entropy.min_girth_constant(1, 0.5)
         with pytest.raises(ValueError):
             entropy.min_girth_constant(3, 1.5)
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_equals_brute_force(self, d):
+        # the least n with n^(p(d-2)) > r^(dq) for c0 = p/q, by counting up
+        for r in (2, 3, 4):
+            for c0 in (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(9, 10)):
+                n = 1
+                while n ** ((d - 2) * c0.numerator) <= r ** (d * c0.denominator):
+                    n += 1
+                assert entropy.min_girth_constant(r, c0, d) == n, (r, c0)
+
+    def test_no_constant_at_d_at_most_2(self):
+        for d in (1, 2):
+            with pytest.raises(ValueError, match=f"^the girth constant needs d >= 3, got d = {d}$"):
+                entropy.min_girth_constant(3, 0.3, d)
 
     def test_overflow_reported(self):
         # twice: the memo must not turn a refusal into a cached answer
@@ -477,6 +544,39 @@ class TestTailSelect:
     def test_c_too_large(self):
         with pytest.raises(entropy.CTooLarge):
             entropy.tail_select(dist(Fraction(1, 2), Fraction(1, 2)), 3, 0.1)
+
+    @pytest.mark.parametrize("k,C", [(5, 5), (10, 10)])
+    @pytest.mark.parametrize("kind", ["exact", "monte_carlo"])
+    def test_outside_mass_equal_to_inv_c(self, k, C, kind):
+        # k labels of mass 1/k = 1/C from 4000 samples: the float 1/k lies
+        # above the fraction 1/C, and both links still hold
+        if kind == "exact":
+            law = LabelDistribution(tuple(range(k)), (4000 // k,) * k, EXACT, 4000)
+        else:
+            law = LabelDistribution(tuple(range(k)), (4000 // k / 4000,) * k,
+                                    entropy.monte_carlo(4000))
+        sel = entropy.tail_select(law, C, 0.089)
+        assert sel.max_outside_mass == (Fraction(1, C) if kind == "exact" else 1 / C)
+        assert sel.outside_at_most_inv_C and sel.floor_holds and sel.triggered
+        assert sel.verdict == "tail entropy at least outside_mass * ln C, hence at least c0 * ln C"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 50), min_size=2, max_size=12).filter(any),
+        st.integers(2, 11),
+        st.booleans(),
+    )
+    def test_both_links_always_hold(self, counts, C, exact):
+        k = len(counts)
+        C = min(C, k)
+        total = sum(counts)
+        if exact:
+            law = LabelDistribution(tuple(range(k)), tuple(counts), EXACT, total)
+        else:
+            law = LabelDistribution(tuple(range(k)), tuple(c / total for c in counts),
+                                    entropy.monte_carlo(total))
+        sel = entropy.tail_select(law, C, 0.3)
+        assert sel.outside_at_most_inv_C and sel.floor_holds
 
     def test_outside_never_exceeds_inv_c(self):
         rng = random.Random(4)

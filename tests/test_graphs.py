@@ -310,6 +310,9 @@ class TestExactInvariants:
         assert graphs.exact_invariants(G) == (4, 3)
         assert brute_alpha(G) == 4
 
+    def test_empty_graph(self):
+        assert graphs.exact_invariants(graphs.build_graph(0, [])) == (0, 0)
+
     def test_too_large(self):
         G = graphs.build_graph(41, [])
         with pytest.raises(graphs.TooLarge):

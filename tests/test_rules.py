@@ -475,6 +475,15 @@ class TestLocalRule:
         assert rules.make_rule(3, 1, rules.rank(), ("a", "b"), rule.table) == rule
 
 
+    def test_recoded_alphabet_defaults_to_first_appearance(self):
+        # labels mapped in the alphabet's order, each kept once
+        rule = rules.random_rule(3, 1, rules.rank(), (0, 1, 2), 3)
+        mapping = {0: "y", 1: "x", 2: "y"}
+        recoded = rules.recode_outputs(rule, mapping)
+        assert recoded.output_alphabet == ("y", "x")
+        assert recoded.table == {code: mapping[label] for code, label in rule.table.items()}
+
+
 def _producers(k):
     """(name, rule) of every producer of rules over k labels (k >= 2 for a
     found search, which needs an edge), all at rank t=1 but the builtins."""

@@ -12,6 +12,8 @@ from fiidlab import entropy, graphs, jsonable, rules, simulate
 MAX_SEED = rules.builtin_rule("max_seed_independent", d=3)
 PETERSEN = graphs.named_graph("Petersen")
 HEAWOOD = graphs.named_graph("Heawood")
+C5 = graphs.named_graph("C5")
+C9 = graphs.build_graph(9, [(i, (i + 1) % 9) for i in range(9)])
 # the 3-cube: 3-regular with girth 4
 CUBE = graphs.build_graph(8, [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit])
 # max_seed_independent with IN -> 0, OUT -> 1: (OUT, OUT) is the non-edge (1, 1)
@@ -214,13 +216,37 @@ class TestPipeline:
         assert report.hypothesis_weakened  # C=5 is far below the girth constant
 
     def test_uniform_edge_law_on_a_9_cycle_is_refuted_at_step_2(self):
-        # ln 9 > 3 ln 2: the uniform vertex law of a 2-regular target is too spread
-        C9 = graphs.build_graph(9, [(i, (i + 1) % 9) for i in range(9)])
+        # ln 9 > (d/(d-2)) ln 2 for d >= 3: the uniform vertex law of a
+        # 2-regular target is too spread
         pair = entropy.pair_from_edge_weights(C9, {e: 1 for e in C9.edges()})
-        report = simulate.pipeline_from_laws(pair.marginal(), pair, C9, 0.089, 5)
-        assert report.step(1).passed and not report.step(2).passed
-        assert report.step(2).data["margin"] == pytest.approx(3 * math.log(2) - math.log(9))
-        assert report.classification == "refuted at step 2: vertex entropy exceeds 3 ln r"
+        for d, factor in ((3, "3"), (4, "2"), (5, "5/3")):
+            report = simulate.pipeline_from_laws(pair.marginal(), pair, C9, 0.089, 5, d)
+            assert report.step(1).passed and report.step(2).passed is False
+            cap = d / (d - 2) * math.log(2)
+            assert report.step(2).data["margin"] == pytest.approx(cap - math.log(9))
+            assert report.classification == (
+                f"refuted at step 2: vertex entropy exceeds {factor} ln r"
+            )
+            assert report.hypothesis_weakened is True
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_no_vertex_entropy_cap_at_d_at_most_2(self, d):
+        # the same law: step 2 and the girth constant are not applicable
+        pair = entropy.pair_from_edge_weights(C9, {e: 1 for e in C9.edges()})
+        report = simulate.pipeline_from_laws(pair.marginal(), pair, C9, 0.089, 5, d)
+        step = report.step(2)
+        assert step.passed is None and report.hypothesis_weakened is None
+        assert step.data == {"h_vertex": pytest.approx(math.log(9)), "bound": None, "margin": None}
+        assert report.classification == "no refutation at these parameters"
+        payload = json.loads(json.dumps(jsonable(report)))
+        assert payload["steps"][1]["passed"] is None and payload["hypothesis_weakened"] is None
+
+    def test_theorem_pipeline_reads_the_rules_degree(self):
+        for d, applicable in ((2, False), (3, True), (4, True)):
+            rule = rules.random_rule(d, 1, rules.rank(), tuple(range(5)), 40)
+            report = simulate.theorem_pipeline(rule, C5, 0.089, 3)
+            assert (report.step(2).passed is not None) is applicable
+            assert (report.hypothesis_weakened is not None) is applicable
 
     def test_selected_set_with_a_cycle_is_not_refuted(self):
         # C = 6 selects the top 5 of 10 uniform labels, which close a 5-cycle
@@ -367,12 +393,14 @@ class TestAuditAgreesWithPipeline:
 
     def test_vertex_entropy_cap_margin(self):
         vertex, pair = heawood_uniform_edge_law()
-        res = entropy.audit(vertex, pair, H=HEAWOOD)
-        step = simulate.pipeline_from_laws(vertex, pair, HEAWOOD, 0.089, 5).step(2)
-        (cap,) = [v for v in res.verdicts if v.check == "vertex_entropy_cap"]
-        assert res.r == 3
-        assert cap.passed is step.passed is True
-        assert cap.margin == step.data["margin"]
+        for d in (3, 4):
+            res = entropy.audit(vertex, pair, H=HEAWOOD, d=d)
+            step = simulate.pipeline_from_laws(vertex, pair, HEAWOOD, 0.089, 5, d).step(2)
+            (cap,) = [v for v in res.verdicts if v.check == "vertex_entropy_cap"]
+            assert res.r == 3
+            # ln 14 lies between 2 ln 3 and 3 ln 3
+            assert cap.passed is step.passed is (d == 3)
+            assert cap.margin == step.data["margin"]
 
     def test_monte_carlo_vertex_cap_has_one_tolerance(self):
         # a Monte Carlo law whose vertex entropy is 4.5 sigma above 3 ln 2:
@@ -388,7 +416,6 @@ class TestAuditAgreesWithPipeline:
         sigma = entropy.entropy_sigma(vertex, n)
         assert 3 * sigma < entropy.entropy(vertex) - 3 * math.log(2) < 6 * sigma
         res = entropy.audit(vertex, pair, r=2)
-        C5 = graphs.named_graph("C5")
         step = simulate.pipeline_from_laws(vertex, pair, C5, 0.089, 5).step(2)
         (cap,) = [v for v in res.verdicts if v.check == "vertex_entropy_cap"]
         assert cap.passed is step.passed is False
@@ -403,7 +430,6 @@ class TestAuditAgreesWithPipeline:
         counts = {(a, b): float(masses[a] * masses[b]) for a in labels for b in labels}
         pair = entropy.PairDistribution(labels, counts, entropy.monte_carlo(20))
         res = entropy.audit(vertex, pair, r=2)
-        C9 = graphs.build_graph(9, [(i, (i + 1) % 9) for i in range(9)])
         step = simulate.pipeline_from_laws(vertex, pair, C9, 0.089, 5).step(2)
         (cap,) = [v for v in res.verdicts if v.check == "vertex_entropy_cap"]
         assert cap.margin == step.data["margin"] == pytest.approx(-0.0845, abs=1e-4)
