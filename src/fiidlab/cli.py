@@ -15,20 +15,23 @@ usage (a missing flag, a --name outside its choices, not exactly one of
 (--seed with --exact in `entropy audit`, --d against a rule file); the
 library, values out of range (a sample count below 1, a seed in exact mode)
 and classes past a budget.  Every refusal exits 2 with nothing on stdout.
+
+`argparse` loads where the parser is built and `datetime` where an envelope
+is stamped, so a process that imports this module without parsing a command
+line, or prints only under --no-timestamp, loads neither.
 """
 
-import argparse
 import errno
 import json
 import os
 import random
 import sys
 from dataclasses import asdict
-from datetime import datetime, timezone
 from fractions import Fraction
 from functools import lru_cache
 
 from . import SCHEMA_VERSION, __version__, entropy, graphs, homsearch, jsonable, rules, simulate
+from . import write_lines
 
 
 class UsageError(Exception):
@@ -46,6 +49,8 @@ def _emit(args, payload):
         "payload": jsonable(payload),
     }
     if not args.no_timestamp:
+        from datetime import datetime, timezone
+
         envelope["timestamp"] = datetime.now(timezone.utc).isoformat()
     line = json.dumps(envelope, sort_keys=True, separators=(",", ":"))
     print(line)
@@ -347,8 +352,7 @@ def _cmd_sim_run(args):
     labeling, report = simulate.run_on_graph(rule, G, seed, target=H)
     if args.labels_out:
         with open(args.labels_out, "w", encoding="ascii") as fh:
-            for v in sorted(labeling):
-                fh.write(f"{v} {labeling[v]}\n")
+            write_lines(fh, (f"{v} {labeling[v]}\n" for v in sorted(labeling)))
         payload["labels_path"] = args.labels_out
     payload.update(asdict(report))
     return payload, 0
@@ -372,6 +376,8 @@ def _cmd_sim_pipeline(args):
 def _u64(text):
     """A --seed value: an int in 0..2^64-1.  random.Random seeds from the
     absolute value, so a negative seed would repeat another seed's output."""
+    import argparse
+
     try:
         value = int(text)
     except ValueError:
@@ -384,6 +390,8 @@ def _u64(text):
 @lru_cache(maxsize=None)
 def _build_parser():
     """The argument parser, built once per process: parsing leaves it as it was."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="fiidlab",
         description="local rules on regular trees: marginals, entropy audits, "

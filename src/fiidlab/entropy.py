@@ -67,13 +67,18 @@ adds each entry's multiplicity times its cell's packed lift into M_a[I, .]
 and sums each pair of partner blocks once: about min(k, e)^2 dot products
 per pair for k labels and e entries per cell.  Both read the rule's
 `outputs`: one `bytes` for at most 256 labels, else a tuple of ints.  The
-label-class kernel adds the packed columns (all fields) of the balls
-labelled a into M_a without a carry, picking them by one bytes.translate
-of the outputs to a 0/1 mask; the last label's M_a is the class total less
-the others.  It reads label b's grid through the weighted partner,
-w_I * M_b[partner(I), J], with one getter over the partner fields: one add
-per ball and k^2 / 2 products per field.  A rule takes it if it has at
-most min(16, e) labels and a column takes at most 1 KiB.  Many labels
+label-class kernel keeps a packed column per ball, its fields from the
+first block of its run: the balls that share its root byte, contiguous in
+the sorted codes.  At alphabet:q every block (A', B') of a ball has A'
+rooted at the ball's root tag, so of the n^2 blocks a column spans the
+n^2 / q of its run.  The kernel adds the columns of the balls labelled a
+into M_a without a carry, run by run, picking them by one bytes.translate
+of the outputs to a 0/1 mask, and shifts each run's sum into place; the
+last label's M_a is the class total less the others.  It reads label b's
+grid through the weighted partner, w_I * M_b[partner(I), J], with one
+getter over the partner fields: one add per ball and k^2 / 2 products per
+field.  A rule takes it if it has at most min(16, e) labels and a column
+of all the fields takes at most 1 KiB.  Many labels
 (alphabet:3 t=2 crosses over near 50), few entries per cell (alphabet at
 d=2, e = q; rank t=1, e = 1) and wide grids (alphabet:2 t=3, rank t=2),
 where columns would also cost memory on every ball, take the per-cell
@@ -126,6 +131,7 @@ import hashlib
 import math
 import random
 import struct
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -373,7 +379,9 @@ class CellForm:
     packed into `unit`, the coefficient of J in the field J of `size` bytes,
     which hold any field total.  Block i has partner[i] and weight[i];
     `width` counts the J, `cell_size` is the mean number of entries per cell
-    rounded down, and `balls` counts the class's canonical balls."""
+    rounded down, and `balls` counts the class's canonical balls.  `runs`
+    lists the (start, stop) range of each root byte in the sorted codes.
+    The stream yields the blocks in increasing order."""
 
     partner: tuple
     weight: tuple
@@ -381,6 +389,7 @@ class CellForm:
     size: int
     cell_size: int
     balls: int
+    runs: tuple
     denominator: int
     stream: object
 
@@ -392,33 +401,53 @@ class CellForm:
 
     @cached_property
     def columns(self):
-        """(columns, total, read, (partnered, weights)) of the label-class
-        kernel, or None if a column would pass _PACKED_MAX_BYTES.
-        columns[ball] packs the ball's lifted multiplicities in the fields
-        i * width + J.  partnered(grid) reads each field's partner, the
-        field of block partner(i) at the same J, and weights lists each
-        field's block weight, or is None when every weight is 1."""
+        """(runs, total, read, (partnered, weights)) of the label-class
+        kernel, or None if a full column would pass _PACKED_MAX_BYTES.
+        Each run is (start, stop, shift, columns): columns[k] packs the
+        lifted multiplicities of ball start + k in the fields i * width + J
+        from bit `shift` on, where the run's first block starts, so that
+        columns[k] << shift is the ball's column over all the fields.
+        partnered(grid) reads each field's partner, the field of block
+        partner(i) at the same J, and weights lists each field's block
+        weight, or is None when every weight is 1."""
         n = len(self.partner) * self.width
         if n * self.size > _PACKED_MAX_BYTES:
             return None
+        block_bits = 8 * self.size * self.width
+        run_of = [r for r, (start, stop) in enumerate(self.runs) for _ in range(start, stop)]
+        firsts = [None] * len(self.runs)
         columns = [0] * self.balls
+        # blocks come in increasing order, so a run's first cell is in its first block
         for block, unit, balls, mults in self.stream():
-            unit <<= 8 * self.size * self.width * block
             for ball, m in zip(balls, mults):
-                columns[ball] += m * unit
+                r = run_of[ball]
+                if firsts[r] is None:
+                    firsts[r] = block
+                columns[ball] += m * unit << block_bits * (block - firsts[r])
+        runs = [
+            (start, stop, block_bits * first, columns[start:stop])
+            for (start, stop), first in zip(self.runs, firsts)
+        ]
+        total = sum(sum(cols) << shift for _, _, shift, cols in runs)
         fields = range(self.width)
         partnered = rules._getter([j * self.width + f for j in self.partner for f in fields])
         # an alphabet form weighs every block 1, and its partner read needs no product
         weights = None if set(self.weight) == {1} else [w for w in self.weight for _ in fields]
-        return columns, sum(columns), _reader(self.size, n), (partnered, weights)
+        return runs, total, _reader(self.size, n), (partnered, weights)
+
+
+def _root_runs(codes):
+    """The (start, stop) range of each root byte in sorted codes."""
+    bounds = [bisect_left(codes, bytes((b,))) for b in range(256)] + [len(codes)]
+    return tuple((start, stop) for start, stop in zip(bounds, bounds[1:]) if start < stop)
 
 
 def _half_tree_types(d, t, q):
     """The cell form of an alphabet class; see the module docstring.  Of n
     cut types, cell (i, j) is block i * n + j."""
     codes = rules.enumerate_canonical_balls(d, t, rules.alphabet(q))
-    halves = rules._alphabet_subtree_types(d, t, q, d - 1)
-    cuts = [(b"", 1)] if t == 0 else rules._alphabet_subtree_types(d, t - 1, q, d - 1)
+    halves = rules._alphabet_subtree_types(d, t, q)
+    cuts = [(b"", 1)] if t == 0 else rules._alphabet_subtree_types(d, t - 1, q)
     n = len(cuts)
     width = rules.subtree_size(d, t - 1)
 
@@ -440,7 +469,10 @@ def _half_tree_types(d, t, q):
     size = _field_size(max(count for _, count in cuts) * q ** ((d - 1) ** t))
     partner = tuple(j * n + i for i in range(n) for j in range(n))
     denominator = q ** (2 * rules.subtree_size(d, t))
-    return CellForm(partner, (1,) * n**2, 1, size, len(halves) // n, len(codes), denominator, stream)
+    return CellForm(
+        partner, (1,) * n**2, 1, size, len(halves) // n, len(codes), _root_runs(codes),
+        denominator, stream,
+    )
 
 
 def _core_key(node, label, core):
@@ -575,8 +607,8 @@ def _interleaving_structure(d, t, model):
     denominator = math.factorial(layout.size) * q**layout.size
     cell_size = sum(map(len, fillings)) // len(fillings)
     return CellForm(
-        tuple(partner), tuple(weight), len(lift_index), size, cell_size, len(codes), denominator,
-        stream,
+        tuple(partner), tuple(weight), len(lift_index), size, cell_size, len(codes),
+        _root_runs(codes), denominator, stream,
     )
 
 
@@ -594,13 +626,18 @@ _LABEL_MASKS = tuple(bytes(a) + b"\1" + bytes(255 - a) for a in range(_PACKED_MA
 
 
 def _pair_law_by_label_class(rule, form):
-    columns, total, read, (partner_of, weights) = form.columns
+    runs, total, read, (partner_of, weights) = form.columns
     labels = rule.output_alphabet
     k = len(labels)
-    # M_a, packed: the columns of the balls labelled a, picked by the mask
-    # of a over the outputs' bytes; the last label's is what the others
-    # leave of the total
-    packs = [sum(compress(columns, rule.outputs.translate(_LABEL_MASKS[a]))) for a in range(k - 1)]
+    # M_a, packed: each run's columns of the balls labelled a, picked by
+    # the mask of a over the outputs' bytes, summed and shifted into place;
+    # the last label's is what the others leave of the total
+    packs = []
+    for a in range(k - 1):
+        mask = rule.outputs.translate(_LABEL_MASKS[a])
+        packs.append(
+            sum(sum(compress(cols, mask[start:stop])) << shift for start, stop, shift, cols in runs)
+        )
     packs.append(total - sum(packs))
     used = [a for a in range(k) if packs[a]]
     grids = {a: read(packs[a]) for a in used}

@@ -388,13 +388,21 @@ def check_enumeration_budget(d, t, model):
 
 
 @lru_cache(maxsize=None)
-def _alphabet_subtree_types(d, depth, q, branching):
+def _alphabet_subtree_types(d, depth, q):
+    """Canonical half-trees of the given depth, whose internal vertices have
+    d-1 children: sorted list of (code, count)."""
+    return _alphabet_types(d, depth, q, d - 1)
+
+
+def _alphabet_types(d, depth, q, branching):
     """Canonical subtrees of the given depth whose root has `branching`
     children and whose deeper internal vertices have d-1: sorted list of
-    (code, count).  With branching d they are the balls of radius depth."""
+    (code, count).  With branching d they are the balls of radius depth,
+    which `enumerate_canonical_balls_weighted` keeps, so only the
+    half-trees are cached here."""
     if depth == 0:
         return [(_BYTE[a], 1) for a in range(q)]
-    prev = _alphabet_subtree_types(d, depth - 1, q, d - 1)
+    prev = _alphabet_subtree_types(d, depth - 1, q)
     out = [
         _assemble(a, combo, branching)
         for a in range(q)
@@ -505,7 +513,7 @@ def enumerate_canonical_balls_weighted(d, t, model):
     check_enumeration_budget(d, t, model)
     B = ball_size(d, t)
     if model.kind == "alphabet":
-        codes, counts = zip(*_alphabet_subtree_types(d, t, model.q, d))
+        codes, counts = zip(*_alphabet_types(d, t, model.q, d))
         total = model.q**B
     else:
         if model.kind == "rank":

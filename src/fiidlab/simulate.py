@@ -13,11 +13,13 @@ of H, (2) is the vertex entropy within (d/(d-2)) ln r (not applicable at
 d <= 2, where there is no cap; the `entropy` docstring derives the bounds),
 (3) how much mass escapes the C-1 heaviest labels, (4) is the selected set
 acyclic in H, (5) does the composed partial 2-coloring reach domain mass
-1 - c0.  The pipeline refuses the laws the audit refuses
-(`entropy.check_marginals`), and steps 1 and 2 use the checks of
-`entropy.audit`: `support_violations` and `vertex_entropy_cap`.  Each step
-reports its numbers; the classification names the refuting step or states
-that no refutation follows at the chosen parameters.
+1 - c0 (not applicable at d <= 2, where T_d is an edge or a path and its
+factors of i.i.d. give partial 2-colorings of any mass below 1).  The
+pipeline refuses the laws the audit refuses (`entropy.check_marginals`),
+and steps 1 and 2 use the checks of `entropy.audit`: `support_violations`
+and `vertex_entropy_cap`.  Each step reports its numbers; the
+classification names the refuting step or states that no refutation
+follows at the chosen parameters.
 """
 
 import random
@@ -315,10 +317,12 @@ def pipeline_from_laws(vertex, pair, H, c0, C, d=3):
         )
     )
 
-    # (5) domain mass of the composed partial 2-coloring
+    # (5) domain mass of the composed partial 2-coloring against 1 - c0;
+    # passed None at d <= 2, where T_d is an edge or a path and its factors
+    # of i.i.d. give partial 2-colorings of any mass below 1
     domain_mass = tail.selected_mass
-    threshold = 1 - c0f
-    big_domain = domain_mass >= threshold
+    threshold = None if d <= 2 else 1 - c0f
+    big_domain = None if d <= 2 else domain_mass >= threshold
     steps.append(
         PipelineStep(
             5,

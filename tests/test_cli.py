@@ -1,7 +1,9 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+from datetime import datetime
 from fractions import Fraction
 
 import pytest
@@ -48,7 +50,7 @@ class TestEnvelope:
         def rebuild(*args, **kwargs):
             raise AssertionError("the parser was built again")
 
-        monkeypatch.setattr(cli.argparse, "ArgumentParser", rebuild)
+        monkeypatch.setattr(argparse, "ArgumentParser", rebuild)
         args = ["--no-timestamp", "entropy", "constant", "--r", "3", "--c0", "0.3"]
         assert cli.main(args) == 0
         first = capsys.readouterr().out
@@ -775,11 +777,16 @@ class TestInputErrors:
         assert out == "" and message in err
 
 
-def test_python_dash_m_runs_quietly():
+def _source_env():
+    """The environment of a subprocess that imports this fiidlab."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fiidlab.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )}
+
+
+def test_python_dash_m_runs_quietly():
+    env = _source_env()
     proc = subprocess.run(
         [sys.executable, "-m", "fiidlab", "--no-timestamp", "entropy", "constant",
          "--r", "3", "--c0", "0.3"],
@@ -788,3 +795,26 @@ def test_python_dash_m_runs_quietly():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["payload"] == {"C": 59050}
+
+
+def test_import_loads_neither_argparse_nor_datetime():
+    """`import fiidlab.cli` leaves argparse and datetime unloaded; a command
+    loads them when it parses and stamps its envelope."""
+    script = (
+        "import sys\n"
+        "import fiidlab.cli\n"
+        "late = ('argparse', 'datetime')\n"
+        "print([m for m in late if m in sys.modules])\n"
+        "fiidlab.cli.main(['entropy', 'constant', '--r', '3', '--c0', '0.3'])\n"
+        "print([m for m in late if m in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_source_env(),
+        check=True,
+    )
+    before, line, after = proc.stdout.splitlines()
+    assert before == "[]"
+    assert after == "['argparse', 'datetime']"
+    env = json.loads(line)
+    assert env["payload"] == {"C": 59050}
+    assert datetime.fromisoformat(env["timestamp"]).utcoffset().total_seconds() == 0

@@ -236,7 +236,7 @@ class TestExactMarginals:
         "d,t,q", [(1, 2, 3), (2, 0, 4), (2, 3, 2), (3, 1, 3), (3, 2, 3), (4, 1, 2), (5, 1, 3)]
     )
     def test_alphabet_cell_size_from_the_half_tree_types(self, d, t, q):
-        types = rules._alphabet_subtree_types(d, t, q, d - 1)
+        types = rules._alphabet_subtree_types(d, t, q)
         assert len(types) == half_tree_count(d, t, q)
         form = entropy._half_tree_types(d, t, q)
         assert form.cell_size == half_tree_count(d, t, q) // half_tree_count(d, t - 1, q)

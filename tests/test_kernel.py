@@ -309,9 +309,11 @@ def test_partner_is_a_weighted_involution(d, t, seeds):
 @pytest.mark.parametrize("d,t,seeds", ENUMERABLE + [(2, 5, 2), (3, 3, 2)] + ORDERED, ids=str)
 def test_packed_columns_sum_the_cells(d, t, seeds):
     """A cell's unit packs its lift, and each packed column holds the ball's
-    lifted multiplicity per field (block, J), in fields of the fewest bytes
-    that hold the largest field total; a class whose column would pass the
-    byte bound has none."""
+    lifted multiplicity per field (block, J) from its run's first block, in
+    fields of the fewest bytes that hold the largest field total; a class
+    whose full column would pass the byte bound has none.  The runs are the
+    balls of each root byte; at alphabet:q a ball's blocks (A', B') have A'
+    rooted at its root byte, so its column spans 1/q of the blocks."""
     form = entropy._cell_form(d, t, _model(seeds))
     n = len(form.partner) * form.width
     mask = 256**form.size - 1
@@ -331,8 +333,18 @@ def test_packed_columns_sum_the_cells(d, t, seeds):
     if n * form.size > entropy._PACKED_MAX_BYTES:
         assert form.columns is None
         return
-    columns, total, read, _ = form.columns
-    assert len(columns) == form.balls
+    runs, total, read, _ = form.columns
+    codes = rules.enumerate_canonical_balls(d, t, _model(seeds))
+    assert [stop for _, stop, _, _ in runs] == [
+        i + 1 for i in range(form.balls) if i + 1 == form.balls or codes[i][0] != codes[i + 1][0]
+    ]
+    block_bits = 8 * form.size * form.width
+    columns = []
+    for start, stop, shift, cols in runs:
+        assert len(cols) == stop - start and shift % block_bits == 0
+        if isinstance(seeds, int) and t > 0:
+            assert max(cols) < 1 << block_bits * len(form.partner) // seeds
+        columns += [column << shift for column in cols]
     fields = [[column >> 8 * form.size * f & mask for f in range(n)] for column in columns]
     assert [{f: x for f, x in enumerate(column) if x} for column in fields] == expected
     assert [list(read(column)) for column in columns] == fields

@@ -276,6 +276,23 @@ class TestPipeline:
         assert report.step(5).passed
         assert report.classification.startswith("refuted at step 5")
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_no_domain_threshold_at_d_at_most_2(self, d):
+        # the same law: T_d is an edge or a path, whose factors of i.i.d.
+        # give partial 2-colorings of any mass below 1, so step 5 does not apply
+        probs = {(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)}
+        pair = entropy.PairDistribution(tuple(range(14)), probs, entropy.EXACT)
+        report = simulate.pipeline_from_laws(pair.marginal(), pair, HEAWOOD, 0.089, 5, d)
+        assert report.step(1).passed and report.step(4).passed
+        step = report.step(5)
+        assert step.passed is None
+        assert step.data == {"domain_mass": 1, "threshold": None}
+        assert report.step(2).passed is None and report.hypothesis_weakened is None
+        assert report.classification == "no refutation at these parameters"
+        payload = json.loads(json.dumps(jsonable(report)))
+        assert payload["steps"][4]["passed"] is None
+        assert payload["steps"][4]["data"]["threshold"] is None
+
     def test_rank_rules_always_fail_step_one(self):
         for seed in range(5):
             rule = rules.random_rule(3, 1, rules.rank(), tuple(range(5)), 40 + seed)
