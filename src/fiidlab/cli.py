@@ -136,10 +136,6 @@ def _audit_payload(res):
     return {**asdict(res), "verdicts": verdicts}
 
 
-def _witness_payload(w):
-    return {"config": w.config, "outputs": w.outputs}
-
-
 def _certificate_payload(cert):
     # an alphabet certificate's q names its model; hybrid:q shares q, so
     # the other models print their name
@@ -156,7 +152,7 @@ def _search_payload(out):
         "rules_examined": out.rules_examined,
         "witnesses_stored": len(out.witnesses),
         "witness_sample": [
-            {"rule_index": idx, **_witness_payload(w)} for idx, w in out.witnesses[:10]
+            {"rule_index": idx, **asdict(w)} for idx, w in out.witnesses[:10]
         ],
         "class_caveat": out.caveat,
         "certificate": None if out.certificate is None else _certificate_payload(out.certificate),
@@ -179,16 +175,7 @@ def _cmd_graph_gen(args):
 
 def _cmd_graph_profile(args):
     G = _load_target(args.target)
-    p = graphs.profile(G)
-    return {
-        "target": args.target,
-        "n": G.n,
-        "m": G.m,
-        "girth": p.girth,
-        "regular_degree": p.regular_degree,
-        "bipartite": p.bipartite,
-        "connected": p.connected,
-    }, 0
+    return {"target": args.target, "n": G.n, "m": G.m, **asdict(graphs.profile(G))}, 0
 
 
 def _cmd_graph_invariants(args):
@@ -320,7 +307,7 @@ def _cmd_hom_check(args):
     payload = {
         "passed": res.passed,
         "verdict": "homomorphism rule (exact scan)" if res.passed else "violation found",
-        "witness": None if res.witness is None else _witness_payload(res.witness),
+        "witness": None if res.witness is None else asdict(res.witness),
     }
     return payload, 0 if res.passed else 1
 

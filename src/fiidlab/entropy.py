@@ -213,9 +213,6 @@ class LabelDistribution:
     def mass(self, label):
         return self.p[self.labels.index(label)]
 
-    def as_float_dict(self):
-        return {a: float(x) for a, x in zip(self.labels, self.p)}
-
 
 @dataclass(frozen=True)
 class PairDistribution:
@@ -263,14 +260,6 @@ class PairDistribution:
         return LabelDistribution(
             self.labels, tuple(sums[a] for a in self.labels), self.provenance, self.denominator
         )
-
-
-def uniform_distribution(labels):
-    return LabelDistribution(tuple(labels), (1,) * len(labels), EXACT, len(labels))
-
-
-def point_mass(labels, label):
-    return LabelDistribution(tuple(labels), tuple(int(a == label) for a in labels), EXACT)
 
 
 def pair_from_edge_weights(H, weights):
@@ -326,12 +315,6 @@ def entropy_sigma(dist, n_samples):
     second = sum(c / D * math.log(c / D) ** 2 for c in dist.counts if c > 0)
     var = max(second - h * h, 0.0)
     return math.sqrt(var / n_samples)
-
-
-def total_variation(d1, d2):
-    labels = set(d1.labels) | set(d2.labels)
-    f1, f2 = d1.as_float_dict(), d2.as_float_dict()
-    return 0.5 * sum(abs(f1.get(a, 0.0) - f2.get(a, 0.0)) for a in labels)
 
 
 # ---------------------------------------------------------------------------

@@ -68,9 +68,6 @@ class FiniteGraph:
     adjacency: tuple
     m: int
 
-    def degree(self, v):
-        return len(self.adjacency[v])
-
     def max_degree(self):
         return max((len(a) for a in self.adjacency), default=0)
 

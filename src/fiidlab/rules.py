@@ -643,15 +643,6 @@ def random_rule(d, t, model, output_alphabet, rng_seed):
     return LocalRule(d, t, model, alpha, draw(random.Random(rng_seed), len(alpha), n))
 
 
-def recode_outputs(rule, mapping, output_alphabet=None):
-    """New rule with output labels pushed through `mapping`."""
-    table = {code: mapping[label] for code, label in rule.table.items()}
-    out = tuple(output_alphabet) if output_alphabet is not None else tuple(
-        dict.fromkeys(mapping[label] for label in rule.output_alphabet)
-    )
-    return make_rule(rule.d, rule.t, rule.model, out, table)
-
-
 # ---------------------------------------------------------------------------
 # rule serialization: header "d t model output_alphabet", then one
 # "<canonical_code_hex> <label>" line per canonical ball, in class order.

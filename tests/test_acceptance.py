@@ -25,6 +25,16 @@ from fiidlab import entropy, graphs, homsearch, jsonable, rules, simulate
 TOL = 1e-9
 
 
+def total_variation(d1, d2):
+    """Half the L1 distance of two laws on the same labels."""
+    assert d1.labels == d2.labels
+    return 0.5 * sum(abs(a - b) for a, b in zip(d1.p, d2.p))
+
+
+def uniform(labels):
+    return entropy.LabelDistribution(labels, (1,) * len(labels), entropy.EXACT, len(labels))
+
+
 @pytest.fixture(scope="session")
 def rule_corpus():
     """200 random rules: alphabet q in {2,3} at t <= 2, rank at t = 1,
@@ -118,7 +128,7 @@ def test_criterion_04_max_seed_rule_laws(acceptance_log):
     h_v = entropy.entropy(vertex)
     ok = ok and abs(h_v - 0.562335) < 1e-6
     mc_vertex, _ = entropy.mc_marginals(rule, 10**6, 20240808)
-    tv = entropy.total_variation(mc_vertex, vertex)
+    tv = total_variation(mc_vertex, vertex)
     ok = ok and tv < 0.005
     acceptance_log(4, ok, f"h_vertex = {h_v:.6f}, MC TV = {tv:.5f}")
     assert ok
@@ -146,16 +156,16 @@ def test_criterion_05_girth_constant(acceptance_log):
 
 
 def test_criterion_06_tail_selection(acceptance_log):
-    u4 = entropy.uniform_distribution((0, 1, 2, 3))
+    u4 = uniform((0, 1, 2, 3))
     s1 = entropy.tail_select(u4, 3, 0.5)
     ok = s1.selected == (0, 1) and s1.outside_mass == Fraction(1, 2)
     ok = ok and abs(s1.tail_entropy - 0.5 * math.log(4)) < 1e-12
     ok = ok and s1.tail_entropy >= 0.5 * math.log(3)
 
-    s2 = entropy.tail_select(entropy.point_mass((0, 1), 0), 2, 0.5)
+    s2 = entropy.tail_select(entropy.LabelDistribution((0, 1), (1, 0), entropy.EXACT), 2, 0.5)
     ok = ok and s2.outside_mass == 0 and not s2.triggered
 
-    u100 = entropy.uniform_distribution(tuple(range(100)))
+    u100 = uniform(tuple(range(100)))
     s3 = entropy.tail_select(u100, 11, 0.5)
     ok = ok and s3.outside_mass == Fraction(9, 10)
     ok = ok and abs(s3.tail_entropy - 0.9 * math.log(100)) < 1e-12
@@ -247,9 +257,8 @@ def test_criterion_09_pipeline(acceptance_log):
     ok = rep_const.classification.startswith("refuted at step 1")
 
     max_seed = rules.builtin_rule("max_seed_independent", d=3)
-    recoded = rules.recode_outputs(
-        max_seed, {"IN": 0, "OUT": 1}, output_alphabet=tuple(range(10))
-    )
+    # IN -> 0, OUT -> 1: outputs are alphabet indices, equal in both alphabets
+    recoded = rules.LocalRule(3, 1, rules.rank(), tuple(range(10)), max_seed.outputs)
     rep_rec = simulate.theorem_pipeline(recoded, petersen, 0.089, 5)
     ok = ok and rep_rec.classification.startswith("refuted at step 1")
     ok = ok and rep_rec.step(1).data["violating_mass"] == pytest.approx(0.5, abs=1e-12)

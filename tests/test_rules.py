@@ -475,15 +475,6 @@ class TestLocalRule:
         assert rules.make_rule(3, 1, rules.rank(), ("a", "b"), rule.table) == rule
 
 
-    def test_recoded_alphabet_defaults_to_first_appearance(self):
-        # labels mapped in the alphabet's order, each kept once
-        rule = rules.random_rule(3, 1, rules.rank(), (0, 1, 2), 3)
-        mapping = {0: "y", 1: "x", 2: "y"}
-        recoded = rules.recode_outputs(rule, mapping)
-        assert recoded.output_alphabet == ("y", "x")
-        assert recoded.table == {code: mapping[label] for code, label in rule.table.items()}
-
-
 def _producers(k):
     """(name, rule) of every producer of rules over k labels (k >= 2 for a
     found search, which needs an edge), all at rank t=1 but the builtins."""
@@ -492,7 +483,6 @@ def _producers(k):
     yield "random_rule", drawn
     yield "rule_from_text", rules.rule_from_text(rules.rule_to_text(drawn))
     yield "make_rule", rules.make_rule(d, t, model, alpha, drawn.table)
-    yield "recode_outputs", rules.recode_outputs(drawn, {a: k - 1 - a for a in alpha}, alpha)
     yield "rule_at_cursor", homsearch.rule_at_cursor(d, t, model, alpha, k**4 - 1)
     if k == 1:
         yield "constant", rules.builtin_rule("constant", label=0)

@@ -16,10 +16,9 @@ C5 = graphs.named_graph("C5")
 C9 = graphs.build_graph(9, [(i, (i + 1) % 9) for i in range(9)])
 # the 3-cube: 3-regular with girth 4
 CUBE = graphs.build_graph(8, [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit])
-# max_seed_independent with IN -> 0, OUT -> 1: (OUT, OUT) is the non-edge (1, 1)
-RECODED_MAX_SEED = rules.recode_outputs(
-    MAX_SEED, {"IN": 0, "OUT": 1}, output_alphabet=tuple(range(10))
-)
+# max_seed_independent with IN -> 0, OUT -> 1: (OUT, OUT) is the non-edge (1, 1);
+# outputs are alphabet indices, and IN, OUT sit at indices 0, 1 of both alphabets
+RECODED_MAX_SEED = rules.LocalRule(3, 1, rules.rank(), tuple(range(10)), MAX_SEED.outputs)
 
 
 def heawood_uniform_edge_law():
@@ -367,7 +366,9 @@ class TestPipeline:
     def test_laws_the_audit_refuses_are_refused(self):
         # a uniform vertex law with the pair law of one edge: the pair
         # marginal puts mass 1/2 on each end of that edge
-        vertex = entropy.uniform_distribution(range(HEAWOOD.n))
+        vertex = entropy.LabelDistribution(
+            tuple(range(HEAWOOD.n)), (1,) * HEAWOOD.n, entropy.EXACT, HEAWOOD.n
+        )
         u, v = next(iter(HEAWOOD.edges()))
         pair = entropy.pair_from_edge_weights(HEAWOOD, {(u, v): 1})
         with pytest.raises(entropy.InconsistentMarginals):
