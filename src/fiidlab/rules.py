@@ -34,10 +34,18 @@ only at the public boundary (`canonicalize`, `evaluate`, `endpoint_codes`).
 
 A canonical ball is its code, a plain `bytes`: `canonicalize` returns it,
 and a class's canonical balls are one cached, sorted tuple of codes.  The
-enumerations build codes directly (from the codes of subtree types, rank
-blocks, or a rank code with a tag after each rank byte).  Nested labels are
-made only by `_decode`, which turns a code back into its sibling-sorted
-ball.
+enumerations build codes directly, and the alphabet and rank ones build
+them in sorted order with no class-wide sort.  An alphabet ball is a root
+tag over a combination of sorted half-tree codes of one length, so the
+combinations come in code order.  The rank codes over ranks 1..s are one
+joined `bytes`: the root's child forests over ranks 1..s-1 are built once,
+from relabelled subtree codes, and sorted under a root byte 0; each root
+rank r then relabels them by one translate (0 to r, each rank from r up by
+one).  An increasing relabelling keeps the order of codes and of siblings,
+so the root ranks in turn give the class sorted.  A hybrid class puts a tag
+after each rank byte of that joined pattern, one tag assignment at a time,
+and is sorted once.  Nested labels are made only by `_decode`, which
+turns a code back into its sibling-sorted ball.
 """
 
 import random
@@ -403,13 +411,11 @@ def _alphabet_types(d, depth, q, branching):
     if depth == 0:
         return [(_BYTE[a], 1) for a in range(q)]
     prev = _alphabet_subtree_types(d, depth - 1, q)
-    out = [
+    return [
         _assemble(a, combo, branching)
         for a in range(q)
         for combo in combinations_with_replacement(prev, branching)
     ]
-    out.sort()
-    return out
 
 
 def _assemble(root_label, combo, slots):
@@ -440,45 +446,36 @@ def _block_partitions(elems, size):
             yield (block,) + tail
 
 
-def _rank_subtree_assignments(ranks, d, depth):
-    """Codes of all canonical subtrees over exactly the given rank set, an
-    ascending tuple.  An increasing relabelling of ranks 1..s keeps both
-    the order of `_rank_codes` and the byte order of siblings, so the codes
-    over ranks 1..s are built once and any other rank set takes them
-    through one translate."""
-    size = len(ranks)
-    joined = _rank_pattern(size, d, depth).translate(bytes((0, *ranks)).ljust(256, b"\0"))
-    return [joined[i:i + size] for i in range(0, len(joined), size)]
-
-
-@lru_cache(maxsize=None)
-def _rank_pattern(size, d, depth):
-    """`_rank_codes(size, d, depth)` joined, the form that relabels at once."""
-    return b"".join(_rank_codes(size, d, depth))
+def _split(joined, width, relabel=None):
+    """`joined` cut into `width`-byte codes, after ranks 1..s are relabelled
+    to the increasing tuple `relabel` if one is given."""
+    if relabel is not None:
+        joined = joined.translate(bytes((0, *relabel)).ljust(256, b"\0"))
+    return [joined[i:i + width] for i in range(0, len(joined), width)]
 
 
 def _rank_codes(size, d, depth):
-    """Codes of all canonical subtrees over ranks 1..size: for each root
-    rank, each partition of the rest into blocks, the product of the
-    blocks' codes.  The root gets (size - 1) / subtree_size(d, depth - 1)
-    children: d - 1 in a subtree, d when the ranks fill a whole ball of
-    radius depth."""
+    """Codes of all canonical subtrees over ranks 1..size, sorted and joined
+    in one `bytes` as the module docstring says.  The root gets
+    (size - 1) / subtree_size(d, depth - 1) children: d - 1 in a subtree,
+    d when the ranks fill a whole ball of radius depth."""
     if depth == 0:
-        return [_BYTE[1]]
-    ranks = tuple(range(1, size + 1))
+        return _BYTE[1]
     block = subtree_size(d, depth - 1)
-    out = []
-    for root_rank in ranks:
-        head = _BYTE[root_rank]
-        for blocks in _block_partitions(ranks[:root_rank - 1] + ranks[root_rank:], block):
-            for parts in product(*(_rank_subtree_assignments(b, d, depth - 1) for b in blocks)):
-                out.append(head + b"".join(sorted(parts)))
-    return out
+    subtrees = _rank_pattern(block, d, depth - 1)
+    pattern = b"".join(sorted(
+        b"\0" + b"".join(sorted(parts))
+        for blocks in _block_partitions(tuple(range(1, size)), block)
+        for parts in product(*(_split(subtrees, block, b) for b in blocks))
+    ))
+    return b"".join(
+        pattern.translate(bytes((r, *range(1, r), *range(r + 1, size + 1))).ljust(256, b"\0"))
+        for r in range(1, size + 1)
+    )
 
 
-def _enumerate_rank(d, t):
-    """Sorted codes of the canonical rank balls."""
-    return sorted(_rank_codes(ball_size(d, t), d, t))
+# cached for the subtree sizes the recursion asks for; a class's own codes are not
+_rank_pattern = lru_cache(maxsize=None)(_rank_codes)
 
 
 def _enumerate_hybrid(d, t, q):
@@ -487,15 +484,13 @@ def _enumerate_hybrid(d, t, q):
     rank r.  Sibling codes start with distinct rank bytes, so the tags leave
     the rank code's sibling order canonical."""
     B = ball_size(d, t)
-    rank_codes = _enumerate_rank(d, t)
+    pattern = _rank_codes(B, d, t)
+    buf = bytearray(2 * len(pattern))
+    buf[0::2] = pattern
     codes = []
-    buf = bytearray(2 * B)
     for tags in product(range(q), repeat=B):
-        tag_of_rank = bytes((0, *tags)).ljust(256, b"\0")
-        for rank_code in rank_codes:
-            buf[0::2] = rank_code
-            buf[1::2] = rank_code.translate(tag_of_rank)
-            codes.append(bytes(buf))
+        buf[1::2] = pattern.translate(bytes((0, *tags)).ljust(256, b"\0"))
+        codes += _split(bytes(buf), 2 * B)
     codes.sort()
     return codes
 
@@ -517,7 +512,7 @@ def enumerate_canonical_balls_weighted(d, t, model):
         total = model.q**B
     else:
         if model.kind == "rank":
-            codes = tuple(_enumerate_rank(d, t))
+            codes = tuple(_split(_rank_codes(B, d, t), B))
             total = factorial(B)
         else:
             codes = tuple(_enumerate_hybrid(d, t, model.q))

@@ -36,8 +36,10 @@ def shuffle_siblings(raw, rng):
 
 
 def reference_rank_subtree_assignments(ranks, d, depth):
-    """The recursion `rules._rank_subtree_assignments` replaced: each block
-    builds its subtree codes from scratch, over its own ranks."""
+    """Codes of all canonical subtrees over the given ascending rank set,
+    in generation order, by a recursion in which each block builds its
+    subtree codes from scratch, over its own ranks: the independent route
+    that `rules._rank_codes` is checked against."""
     if depth == 0:
         return [bytes((ranks[0],))]
     out = []
@@ -174,21 +176,21 @@ class TestEnumeration:
         + [(d, t) for d in (4, 5, 9) for t in range(2)],
     )
     def test_rank_codes_equal_the_reference_recursion(self, d, t):
-        # every (d, t) within the ball budget; equal lists, order included
+        # every (d, t) within the ball budget; the joined pattern holds the
+        # reference codes in sorted order
         B = rules.ball_size(d, t)
         assert B <= rules.RANK_BALL_LIMIT
-        ranks = tuple(range(1, B + 1))
-        expected = reference_rank_subtree_assignments(ranks, d, t)
-        assert rules._rank_codes(B, d, t) == expected
-        assert rules._rank_subtree_assignments(ranks, d, t) == expected
-        assert rules.enumerate_canonical_balls(d, t, rules.rank()) == tuple(sorted(expected))
+        expected = sorted(reference_rank_subtree_assignments(tuple(range(1, B + 1)), d, t))
+        assert rules._split(rules._rank_codes(B, d, t), B) == expected
+        assert rules.enumerate_canonical_balls(d, t, rules.rank()) == tuple(expected)
 
     def test_rank_codes_over_a_sparse_rank_set(self):
         # a block's ranks are any increasing tuple, not 1..s
         for ranks, d, depth in [((2, 5, 9), 3, 1), ((1, 4, 6, 7, 8, 10, 12), 3, 2),
                                 ((3, 4, 8, 11), 4, 1)]:
-            expected = reference_rank_subtree_assignments(ranks, d, depth)
-            assert rules._rank_subtree_assignments(ranks, d, depth) == expected
+            expected = sorted(reference_rank_subtree_assignments(ranks, d, depth))
+            pattern = rules._rank_pattern(len(ranks), d, depth)
+            assert rules._split(pattern, len(ranks), ranks) == expected
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("q", [2, 3])
@@ -254,6 +256,24 @@ class TestEnumeration:
         b = rules.enumerate_canonical_balls(3, 1, rules.alphabet(3))
         assert a == b == tuple(sorted(a))
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_alphabet_codes_are_sorted_by_construction(self, d, q):
+        # no sort runs: the order comes from combinations of sorted child
+        # types, and the entropy half-tree bisects read it.  Half-trees at
+        # every t within the budget (t <= 11 at d = 1), ball classes while
+        # their raw space is at most 5 * 10**5.
+        model = rules.alphabet(q)
+        for t in range(12):
+            try:
+                rules.check_enumeration_budget(d, t, model)
+            except rules.BudgetExceeded:
+                break
+            types = [code for code, _ in rules._alphabet_subtree_types(d, t, q)]
+            assert types == sorted(set(types))
+            if q ** rules.ball_size(d, t) <= 5 * 10**5:
+                codes = rules.enumerate_canonical_balls(d, t, model)
+                assert codes == tuple(sorted(set(codes)))
 
 class TestCanonicalize:
     def test_multiset_equality(self):
