@@ -971,7 +971,8 @@ def c0_fraction(c0):
             raise ValueError(f"c0 {c0!r} has a zero denominator") from None
     else:
         raise ValueError(f"cannot interpret c0 of type {type(c0).__name__}")
-    if not 0 < frac < 1:
+    # a Fraction's denominator is positive, so its ints decide the range
+    if not 0 < frac.numerator < frac.denominator:
         raise ValueError(f"c0 must lie strictly between 0 and 1, got {frac}")
     return frac
 
@@ -982,24 +983,26 @@ def min_girth_constant(r, c0, d=3):
 
     With c0 = p/q in lowest terms the answer is
     1 + max{n : n**(p(d-2)) <= r**(dq)}, found by binary search over big
-    integers.  Results are memoized on (r, c0 as a fraction, d), since
+    integers.  Results are memoized on the integers (r, p, q, d), since
     pipelines ask again for the same constant.
     """
     if not isinstance(r, int) or r < 2:
         raise ValueError(f"regularity r must be an integer >= 2, got {r!r}")
     if d <= 2:
         raise ValueError(f"the girth constant needs d >= 3, got d = {d}")
-    return _min_girth_constant(r, c0_fraction(c0), d)
+    frac = c0_fraction(c0)
+    return _min_girth_constant(r, frac.numerator, frac.denominator, d)
 
 
 @lru_cache(maxsize=64)
-def _min_girth_constant(r, frac, d):
+def _min_girth_constant(r, num, q, d):
     # lru_cache stores no exception, so Overflow is raised on every call
-    p, q = frac.numerator * (d - 2), frac.denominator
+    p = num * (d - 2)
     bits = d * q * max(r.bit_length(), 1)
     if bits > _OVERFLOW_BIT_CAP:
+        # c0 lies strictly between 0 and 1, so q > 1 and num/q is its str
         raise Overflow(
-            f"r^({d}q) needs about {bits} bits with c0 = {frac}; "
+            f"r^({d}q) needs about {bits} bits with c0 = {num}/{q}; "
             "give c0 with a smaller denominator"
         )
     R = r ** (d * q)
@@ -1074,9 +1077,10 @@ def tail_select(dist, C, c0):
     min_sel = mass(min((counts[i] for i in chosen), default=0))
     max_out = mass(max((counts[i] for i in rest), default=0))
     bounded = max_out <= Fraction(1, C) if exact else max_out <= 1 / C + 1e-12
-    triggered = outside_mass >= c0_fraction(c0)
+    c0 = c0_fraction(c0)
+    triggered = outside_mass >= c0
     entropy_floor = float(outside_mass) * math.log(C)
-    c0_floor = float(c0_fraction(c0)) * math.log(C)
+    c0_floor = float(c0) * math.log(C)
     floor_holds = tail_entropy >= entropy_floor - 1e-12
     if triggered:
         verdict = "tail entropy at least outside_mass * ln C, hence at least c0 * ln C"

@@ -10,6 +10,8 @@ per-call loops they replaced, which are kept here as references."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fiidlab
 from fiidlab import entropy, graphs, homsearch, randbelows, rules, shuffle
@@ -130,8 +132,7 @@ def windowed_reservoir(seed, cap, total, calls):
     for lo, hi in calls:
         reservoir.refute(lo, hi)
         if reservoir.pos < len(reservoir.tops):
-            w = 4 * reservoir.pos
-            word = int.from_bytes(reservoir.words[w : w + 4], "little")
+            word = reservoir.values[reservoir.pos]
         else:
             word = peek_word(reservoir.rng)
         yield list(reservoir.stored), word
@@ -189,6 +190,51 @@ def test_reservoir_at_the_widest_draws(total):
     assert list(windowed_reservoir(6, 1000, total, calls)) == list(
         plain_reservoir(6, 1000, calls)
     )
+
+
+def randrange_reservoir(seed, cap, n):
+    """Algorithm R over rules 0..n-1 by one randrange call per refuted rule
+    past the cap: the stored rules and the generator's next word."""
+    rng = random.Random(seed)
+    stored = list(range(min(n, cap)))
+    for i in range(cap, n):
+        j = rng.randrange(i + 1)
+        if j < cap:
+            stored[j] = i
+    return stored, peek_word(rng)
+
+
+def _near(points):
+    return st.sampled_from(points).flatmap(lambda p: st.integers(p - 2, p + 2))
+
+
+# rule indices where the draws change: the first rule of each bit width
+# from 14 bits on (2**15 - 1 is the first of width 16), and the first rule
+# of a window of width k, c << (k - 8), for the windowed widths
+_CUTS = st.one_of(
+    st.integers(0, 1 << 18),
+    _near([(1 << k) - 1 for k in range(13, 18)]),
+    st.integers(15, 18).flatmap(
+        lambda k: _near([c << (k - 8) for c in range(128, 256)])
+    ),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.one_of(st.integers(0, 1 << 18), _CUTS),
+    cap=st.sampled_from([1, 2, 1000]),
+    seed=st.integers(0, 2**64),
+    cuts=st.lists(_CUTS, max_size=40),
+)
+def test_any_split_of_the_reservoir_calls_changes_nothing(n, cap, seed, cuts):
+    # refute calls over consecutive blocks of 0..n-1 draw as one call does,
+    # and as one randrange per rule does
+    bounds = sorted({0, n, *(x for x in cuts if 0 < x < n)})
+    calls = list(zip(bounds, bounds[1:])) or [(0, 0)]
+    want = randrange_reservoir(seed, cap, n)
+    assert list(windowed_reservoir(seed, cap, n, [(0, n)]))[-1] == want
+    assert list(windowed_reservoir(seed, cap, n, calls))[-1] == want
 
 
 def test_search_of_many_rules_stores_the_plain_loop_witnesses():

@@ -200,6 +200,32 @@ class TestSearch:
         assert payload["class_caveat"]
         assert len(payload["witness_sample"]) == 10
 
+    @pytest.mark.parametrize(
+        "model,target",
+        [(rules.rank(), "C5"), (rules.rank(), "Petersen"), (rules.alphabet(2), "K4")],
+        ids=["rank-C5", "rank-Petersen", "alphabet2-K4"],
+    )
+    def test_witnesses_are_the_first_violating_configurations(self, model, target):
+        # brute force over the edge ball in lexicographic order, without the
+        # pair table's order of first occurrences
+        H = graphs.named_graph(target)
+        budget = homsearch.SearchBudget(rng_seed=3)
+        out = homsearch.search(H, 3, 1, model, budget, force_enumeration=True)
+        assert len(out.witnesses) == min(homsearch.WITNESS_CAP, out.rules_examined)
+        code_u, code_v = rules.edge_coders(3, 1, model)
+        configs = list(rules.edge_configs(rules.edge_ball_layout(3, 1), model))
+        shared = {}
+        for index, witness in out.witnesses:
+            table = homsearch.rule_at_cursor(3, 1, model, range(H.n), index).table
+            first = next(
+                (config, pair)
+                for config in configs
+                for pair in [(table[code_u(config)], table[code_v(config)])]
+                if not H.has_edge(*pair)
+            )
+            assert (witness.config, witness.outputs) == first
+            # one witness object per configuration and output pair
+            assert shared.setdefault(first, witness) is witness
 
 def reference_search(H, d, t, model, budget=None, force_enumeration=False):
     """The per-rule scan that prefix pruning replaced: every rule table in
